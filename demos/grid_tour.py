@@ -11,12 +11,11 @@ import numpy as np
 
 from fptlab import (
     GridFunction,
-    measure_distance,
-    l1_norm,
     limsup_tail,
+    measure_distance,
+    norm,
     peak_sequence,
     rademacher,
-    refine,
 )
 
 
@@ -26,8 +25,8 @@ def main() -> None:
 
     one = GridFunction.constant(1.0, level)
     peak = peak_sequence(16, level)
-    print(f"constant density:  integral {l1_norm(one):g}")
-    print(f"peak of height 16: integral {l1_norm(peak):g}, "
+    print(f"constant density:  integral {norm(one):g}")
+    print(f"peak of height 16: integral {norm(peak):g}, "
           f"support measure {1 / 16:g}")
 
     # norm distance vs distance in measure: the peak is far from zero in
@@ -36,29 +35,23 @@ def main() -> None:
     print("\n  n      norm(peak_n)   measure_distance(peak_n, 0)")
     for k in range(1, level + 1):
         p = peak_sequence(2 ** k, level)
-        print(f"  {2 ** k:4d}   {l1_norm(p):12.6f}   {measure_distance(p, zero):15.6f}")
+        print(f"  {2 ** k:4d}   {norm(p):12.6f}   {measure_distance(p, zero):15.6f}")
 
     peaks = [peak_sequence(2 ** k, level) for k in range(1, level + 1)]
-    drift = limsup_tail([l1_norm(p) for p in peaks], 0.5)
+    drift = limsup_tail([norm(p) for p in peaks], 0.5)
     fade = limsup_tail([measure_distance(p, zero) for p in peaks], 0.5)
     print(f"\ntrailing limsup of norms:     {drift:g}  (stays on the sphere)")
     print(f"trailing limsup in measure:   {fade:g}  (vanishes)")
 
     # sign patterns do the opposite: they stay apart in both senses
     r3, r4 = rademacher(3, level), rademacher(4, level)
-    print(f"\nsign patterns r3, r4: norm gap {l1_norm(r3 - r4):g}, "
+    print(f"\nsign patterns r3, r4: norm gap {norm(r3 - r4):g}, "
           f"measure gap {measure_distance(r3, r4):g}")
-
-    # refinement changes the representation, never the geometry
-    fine = refine(peak, level + 3)
-    print(f"\nrefined peak to level {level + 3}: "
-          f"norm unchanged {l1_norm(fine):g}, "
-          f"cross-level distance {measure_distance(fine, peak):g}")
 
     rng = np.random.default_rng(0)
     vals = rng.uniform(0.0, 2.0, 2 ** level)
     f = GridFunction(level, vals / vals.mean())
-    print(f"random density: integral {l1_norm(f):.12g}")
+    print(f"random density: integral {norm(f):.12g}")
 
 
 if __name__ == "__main__":

@@ -12,15 +12,10 @@ the orbit escapes.
 from .grid import (
     DEFAULT_TOL,
     GridFunction,
-    RealSequenceWindow,
-    export_sequence_csv,
-    ky_fan_distance,
-    l1_norm,
     liminf_tail,
     limsup_tail,
     peak_sequence,
     rademacher,
-    refine,
 )
 from .sets import (
     BumpSimplex,
@@ -34,10 +29,9 @@ from .sets import (
     body_from_spec,
     bump_tail_family,
     coord_basis,
-    coord_measure_distance,
-    coord_norm,
     distance_to_set,
     embed_coord,
+    export_sequence_csv,
     measure_distance,
     norm,
     peak_family,
@@ -61,6 +55,7 @@ from .operators import (
     mean_lipschitz,
     operator_from_spec,
     orbit,
+    running_means,
 )
 from .coefficients import (
     CoefficientReport,

@@ -31,7 +31,6 @@ from .operators import mean_lipschitz, operator_from_spec
 from .sets import (
     BumpSimplex,
     ConeHull,
-    CoordPoint,
     UnitBall,
     body_from_spec,
     bump_tail_family,
@@ -107,11 +106,13 @@ def _jsonable(value):
 def _point_payload(point):
     if point is None:
         return None
-    if isinstance(point, GridFunction):
-        return {"kind": "grid", **json.loads(point.to_json())}
-    if isinstance(point, CoordPoint):
-        return {"kind": "coord", **json.loads(point.to_json())}
-    return {"kind": "unknown"}
+    return {"kind": point.kind, **json.loads(point.to_json())}
+
+
+def _env_seed(seed: int | None) -> int | None:
+    """FPTLAB_SEED when set, else the --seed flag."""
+    env = os.environ.get("FPTLAB_SEED")
+    return int(env) if env is not None else seed
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
@@ -225,27 +226,18 @@ def cmd_reproduce(args) -> int:
     overrides = {}
     if args.level is not None:
         overrides["level"] = args.level
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    seed = _env_seed(args.seed)
+    if seed is not None:
+        overrides["seed"] = seed
     if overrides:
         data = json.loads(cfg.to_json())
         data.update(overrides)
         cfg = ExperimentConfig.from_dict(data)
-    cfg = _apply_env_seed(cfg)
     rows, all_pass = run_reproduce(cfg)
     _write_rows(args.out, _REPRO_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}: "
           f"{'all pass' if all_pass else 'FAILURES present'}")
     return 0 if all_pass else 1
-
-
-def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
-    env = os.environ.get("FPTLAB_SEED")
-    if env is None:
-        return cfg
-    data = json.loads(cfg.to_json())
-    data["seed"] = int(env)
-    return ExperimentConfig.from_dict(data)
 
 
 # -------------------------------------------------------------------- solve
@@ -342,11 +334,6 @@ def cmd_sharpness(args) -> int:
     print(f"wrote {len(rows)} rows to {args.out}: "
           f"{'all pass' if all_pass else 'FAILURES present'}")
     return 0 if all_pass else 1
-
-
-def _env_seed(seed: int) -> int:
-    env = os.environ.get("FPTLAB_SEED")
-    return int(env) if env is not None else seed
 
 
 # --------------------------------------------------------------------- main

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    DEFAULT_TOL,
-    GridFunction,
-    l1_norm,
-    liminf_tail,
-    limsup_tail,
-    peak_sequence,
-)
+from .grid import DEFAULT_TOL, GridFunction, liminf_tail, limsup_tail, peak_sequence
 from .sets import (
     BumpSimplex,
     ConvexBody,
@@ -167,14 +160,12 @@ def disjoint_additivity_defect(points, z, *, window_fraction: float = 0.5,
     return abs(with_z - alone - norm(z))
 
 
-def opial_sum(space: str = "L1") -> float:
-    """1 + (in-measure modulus at the unit scale) for the modeled space.
+def opial_sum() -> float:
+    """1 + (in-measure modulus at the unit scale) for the modeled space L1.
 
     In the modeled space the modulus at scale c equals c exactly, again by
     norm additivity along vanishing supports, so the sum at c = 1 is 2.
     """
-    if space != "L1":
-        raise NotImplementedError(f"only the L1 model is implemented, got {space!r}")
     return 2.0
 
 
@@ -188,7 +179,7 @@ def opial_cross_check(c: float = 1.0, level: int = 14, *, k_min: int = 1,
         raise ValueError(f"scale c must be >= 0, got {c}")
     k_max = level if k_max is None else k_max
     shift = GridFunction.constant(c, level)
-    gaps = [l1_norm(peak_sequence(2 ** k, level) - shift)
+    gaps = [(peak_sequence(2 ** k, level) - shift).norm()
             for k in range(k_min, k_max + 1)]
     return liminf_tail(gaps, window_fraction)
 

@@ -1,4 +1,4 @@
-"""Dyadic piecewise-constant functions on [0, 1] with norm and in-measure metrics.
+"""Dyadic piecewise-constant functions on [0, 1] and their generator sequences.
 
 The ambient space is L1([0, 1], Lebesgue).  A function is stored by its
 values on the 2**level dyadic cells, which keeps every construction used
@@ -7,7 +7,7 @@ error anywhere, only float arithmetic.
 """
 from __future__ import annotations
 
-import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -26,10 +26,12 @@ class GridFunction:
     """Piecewise-constant function on the dyadic partition of [0, 1].
 
     ``values[i]`` is the value on the cell ``[i * 2**-level, (i+1) * 2**-level)``.
-    Instances are immutable.  Arithmetic returns new objects, and operands at
-    mixed levels are refined to the finer grid automatically.
+    Instances are immutable.  Arithmetic returns new objects, and operands
+    must share a level.
     """
 
+    #: Point type tag in JSON payloads.
+    kind = "grid"
     level: int
     values: np.ndarray
 
@@ -55,6 +57,33 @@ class GridFunction:
     def cell_width(self) -> float:
         return 2.0 ** -self.level
 
+    @property
+    def array(self) -> np.ndarray:
+        """The stored values, one slot per cell."""
+        return self.values
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Norm weight of each slot: the cell width."""
+        return _cell_widths(self.level)
+
+    #: Measure of each slot's support: again the cell width.
+    widths = weights
+
+    def like(self, array) -> GridFunction:
+        """Point of the same grid holding ``array``."""
+        return GridFunction(self.level, array)
+
+    def norm(self) -> float:
+        """Integral of |f| over [0, 1]."""
+        return float(np.abs(self.values).sum() * self.cell_width)
+
+    def _compat(self, other: GridFunction) -> None:
+        if not isinstance(other, GridFunction):
+            raise TypeError("expected GridFunction operands")
+        if other.level != self.level:
+            raise ValueError(f"mixed grid levels {self.level} and {other.level}")
+
     @classmethod
     def constant(cls, value: float, level: int) -> GridFunction:
         return cls(level, np.full(2 ** level, float(value)))
@@ -68,16 +97,16 @@ class GridFunction:
         return float(self.values.sum() * self.cell_width)
 
     def allclose(self, other: GridFunction, tol: float = DEFAULT_TOL) -> bool:
-        a, b = _aligned(self, other)
-        return bool(np.max(np.abs(a.values - b.values), initial=0.0) <= tol)
+        self._compat(other)
+        return bool(np.max(np.abs(self.values - other.values), initial=0.0) <= tol)
 
     def __add__(self, other: GridFunction) -> GridFunction:
-        a, b = _aligned(self, other)
-        return GridFunction(a.level, a.values + b.values)
+        self._compat(other)
+        return GridFunction(self.level, self.values + other.values)
 
     def __sub__(self, other: GridFunction) -> GridFunction:
-        a, b = _aligned(self, other)
-        return GridFunction(a.level, a.values - b.values)
+        self._compat(other)
+        return GridFunction(self.level, self.values - other.values)
 
     def __neg__(self) -> GridFunction:
         return GridFunction(self.level, -self.values)
@@ -98,40 +127,16 @@ class GridFunction:
         return cls(int(data["level"]), np.asarray(data["values"], dtype=float))
 
     def __repr__(self) -> str:
-        return f"GridFunction(level={self.level}, norm={l1_norm(self):.6g})"
+        return f"GridFunction(level={self.level}, norm={self.norm():.6g})"
 
 
-def _aligned(f: GridFunction, g: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """Refine both operands to the common (finer) grid."""
-    if not isinstance(f, GridFunction) or not isinstance(g, GridFunction):
-        raise TypeError("expected GridFunction operands")
-    lvl = max(f.level, g.level)
-    return refine(f, lvl), refine(g, lvl)
-
-
-def refine(f: GridFunction, new_level: int) -> GridFunction:
-    """Re-express ``f`` on a finer dyadic grid.  Values are duplicated, so the
-    function is unchanged as an element of L1."""
-    if new_level < f.level:
-        raise ValueError(f"cannot coarsen: level {f.level} -> {new_level}")
-    if new_level == f.level:
-        return f
-    return GridFunction(new_level, np.repeat(f.values, 2 ** (new_level - f.level)))
-
-
-def l1_norm(f: GridFunction) -> float:
-    """Integral of |f| over [0, 1]."""
-    return float(np.abs(f.values).sum() * f.cell_width)
-
-
-def ky_fan_distance(f: GridFunction, g: GridFunction) -> float:
-    """Integral of min(|f - g|, 1): the metric of convergence in measure.
-
-    Two functions are close here exactly when they are close on most of
-    [0, 1], regardless of how large the difference is on the rest.
-    """
-    a, b = _aligned(f, g)
-    return float(np.minimum(np.abs(a.values - b.values), 1.0).sum() * a.cell_width)
+@functools.lru_cache(maxsize=8)
+def _cell_widths(level: int) -> np.ndarray:
+    """Read-only array of the 2**level cell widths, built once per level:
+    every in-measure distance reads it twice."""
+    widths = np.full(2 ** level, 2.0 ** -level)
+    widths.setflags(write=False)
+    return widths
 
 
 def peak_sequence(n: int, level: int) -> GridFunction:
@@ -161,58 +166,29 @@ def rademacher(n: int, level: int) -> GridFunction:
     return GridFunction(level, np.tile(pattern, 2 ** (n - 1)))
 
 
-@dataclass(frozen=True)
-class RealSequenceWindow:
-    """Finite real sequence with a trailing-window surrogate for limsup/liminf.
+def _trailing_window(terms, window_fraction: float) -> tuple[float, ...]:
+    """The trailing ``window_fraction`` of a finite real sequence.
 
     On a finite run the limit superior of a sequence is approximated by the
-    maximum over the trailing ``window_fraction`` of the terms; the limit
-    inferior uses the minimum.  The window must be declared, not implied.
+    maximum over this window and the limit inferior by the minimum.  The
+    window must be declared, not implied.
     """
-
-    terms: tuple[float, ...]
-    window_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        terms = tuple(float(t) for t in self.terms)
-        if not terms:
-            raise ValueError("empty sequence")
-        if not all(math.isfinite(t) for t in terms):
-            raise ValueError("terms must be finite")
-        if not (0.0 < self.window_fraction <= 1.0):
-            raise ValueError(f"window_fraction must be in (0, 1], got {self.window_fraction}")
-        object.__setattr__(self, "terms", terms)
-
-    def window(self) -> tuple[float, ...]:
-        k = max(1, math.ceil(self.window_fraction * len(self.terms)))
-        return self.terms[len(self.terms) - k:]
-
-    def limsup_tail(self) -> float:
-        return max(self.window())
-
-    def liminf_tail(self) -> float:
-        return min(self.window())
+    terms = tuple(float(t) for t in terms)
+    if not terms:
+        raise ValueError("empty sequence")
+    if not all(math.isfinite(t) for t in terms):
+        raise ValueError("terms must be finite")
+    if not (0.0 < window_fraction <= 1.0):
+        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
+    k = max(1, math.ceil(window_fraction * len(terms)))
+    return terms[len(terms) - k:]
 
 
 def limsup_tail(terms, window_fraction: float = 0.5) -> float:
     """Max over the trailing window: the finite-run stand-in for limsup."""
-    if isinstance(terms, RealSequenceWindow):
-        return terms.limsup_tail()
-    return RealSequenceWindow(tuple(terms), window_fraction).limsup_tail()
+    return max(_trailing_window(terms, window_fraction))
 
 
 def liminf_tail(terms, window_fraction: float = 0.5) -> float:
     """Min over the trailing window: the finite-run stand-in for liminf."""
-    if isinstance(terms, RealSequenceWindow):
-        return terms.liminf_tail()
-    return RealSequenceWindow(tuple(terms), window_fraction).liminf_tail()
-
-
-def export_sequence_csv(path, points, limit: GridFunction | None = None) -> None:
-    """Write a point sequence as CSV rows index,l1_norm,ky_fan_to_limit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "l1_norm", "ky_fan_to_limit"])
-        for i, p in enumerate(points):
-            dist = "" if limit is None else f"{ky_fan_distance(p, limit):.12g}"
-            writer.writerow([i, f"{l1_norm(p):.12g}", dist])
+    return min(_trailing_window(terms, window_fraction))

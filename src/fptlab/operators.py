@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DEFAULT_TOL, GridFunction, l1_norm, peak_sequence
+from .grid import DEFAULT_TOL, GridFunction, peak_sequence
 from .sets import (
     BumpSimplex,
     ConeHull,
@@ -18,6 +18,7 @@ from .sets import (
     CoordPoint,
     DensitySimplex,
     UnitBall,
+    _reject_unknown,
     body_from_spec,
     coord_basis,
     norm,
@@ -294,22 +295,22 @@ def operator_from_spec(spec: dict, body: ConvexBody) -> AffineOperator:
     kind = spec["op"]
     extra = {k: v for k, v in spec.items() if k != "op"}
     if kind == "identity":
-        _reject_unknown(extra, set())
+        _reject_unknown(extra, set(), "operator")
         return IdentityOperator(body)
     if kind == "doubling":
-        _reject_unknown(extra, set())
+        _reject_unknown(extra, set(), "operator")
         return DoublingShift(body)
     if kind == "cyclic":
-        _reject_unknown(extra, set())
+        _reject_unknown(extra, set(), "operator")
         return CyclicShift(body)
     if kind == "retraction":
-        _reject_unknown(extra, set())
+        _reject_unknown(extra, set(), "operator")
         return NormalizingRetraction(body)
     if kind == "retraction_compose":
-        _reject_unknown(extra, set())
+        _reject_unknown(extra, set(), "operator")
         return RetractionDoubling(body)
     if kind == "ct_shift":
-        _reject_unknown(extra, {"t"})
+        _reject_unknown(extra, {"t"}, "operator")
         if not isinstance(body, BumpSimplex):
             raise ValueError("ct_shift needs the bump simplex body")
         if "t" in extra and abs(float(extra["t"]) - body.t) > DEFAULT_TOL:
@@ -317,12 +318,6 @@ def operator_from_spec(spec: dict, body: ConvexBody) -> AffineOperator:
                 f"ct_shift t={extra['t']} does not match body t={body.t}")
         return BumpShift(body)
     raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _reject_unknown(extra: dict, allowed: set) -> None:
-    unknown = set(extra) - allowed
-    if unknown:
-        raise ValueError(f"unknown operator parameters {sorted(unknown)}")
 
 
 def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
@@ -357,18 +352,26 @@ def orbit(T: AffineOperator, x0, n_max: int, *, check_domain: bool = True) -> li
     return points
 
 
+def running_means(points) -> list:
+    """Running means (p_1 + ... + p_s) / s for s = 1..len(points).
+
+    The one mean kernel of the package: a sequential sum scaled by 1/s, so
+    every caller gets the same float rounding.
+    """
+    means = []
+    total = None
+    for s, p in enumerate(points, start=1):
+        total = p if total is None else total + p
+        means.append(total * (1.0 / s))
+    return means
+
+
 def cesaro_means(T: AffineOperator, x0, n_max: int, *,
                  check_domain: bool = True) -> list:
     """Running means z_s = (T x0 + ... + T**s x0) / s for s = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    orb = orbit(T, x0, n_max, check_domain=check_domain)
-    means = []
-    total = None
-    for s in range(1, n_max + 1):
-        total = orb[s] if total is None else total + orb[s]
-        means.append(total * (1.0 / s))
-    return means
+    return running_means(orbit(T, x0, n_max, check_domain=check_domain)[1:])
 
 
 def afps_residual(T: AffineOperator, x) -> float:
@@ -384,16 +387,15 @@ def cesaro_residual_series(T: AffineOperator, x0, n_max: int, *,
     One orbit pass therefore prices every residual without re-applying T to
     any mean.
     """
-    orb = orbit(T, x0, n_max + 1, check_domain=check_domain)
-    means = []
-    residuals = []
-    acc = None
-    for s in range(1, n_max + 1):
-        acc = orb[s] if acc is None else acc + orb[s]
-        z = acc * (1.0 / s)
-        means.append(z)
-        residuals.append(norm(orb[1] - orb[s + 1]) / s)
-    return means, residuals
+    return orbit_means_residuals(orbit(T, x0, n_max + 1, check_domain=check_domain))
+
+
+def orbit_means_residuals(orb) -> tuple[list, list[float]]:
+    """Means z_1..z_n of the orbit [x0, T x0, ..., T**(n+1) x0] and their
+    residuals norm(T x0 - T**(s+1) x0) / s."""
+    n = len(orb) - 2
+    residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, n + 1)]
+    return running_means(orb[1:n + 1]), residuals
 
 
 def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,

@@ -10,21 +10,14 @@ upper bound.
 """
 from __future__ import annotations
 
+import csv
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    DEFAULT_TOL,
-    GridFunction,
-    ky_fan_distance,
-    l1_norm,
-    limsup_tail,
-    peak_sequence,
-)
+from .grid import DEFAULT_TOL, GridFunction, limsup_tail, peak_sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +34,8 @@ class CoordPoint:
     invisible to the in-measure metric.
     """
 
+    #: Point type tag in JSON payloads.
+    kind = "coord"
     t: float
     coeffs: np.ndarray
 
@@ -60,6 +55,31 @@ class CoordPoint:
     @property
     def slots(self) -> int:
         return int(self.coeffs.size)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The stored coefficients, one slot per bump."""
+        return self.coeffs
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Norm weight of each slot: t - 1 for the first bump, 1 after."""
+        w = np.ones(self.slots)
+        w[0] = self.t - 1.0
+        return w
+
+    @property
+    def widths(self) -> np.ndarray:
+        """Measure of each slot's support: 2**-(k+1) for the k-th bump."""
+        return 2.0 ** -(np.arange(self.slots) + 1)
+
+    def like(self, array) -> CoordPoint:
+        """Point of the same coordinate space holding ``array``."""
+        return CoordPoint(self.t, array)
+
+    def norm(self) -> float:
+        """Weighted sum of |coeffs|: the L1 norm of the embedded bumps."""
+        return float(np.abs(self.coeffs) @ self.weights)
 
     def _compat(self, other: CoordPoint) -> None:
         if abs(self.t - other.t) > DEFAULT_TOL or self.slots != other.slots:
@@ -92,7 +112,7 @@ class CoordPoint:
         return cls(float(data["t"]), np.asarray(data["coeffs"], dtype=float))
 
     def __repr__(self) -> str:
-        return f"CoordPoint(t={self.t}, slots={self.slots}, norm={coord_norm(self):.6g})"
+        return f"CoordPoint(t={self.t}, slots={self.slots}, norm={self.norm():.6g})"
 
 
 def coord_basis(t: float, slots: int, k: int) -> CoordPoint:
@@ -102,28 +122,6 @@ def coord_basis(t: float, slots: int, k: int) -> CoordPoint:
     c = np.zeros(slots)
     c[k] = 1.0
     return CoordPoint(t, c)
-
-
-def coord_norm(x: CoordPoint) -> float:
-    w = np.ones(x.slots)
-    w[0] = x.t - 1.0
-    return float(np.abs(x.coeffs) @ w)
-
-
-def coord_measure_distance(x: CoordPoint, y: CoordPoint) -> float:
-    """In-measure distance matching the grid embedding of the bumps.
-
-    On the k-th support block (measure 2**-(k+1)) the functional difference
-    has constant height |dc_k| * weight_k * 2**(k+1), so the Ky Fan integral
-    splits into one exact term per slot.
-    """
-    x._compat(y)
-    dc = np.abs(x.coeffs - y.coeffs)
-    k = np.arange(x.slots)
-    widths = 2.0 ** -(k + 1)
-    heights = dc / widths
-    heights[0] *= x.t - 1.0
-    return float((widths * np.minimum(heights, 1.0)).sum())
 
 
 def embed_coord(x: CoordPoint, level: int) -> GridFunction:
@@ -141,22 +139,43 @@ def embed_coord(x: CoordPoint, level: int) -> GridFunction:
     return GridFunction(level, vals)
 
 
+_POINT_TYPES = (GridFunction, CoordPoint)
+
+
 def norm(x) -> float:
-    """Norm of either point type."""
-    if isinstance(x, GridFunction):
-        return l1_norm(x)
-    if isinstance(x, CoordPoint):
-        return coord_norm(x)
-    raise TypeError(f"unsupported point type {type(x).__name__}")
+    """Norm of either point type.
+
+    Each class keeps its own reduction: one shared expression would round
+    differently from one of them in the last place.
+    """
+    if not isinstance(x, _POINT_TYPES):
+        raise TypeError(f"unsupported point type {type(x).__name__}")
+    return x.norm()
 
 
 def measure_distance(x, y) -> float:
-    """In-measure (Ky Fan) distance of either point type."""
-    if isinstance(x, GridFunction) and isinstance(y, GridFunction):
-        return ky_fan_distance(x, y)
-    if isinstance(x, CoordPoint) and isinstance(y, CoordPoint):
-        return coord_measure_distance(x, y)
-    raise TypeError("mixed or unsupported point types")
+    """In-measure (Ky Fan) distance: the integral of min(|x - y|, 1).
+
+    On each slot's support the difference is constant with mass
+    weight * |dx|, so the slot contributes min(weight * |dx|, width): one
+    exact term per slot.  On bump coordinates this equals the grid distance
+    of the ``embed_coord`` images.
+    """
+    if type(x) is not type(y) or not isinstance(x, _POINT_TYPES):
+        raise TypeError("mixed or unsupported point types")
+    x._compat(y)
+    return float(np.minimum(x.weights * np.abs(x.array - y.array), x.widths).sum())
+
+
+def export_sequence_csv(path, points, limit=None) -> None:
+    """Write a point sequence as CSV rows: index, norm, and the in-measure
+    distance to ``limit`` (blank without one)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "l1_norm", "ky_fan_to_limit"])
+        for i, p in enumerate(points):
+            dist = "" if limit is None else f"{measure_distance(p, limit):.12g}"
+            writer.writerow([i, f"{norm(p):.12g}", dist])
 
 
 class RecenterResult(NamedTuple):
@@ -348,7 +367,7 @@ class UnitBall(ConvexBody):
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
-        nrm = l1_norm(x)
+        nrm = x.norm()
         if nrm > 1.0 + tol:
             return f"norm {nrm:.6g} exceeds 1"
         return None
@@ -367,7 +386,7 @@ class UnitBall(ConvexBody):
     def _recenter_witness(self, x, tol: float):
         if not isinstance(x, GridFunction):
             return None
-        nrm = l1_norm(x)
+        nrm = x.norm()
         if nrm <= 1.0:
             return x
         return x * (1.0 / nrm)
@@ -508,21 +527,23 @@ def body_from_spec(spec: dict, *, level: int = 12, slots: int = 64) -> ConvexBod
     kind = spec["set"]
     extra = {k: v for k, v in spec.items() if k != "set"}
     if kind == "density_simplex":
-        _reject_unknown(extra, {"level"})
+        _reject_unknown(extra, {"level"}, "body")
         return DensitySimplex(int(extra.get("level", level)))
     if kind == "cone_hull":
-        _reject_unknown(extra, {"a", "level"})
+        _reject_unknown(extra, {"a", "level"}, "body")
         return ConeHull(float(extra.get("a", 0.0)), int(extra.get("level", level)))
     if kind == "ball":
-        _reject_unknown(extra, {"level"})
+        _reject_unknown(extra, {"level"}, "body")
         return UnitBall(int(extra.get("level", level)))
     if kind == "ct":
-        _reject_unknown(extra, {"t", "M"})
+        _reject_unknown(extra, {"t", "M"}, "body")
         return BumpSimplex(float(extra.get("t", 1.5)), int(extra.get("M", slots)))
     raise ValueError(f"unknown body kind {kind!r}")
 
 
-def _reject_unknown(extra: dict, allowed: set) -> None:
+def _reject_unknown(extra: dict, allowed: set, owner: str) -> None:
+    """Reject spec keys outside ``allowed``; ``owner`` says whether they
+    claim to be body or operator parameters."""
     unknown = set(extra) - allowed
     if unknown:
-        raise ValueError(f"unknown body parameters {sorted(unknown)}")
+        raise ValueError(f"unknown {owner} parameters {sorted(unknown)}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import opial_sum, recentering_bounds
-from .grid import DEFAULT_TOL, GridFunction, limsup_tail
+from .grid import limsup_tail
 from .operators import (
     AffineOperator,
     CyclicShift,
@@ -32,8 +32,10 @@ from .operators import (
     affinity_defect,
     afps_residual,
     mean_lipschitz,
+    orbit_means_residuals,
+    running_means,
 )
-from .sets import ConvexBody, CoordPoint, measure_distance, norm
+from .sets import ConvexBody, measure_distance, norm
 
 STATUS_FIXED = "fixed_point"
 STATUS_ESCAPED = "escaped_in_measure"
@@ -48,32 +50,9 @@ class BranchConditionError(RuntimeError):
     """Neither contraction branch passed its measured certificate."""
 
 
-def _raw(p) -> np.ndarray:
-    if isinstance(p, GridFunction):
-        return p.values
-    if isinstance(p, CoordPoint):
-        return p.coeffs
-    raise TypeError(f"unsupported point type {type(p).__name__}")
-
-
-def _rebuild(template, arr: np.ndarray):
-    if isinstance(template, GridFunction):
-        return GridFunction(template.level, arr)
-    return CoordPoint(template.t, arr)
-
-
-def _norm_weights(p) -> np.ndarray:
-    if isinstance(p, GridFunction):
-        return np.full(p.values.size, p.cell_width)
-    w = np.ones(p.slots)
-    w[0] = p.t - 1.0
-    return w
-
-
 def _median_point(points):
     """Cellwise median: the robust center of a cluster of points."""
-    stack = np.stack([_raw(p) for p in points])
-    return _rebuild(points[0], np.median(stack, axis=0))
+    return points[0].like(np.median(np.stack([p.array for p in points]), axis=0))
 
 
 def _safe_residual(T: AffineOperator, x) -> float | None:
@@ -98,7 +77,6 @@ class AfpsRecord:
     residuals: tuple
     limit: object | None = None
     limit_quality: float | None = None
-    start_offset: int = 0
     window_fraction: float = 0.5
 
     def __post_init__(self) -> None:
@@ -213,8 +191,7 @@ def komlos_extract(seq, *, extraction_tol: float = 1e-3, min_cluster: int = 4,
 
 def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
                       window_fraction: float = 0.5,
-                      extraction_tol: float = 1e-3, min_cluster: int = 4,
-                      check_domain: bool = True) -> AfpsRecord:
+                      extraction_tol: float = 1e-3) -> AfpsRecord:
     """Record the Cesaro means of the orbit of ``x0`` with their residuals.
 
     Residuals come from the affine identity z_s - T z_s = (T x0 - T**(s+1) x0)/s,
@@ -226,25 +203,17 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
     pts = [x0]
     try:
         for _ in range(n_inner + 1):
-            pts.append(T.apply(pts[-1], check_domain=check_domain))
+            pts.append(T.apply(pts[-1]))
     except MassOverflowError:
         pass
-    n_means = len(pts) - 2
-    if n_means < 1:
+    if len(pts) < 3:
         raise ExtendSequenceError("orbit ended before the first residual")
-    means = []
-    residuals = []
-    total = None
-    for s in range(1, n_means + 1):
-        total = pts[s] if total is None else total + pts[s]
-        means.append(total * (1.0 / s))
-        residuals.append(norm(pts[1] - pts[s + 1]) / s)
+    means, residuals = orbit_means_residuals(pts)
     limit = None
     quality = None
-    if n_means >= 8:
+    if len(means) >= 8:
         try:
-            idx, limit = komlos_extract(means, extraction_tol=extraction_tol,
-                                        min_cluster=min_cluster)
+            idx, limit = komlos_extract(means, extraction_tol=extraction_tol)
             quality = max(measure_distance(limit, means[i]) for i in idx)
         except (ExtendSequenceError, ValueError):
             limit = None
@@ -287,9 +256,9 @@ def _phi_values(points, record: AfpsRecord, window_fraction: float) -> np.ndarra
     vectorized in blocks to keep memory flat."""
     w_len = max(1, math.ceil(window_fraction * len(record.points)))
     window = record.points[len(record.points) - w_len:]
-    W = np.stack([_raw(p) for p in window])
-    Z = np.stack([_raw(p) for p in points])
-    weights = _norm_weights(points[0])
+    W = np.stack([p.array for p in window])
+    Z = np.stack([p.array for p in points])
+    weights = points[0].weights
     out = np.empty(Z.shape[0])
     per_row = max(1, W.shape[0] * W.shape[1])
     chunk = max(1, (1 << 21) // per_row)
@@ -300,11 +269,10 @@ def _phi_values(points, record: AfpsRecord, window_fraction: float) -> np.ndarra
 
 
 def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
-               mean_lip: float, t_coeff: float, opial: float = 2.0,
+               mean_lip: float, t_coeff: float,
                rng: np.random.Generator | None = None,
-               window_fraction: float = 0.5, tol: float = 1e-8,
-               branch_slack: float = 1e-6, extraction_tol: float = 0.05,
-               n_select: int = 24):
+               window_fraction: float = 0.5, branch_slack: float = 1e-6,
+               extraction_tol: float = 0.05, n_select: int = 24):
     """One certified contraction step: returns (w, StepReport).
 
     Measures the radius r of ``x0``, forms the contraction target
@@ -345,10 +313,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
         phi_min = float(phi.min())
         k = int(min(n_select, max(8, len(zs) // 4)))
         chosen = np.sort(np.argsort(phi, kind="stable")[:k])
-        total = None
-        for rank, idx in enumerate(chosen, start=1):
-            total = zs[idx] if total is None else total + zs[idx]
-            zbar.append(total * (1.0 / rank))
+        zbar = running_means([zs[idx] for idx in chosen])
         try:
             _, z_lim = komlos_extract(zbar, extraction_tol=extraction_tol,
                                       min_cluster=min(4, len(zbar) // 2))
@@ -424,14 +389,8 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0, *,
     step = max(1, n // 8)
     offsets = [min(base + i * step, n - 3) for i in range(3)]
     seg_len = min(5, n - offsets[-1])
-    limits = []
-    for off in offsets:
-        total = None
-        seg = []
-        for i in range(off + 1, off + seg_len + 1):
-            total = pts[i] if total is None else total + pts[i]
-            seg.append(total * (1.0 / (i - off)))
-        limits.append(_median_point(seg))
+    limits = [_median_point(running_means(pts[off + 1:off + seg_len + 1]))
+              for off in offsets]
     stability = max(measure_distance(a, b) for a in limits for b in limits)
     limit = limits[-1]
     zero = 0.0 * x0
@@ -594,8 +553,8 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
                                               "but the residual did not")
         try:
             w, report = proof_step(T, C, a, eps, pool, mean_lip=mean_lip,
-                                   t_coeff=t_coeff, opial=opial, rng=rng,
-                                   window_fraction=window_fraction, tol=tol,
+                                   t_coeff=t_coeff, rng=rng,
+                                   window_fraction=window_fraction,
                                    extraction_tol=extraction_tol)
         except (BranchConditionError, ExtendSequenceError) as exc:
             return finish_with_classification(outer, r0, str(exc))

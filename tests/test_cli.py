@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from fptlab.cli import ExperimentConfig, _parse_spec, main
 
 _REPRO_HEADER = ["quantity", "reference_value", "estimate_low",
                  "estimate_high", "gap", "tolerance", "status"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read_csv(path):
@@ -217,3 +221,23 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys):
     bad_cfg.write_text('{"level": 12, "bogus": 1}')
     assert main(["reproduce", "--config", str(bad_cfg),
                  "--out", str(tmp_path / "t.csv")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+@pytest.mark.parametrize("argv, golden, code", [
+    (["reproduce", "--seed", "0"], "reproduce-seed0.csv", 0),
+    (["sharpness", "--seed", "0"], "sharpness-seed0.csv", 0),
+    (["solve", "--op", "ct_shift", "--set", "ct", "--t", "1.5",
+      "--mode", "practical"], "solve-ct_shift-t1.5-practical.json", 1),
+], ids=["reproduce", "sharpness", "solve-ct_shift"])
+def test_outputs_match_golden_bytes(tmp_path, monkeypatch, argv, golden, code):
+    """The files under tests/golden were written by these commands.  The
+    ct_shift JSON carries a norm that moves in the last place if the two
+    point types ever share one norm expression."""
+    monkeypatch.delenv("FPTLAB_SEED", raising=False)
+    out = tmp_path / golden
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

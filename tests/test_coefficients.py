@@ -117,9 +117,7 @@ def test_additivity_rejects_oscillating_sequence():
 
 
 def test_opial_sum_exact_and_cross_check():
-    assert opial_sum("L1") == 2.0
-    with pytest.raises(NotImplementedError):
-        opial_sum("L2")
+    assert opial_sum() == 2.0
     measured = opial_cross_check(1.0, 14)
     assert abs(measured - 2.0) <= 0.02 * 2.0
     for c in (0.5, 2.0):

@@ -8,31 +8,30 @@ import numpy as np
 import pytest
 
 from fptlab import (
+    CoordPoint,
     GridFunction,
-    RealSequenceWindow,
     export_sequence_csv,
-    ky_fan_distance,
-    l1_norm,
     liminf_tail,
     limsup_tail,
+    measure_distance,
+    norm,
     peak_sequence,
     rademacher,
-    refine,
 )
 
 
 def test_l1_norm_unit_constant():
     for level in (0, 1, 3, 6):
-        assert l1_norm(GridFunction.constant(1.0, level)) == 1.0
+        assert norm(GridFunction.constant(1.0, level)) == 1.0
 
 
 def test_l1_norm_mass_one_peak():
     f = GridFunction(2, np.array([4.0, 0.0, 0.0, 0.0]))
-    assert l1_norm(f) == 1.0
+    assert norm(f) == 1.0
 
 
 def test_l1_norm_rademacher_unit():
-    assert l1_norm(rademacher(3, 3)) == 1.0
+    assert norm(rademacher(3, 3)) == 1.0
 
 
 def test_l1_norm_homogeneous_and_triangle():
@@ -41,28 +40,28 @@ def test_l1_norm_homogeneous_and_triangle():
         f = GridFunction(4, rng.normal(size=16))
         g = GridFunction(4, rng.normal(size=16))
         c = float(rng.normal())
-        assert abs(l1_norm(c * f) - abs(c) * l1_norm(f)) <= 1e-12
-        assert l1_norm(f + g) <= l1_norm(f) + l1_norm(g) + 1e-12
+        assert abs(norm(c * f) - abs(c) * norm(f)) <= 1e-12
+        assert norm(f + g) <= norm(f) + norm(g) + 1e-12
 
 
 def test_ky_fan_identity_of_indiscernibles():
     rng = np.random.default_rng(1)
     f = GridFunction(5, rng.normal(size=32))
-    assert ky_fan_distance(f, f) == 0.0
+    assert measure_distance(f, f) == 0.0
 
 
 def test_ky_fan_peak_to_zero_is_one_over_n():
     for k in range(0, 7):
         n = 2 ** k
         f = peak_sequence(n, 7)
-        assert abs(ky_fan_distance(f, GridFunction.zero(7)) - 1.0 / n) <= 1e-15
+        assert abs(measure_distance(f, GridFunction.zero(7)) - 1.0 / n) <= 1e-15
 
 
 def test_ky_fan_shifted_rademacher():
     one = GridFunction.constant(1.0, 5)
     for n in (1, 2, 4):
         f = one + rademacher(n, 5)
-        assert abs(ky_fan_distance(f, one) - 1.0) <= 1e-15
+        assert abs(measure_distance(f, one) - 1.0) <= 1e-15
 
 
 def test_ky_fan_distinct_rademacher_pairs():
@@ -71,7 +70,7 @@ def test_ky_fan_distinct_rademacher_pairs():
     # at level max(n, m) + 1.
     for n, m in [(1, 2), (1, 3), (2, 3), (2, 5)]:
         level = max(n, m) + 1
-        d = ky_fan_distance(rademacher(n, level), rademacher(m, level))
+        d = measure_distance(rademacher(n, level), rademacher(m, level))
         diff = np.abs(rademacher(n, level).values - rademacher(m, level).values)
         brute = float(np.minimum(diff, 1.0).mean())
         assert d == brute
@@ -80,62 +79,34 @@ def test_ky_fan_distinct_rademacher_pairs():
 
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        f = GridFunction(4, rng.normal(size=16))
-        g = GridFunction(4, rng.normal(size=16))
-        h = GridFunction(4, rng.normal(size=16))
-        dfg = ky_fan_distance(f, g)
-        assert dfg == ky_fan_distance(g, f)
+    for i in range(400):
+        if i % 2:
+            t = float(rng.uniform(1.05, 1.95))
+            f, g, h = (CoordPoint(t, rng.normal(size=16)) for _ in range(3))
+        else:
+            f, g, h = (GridFunction(4, rng.normal(size=16)) for _ in range(3))
+        assert measure_distance(f, f) == 0.0
+        dfg = measure_distance(f, g)
+        assert dfg == measure_distance(g, f)
         assert dfg >= 0.0
-        assert dfg <= ky_fan_distance(f, h) + ky_fan_distance(h, g) + 1e-12
-        assert dfg <= l1_norm(f - g) + 1e-15
+        assert dfg <= measure_distance(f, h) + measure_distance(h, g) + 1e-12
+        assert dfg <= norm(f - g) + 1e-15
 
 
-def test_refine_constant_preserves_norm():
-    f = GridFunction.constant(1.0, 0)
-    g = refine(f, 3)
-    assert g.level == 3
-    assert l1_norm(g) == 1.0
-    assert np.all(g.values == 1.0)
-
-
-def test_refine_peak_duplicates_cells():
-    f = GridFunction(1, np.array([2.0, 0.0]))
-    g = refine(f, 3)
-    assert list(g.values) == [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-    assert l1_norm(g) == 1.0
-
-
-def test_refine_rejects_coarsening():
-    f = GridFunction.constant(1.0, 3)
-    with pytest.raises(ValueError):
-        refine(f, 2)
-
-
-def test_corefinement_preserves_distances():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        f = GridFunction(3, rng.normal(size=8))
-        g = GridFunction(5, rng.normal(size=32))
-        fr = refine(f, 6)
-        gr = refine(g, 6)
-        assert abs(l1_norm(f - g) - l1_norm(fr - gr)) <= 1e-12
-        assert abs(ky_fan_distance(f, g) - ky_fan_distance(fr, gr)) <= 1e-12
-
-
-def test_mixed_level_arithmetic_auto_refines():
+def test_mixed_level_arithmetic_is_rejected():
     f = GridFunction(1, np.array([2.0, 0.0]))
     g = GridFunction.constant(1.0, 3)
-    h = f + g
-    assert h.level == 3
-    assert list(h.values) == [3.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0, 1.0]
+    for combine in (lambda: f + g, lambda: f - g, lambda: f.allclose(g),
+                    lambda: measure_distance(f, g)):
+        with pytest.raises(ValueError, match="mixed grid levels"):
+            combine()
 
 
 def test_peak_sequence_basics():
     assert peak_sequence(1, 0).allclose(GridFunction.constant(1.0, 0))
     f = peak_sequence(4, 3)
     assert list(f.values) == [4.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    assert l1_norm(f) == 1.0
+    assert norm(f) == 1.0
 
 
 def test_peak_sequence_rejects_bad_n():
@@ -151,8 +122,8 @@ def test_peaks_certify_topology_gap():
     for k in range(1, level + 1):
         n = 2 ** k
         f = peak_sequence(n, level)
-        assert l1_norm(f) == 1.0
-        assert abs(ky_fan_distance(f, zero) - 1.0 / n) <= 1e-15
+        assert norm(f) == 1.0
+        assert abs(measure_distance(f, zero) - 1.0 / n) <= 1e-15
 
 
 def test_rademacher_definition_and_mean():
@@ -182,8 +153,8 @@ def test_limsup_tail_norm_vs_measure_gap():
     level = 10
     zero = GridFunction.zero(level)
     peaks = [peak_sequence(2 ** k, level) for k in range(1, level + 1)]
-    norms = [l1_norm(p) for p in peaks]
-    gaps = [ky_fan_distance(p, zero) for p in peaks]
+    norms = [norm(p) for p in peaks]
+    gaps = [measure_distance(p, zero) for p in peaks]
     assert limsup_tail(norms, 0.5) == 1.0
     assert limsup_tail(gaps, 0.5) <= 2.0 ** -(level // 2) + 1e-15
 
@@ -194,17 +165,23 @@ def test_limsup_tail_rejects_empty():
 
 
 def test_real_sequence_window_object():
-    w = RealSequenceWindow((3.0, 2.0, 1.0, 5.0), 0.5)
-    assert w.limsup_tail() == 5.0
-    assert w.liminf_tail() == 1.0
-    assert limsup_tail(w) == 5.0
+    terms = (3.0, 2.0, 1.0, 5.0)
+    assert limsup_tail(terms, 0.5) == 5.0
+    assert liminf_tail(terms, 0.5) == 1.0
+    assert limsup_tail(iter(terms), 1.0) == 5.0
+    assert liminf_tail(terms, 1.0) == 1.0
+    with pytest.raises(ValueError, match="finite"):
+        limsup_tail([1.0, float("nan")], 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        liminf_tail([], 0.5)
 
 
 def test_real_sequence_window_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        RealSequenceWindow((1.0,), 0.0)
-    with pytest.raises(ValueError):
-        RealSequenceWindow((1.0,), 1.5)
+    for fraction in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="window_fraction"):
+            limsup_tail((1.0,), fraction)
+        with pytest.raises(ValueError, match="window_fraction"):
+            liminf_tail((1.0,), fraction)
 
 
 def test_grid_function_validation():

@@ -25,13 +25,13 @@ from fptlab import (
     cesaro_means,
     cesaro_residual_series,
     coord_basis,
-    l1_norm,
     lipschitz_estimate,
     mean_lipschitz,
     norm,
     operator_from_spec,
     orbit,
     peak_sequence,
+    running_means,
 )
 
 
@@ -54,7 +54,7 @@ def test_doubling_image_of_constant():
     T = DoublingShift(DensitySimplex(3))
     f = T.apply(GridFunction.constant(1.0, 3))
     assert list(f.values) == [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-    assert l1_norm(f) == 1.0
+    assert norm(f) == 1.0
 
 
 def test_retraction_image_of_zero():
@@ -101,12 +101,26 @@ def test_cesaro_means_identity():
         assert norm(z - x0) <= 1e-12
 
 
+def test_running_means_match_the_reference_loop():
+    rng = np.random.default_rng(22)
+    grids = [GridFunction(5, rng.normal(size=32)) for _ in range(17)]
+    coords = [CoordPoint(1.5, rng.normal(size=8)) for _ in range(17)]
+    for points in (grids, coords, grids[:1], coords[:1]):
+        means = running_means(points)
+        assert len(means) == len(points)
+        total = None
+        for s, (p, z) in enumerate(zip(points, means), start=1):
+            total = p.array if total is None else total + p.array
+            assert type(z) is type(p)
+            assert np.array_equal(z.array, total * (1.0 / s))
+
+
 def test_cesaro_mean_doubling_hand_computed():
     T = DoublingShift(DensitySimplex(3))
     one = GridFunction.constant(1.0, 3)
     z2 = cesaro_means(T, one, 2)[1]
     assert list(z2.values) == [3.0, 3.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-    assert l1_norm(z2) == 1.0
+    assert norm(z2) == 1.0
     assert np.all(z2.values[4:] == 0.0)
 
 
@@ -142,7 +156,7 @@ def test_cyclic_means_close_after_full_cycle():
     cycle = S.cycle_length()
     z = cesaro_means(S, x0, cycle)[-1]
     target = GridFunction.constant(x0.integral(), 4)
-    assert l1_norm(z - target) <= 1e-12
+    assert norm(z - target) <= 1e-12
     assert afps_residual(S, z) <= 1e-15
 
 
@@ -165,17 +179,17 @@ def test_doubling_nonexpansive_and_sign_constant_isometry():
     for _ in range(50):
         f = body.sample(rng)
         g = body.sample(rng)
-        lhs = l1_norm(T.apply(f, check_domain=False)
+        lhs = norm(T.apply(f, check_domain=False)
                       - T.apply(g, check_domain=False))
-        assert lhs <= l1_norm(f - g) + 1e-12
+        assert lhs <= norm(f - g) + 1e-12
     # sibling-sign-constant differences contract isometrically
     for _ in range(50):
         f = DensitySimplex(level).sample(rng)
         g = DensitySimplex(level).sample(rng)
         h = GridFunction(level, np.maximum(f.values, g.values))
-        lhs = l1_norm(T.apply(h, check_domain=False)
+        lhs = norm(T.apply(h, check_domain=False)
                       - T.apply(f, check_domain=False))
-        assert abs(lhs - l1_norm(h - f)) <= 1e-12
+        assert abs(lhs - norm(h - f)) <= 1e-12
 
 
 def test_lipschitz_estimate_identity():
@@ -299,7 +313,7 @@ def test_operator_from_spec_rejects_mismatches():
         operator_from_spec({"op": "ct_shift", "t": 1.25}, BumpSimplex(1.5, 8))
     with pytest.raises(ValueError):
         operator_from_spec({"op": "retraction"}, DensitySimplex(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown operator parameters \['t'\]"):
         operator_from_spec({"op": "identity", "t": 1.5}, DensitySimplex(5))
 
 

@@ -17,12 +17,8 @@ from fptlab import (
     body_from_spec,
     bump_tail_family,
     coord_basis,
-    coord_measure_distance,
-    coord_norm,
     distance_to_set,
     embed_coord,
-    ky_fan_distance,
-    l1_norm,
     limsup_tail,
     measure_distance,
     norm,
@@ -110,8 +106,8 @@ def test_exact_diameters():
     # attained: disjoint densities in C, antipodes in the ball, late bumps
     f = peak_sequence(2, 3)
     g = GridFunction(3, np.array([0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]))
-    assert l1_norm(f - g) == 2.0
-    assert coord_norm(coord_basis(1.5, 8, 2) - coord_basis(1.5, 8, 3)) == 2.0
+    assert norm(f - g) == 2.0
+    assert norm(coord_basis(1.5, 8, 2) - coord_basis(1.5, 8, 3)) == 2.0
 
 
 def test_recenter_ball_returns_interior_point():
@@ -155,7 +151,7 @@ def test_recenter_bump_tail_ratio_exact():
         res = body.recenter(body.zero_point(), fam.points)
         assert res.bound_type == "exact"
         # witness is the shrunken first vertex, norm t - 1
-        assert abs(coord_norm(res.point) - (t - 1.0)) <= 1e-12
+        assert abs(norm(res.point) - (t - 1.0)) <= 1e-12
         ratio = limsup_tail([norm(res.point - p) for p in fam.points], 0.5)
         assert abs(ratio - t) <= 1e-9
 
@@ -203,10 +199,10 @@ def test_coord_point_arithmetic_and_norm():
     t = 1.5
     x = CoordPoint(t, np.array([1.0, 0.5, 0.0, 0.25]))
     y = CoordPoint(t, np.array([0.0, 1.0, 0.5, 0.0]))
-    assert abs(coord_norm(x) - ((t - 1.0) * 1.0 + 0.75)) <= 1e-15
-    d = coord_norm(x - y)
+    assert abs(norm(x) - ((t - 1.0) * 1.0 + 0.75)) <= 1e-15
+    d = norm(x - y)
     assert abs(d - ((t - 1.0) * 1.0 + 0.5 + 0.5 + 0.25)) <= 1e-15
-    assert coord_norm(2.0 * x) == 2.0 * coord_norm(x)
+    assert norm(2.0 * x) == 2.0 * norm(x)
     with pytest.raises(ValueError):
         x._compat(CoordPoint(1.25, np.zeros(4)))
 
@@ -218,23 +214,23 @@ def test_coord_point_needs_two_slots():
 
 def test_embedding_matches_coordinate_norm():
     rng = np.random.default_rng(12)
-    t = 1.5
-    for _ in range(25):
-        c = rng.dirichlet(np.ones(8))
-        x = CoordPoint(t, c)
-        f = embed_coord(x, 8)
-        assert abs(l1_norm(f) - coord_norm(x)) <= 1e-12
+    for t in (1.1, 1.5, 1.9):
+        for _ in range(25):
+            c = rng.dirichlet(np.ones(8))
+            x = CoordPoint(t, c)
+            f = embed_coord(x, 8)
+            assert abs(norm(f) - norm(x)) <= 1e-12
 
 
 def test_embedding_matches_coordinate_measure_distance():
     rng = np.random.default_rng(13)
-    t = 1.25
-    for _ in range(25):
-        x = CoordPoint(t, rng.dirichlet(np.ones(8)))
-        y = CoordPoint(t, rng.dirichlet(np.ones(8)))
-        dg = ky_fan_distance(embed_coord(x, 8), embed_coord(y, 8))
-        dc = coord_measure_distance(x, y)
-        assert abs(dg - dc) <= 1e-12
+    for t in (1.1, 1.25, 1.5, 1.9):
+        for _ in range(25):
+            x = CoordPoint(t, rng.dirichlet(np.ones(8)))
+            y = CoordPoint(t, rng.dirichlet(np.ones(8)))
+            dg = measure_distance(embed_coord(x, 8), embed_coord(y, 8))
+            dc = measure_distance(x, y)
+            assert abs(dg - dc) <= 1e-12
 
 
 def test_embedding_requires_enough_resolution():
@@ -248,6 +244,12 @@ def test_norm_dispatch_rejects_mixed_types():
         norm("not a point")
     with pytest.raises(TypeError):
         measure_distance(GridFunction.zero(3), CoordPoint(1.5, np.zeros(4)))
+    with pytest.raises(TypeError):
+        measure_distance(CoordPoint(1.5, np.zeros(4)), GridFunction.zero(3))
+    with pytest.raises(TypeError):
+        measure_distance("not a point", "not a point")
+    with pytest.raises(ValueError):
+        measure_distance(CoordPoint(1.5, np.zeros(4)), CoordPoint(1.25, np.zeros(4)))
 
 
 def test_coord_json_round_trip():
@@ -287,7 +289,7 @@ def test_body_from_spec_round_trip():
 def test_body_from_spec_rejects_unknown():
     with pytest.raises(ValueError):
         body_from_spec({"set": "torus"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown body parameters \['radius'\]"):
         body_from_spec({"set": "ball", "radius": 2})
     with pytest.raises(ValueError):
         body_from_spec({"op": "ball"})

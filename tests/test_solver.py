@@ -28,7 +28,6 @@ from fptlab import (
     cesaro_means,
     cesaro_solve,
     komlos_extract,
-    l1_norm,
     measure_distance,
     nearest_afps_radius,
     norm,
@@ -108,7 +107,7 @@ def test_extract_doubling_means_cluster_in_measure(doubling_means):
     assert quality == pytest.approx(8.285662395882787e-4, rel=1e-6)
     # the in-measure limit concentrates near zero while keeping its mass
     assert measure_distance(limit, 0.0 * limit) <= 0.04
-    assert l1_norm(limit) == pytest.approx(1.0, abs=1e-9)
+    assert norm(limit) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_extract_cyclic_means_converge_in_norm(cyclic_means):
