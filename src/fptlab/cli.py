@@ -34,20 +34,17 @@ from .sets import (
     UnitBall,
     body_from_spec,
     bump_tail_family,
+    checked_params,
     norm,
     peak_family,
 )
 from .solver import STATUS_FIXED, cesaro_solve, solve
 
-_BODY_NAMES = ("density_simplex", "cone_hull", "ball", "ct")
-_OP_NAMES = ("identity", "doubling", "cyclic", "retraction",
-             "retraction_compose", "ct_shift")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Reproduce-run parameters.  Unknown keys are rejected, and the config
-    round-trips to identical JSON."""
+    """Reproduce-run parameters.  Unknown keys and values of another type
+    than the default's are rejected; the config round-trips to identical JSON."""
 
     level: int = 12
     seed: int = 0
@@ -60,21 +57,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentConfig:
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        clean = dict(data)
-        for key in ("a_grid", "t_grid", "orlicz_p"):
-            if key in clean:
-                clean[key] = tuple(float(v) for v in clean[key])
-        return cls(**clean)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
+        params = {f.name: (type(f.default), f.default) for f in fields(cls)}
+        return cls(**checked_params(data, params, "config keys"))
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        for key in ("a_grid", "t_grid", "orlicz_p"):
-            payload[key] = list(payload[key])
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentConfig:
@@ -112,7 +101,12 @@ def _point_payload(point):
 def _env_seed(seed: int | None) -> int | None:
     """FPTLAB_SEED when set, else the --seed flag."""
     env = os.environ.get("FPTLAB_SEED")
-    return int(env) if env is not None else seed
+    if env is None:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"FPTLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
@@ -123,17 +117,10 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _parse_spec(text: str, key: str, names: tuple) -> dict:
-    """Accept either a bare catalog name or a JSON object spec."""
+def _parse_spec(text: str, key: str) -> dict:
+    """A bare catalog name, as {key: name}, or a JSON object spec."""
     text = text.strip()
-    if text.startswith("{"):
-        spec = json.loads(text)
-        if key not in spec:
-            raise ValueError(f"spec must carry key {key!r}: {text}")
-        return spec
-    if text not in names:
-        raise ValueError(f"unknown {key} name {text!r}; expected one of {names}")
-    return {key: text}
+    return json.loads(text) if text.startswith("{") else {key: text}
 
 
 # ---------------------------------------------------------------- reproduce
@@ -230,9 +217,7 @@ def cmd_reproduce(args) -> int:
     if seed is not None:
         overrides["seed"] = seed
     if overrides:
-        data = json.loads(cfg.to_json())
-        data.update(overrides)
-        cfg = ExperimentConfig.from_dict(data)
+        cfg = ExperimentConfig.from_dict({**asdict(cfg), **overrides})
     rows, all_pass = run_reproduce(cfg)
     _write_rows(args.out, _REPRO_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}: "
@@ -249,19 +234,10 @@ _ORBIT_HEADER = ["s", "residual", "norm", "ky_fan_to_detected_limit"]
 
 def cmd_solve(args) -> int:
     seed = _env_seed(args.seed)
-    body_spec = _parse_spec(args.set, "set", _BODY_NAMES)
-    op_spec = _parse_spec(args.op, "op", _OP_NAMES)
-    if args.a is not None and body_spec.get("set") == "cone_hull":
-        body_spec.setdefault("a", args.a)
-    if args.t is not None:
-        if body_spec.get("set") == "ct":
-            body_spec.setdefault("t", args.t)
-        if op_spec.get("op") == "ct_shift":
-            op_spec.setdefault("t", args.t)
-    if body_spec.get("set") == "ct":
-        body_spec.setdefault("M", args.M)
-    body = body_from_spec(body_spec, level=args.level, slots=args.M)
-    op = operator_from_spec(op_spec, body)
+    # each flag fills the parameter of that name wherever a spec leaves it out
+    flags = {"level": args.level, "M": args.M, "t": args.t, "a": args.a}
+    body = body_from_spec(_parse_spec(args.set, "set"), **flags)
+    op = operator_from_spec(_parse_spec(args.op, "op"), body, **flags)
 
     if args.mode == "proof":
         outcome = solve(op, body, tol=args.tol, max_outer=args.max_outer,

@@ -21,6 +21,15 @@ DEFAULT_TOL = 1e-9
 MAX_LEVEL = 24
 
 
+def check_level(level) -> int:
+    """``level`` as an int: an integer, not a bool, in [0, MAX_LEVEL]."""
+    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
+        raise ValueError(f"level must be an integer, got {level!r}")
+    if not (0 <= level <= MAX_LEVEL):
+        raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
+    return int(level)
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Piecewise-constant function on the dyadic partition of [0, 1].
@@ -36,10 +45,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, (int, np.integer)) or isinstance(self.level, bool):
-            raise ValueError(f"level must be an integer, got {self.level!r}")
-        if not (0 <= self.level <= MAX_LEVEL):
-            raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {self.level}")
+        object.__setattr__(self, "level", check_level(self.level))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size != 2 ** self.level:
             raise ValueError(
@@ -50,7 +56,6 @@ class GridFunction:
             raise ValueError("values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
-        object.__setattr__(self, "level", int(self.level))
         object.__setattr__(self, "values", vals)
 
     @property

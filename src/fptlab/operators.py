@@ -16,10 +16,7 @@ from .sets import (
     ConeHull,
     ConvexBody,
     CoordPoint,
-    DensitySimplex,
-    UnitBall,
-    _reject_unknown,
-    body_from_spec,
+    build_from_spec,
     coord_basis,
     norm,
 )
@@ -74,9 +71,6 @@ class AffineOperator:
         """True when ``x`` is a discretization artifact: a grid point that the
         operator pins only because the mesh cannot refine further."""
         return False
-
-    def to_spec(self) -> dict:
-        return {"op": self.name}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(domain={self.domain.name!r})"
@@ -246,14 +240,17 @@ class BumpShift(AffineOperator):
     An affine map of the bump simplex whose n-th iterate has Lipschitz
     constant exactly 2/t: the shift moves mass off the lightweight first
     vertex onto full-weight slots.  With finitely many tracked slots the
-    shift errors out once mass would fall off the end.
+    shift errors out once mass would fall off the end.  A ``t`` given to
+    the constructor must match the body's.
     """
 
     name = "ct_shift"
 
-    def __init__(self, domain: BumpSimplex):
+    def __init__(self, domain: BumpSimplex, t: float | None = None):
         if not isinstance(domain, BumpSimplex):
             raise ValueError("bump shift needs the bump simplex")
+        if t is not None and abs(t - domain.t) > DEFAULT_TOL:
+            raise ValueError(f"ct_shift t={t} does not match body t={domain.t}")
         self.domain = domain
         self.t = domain.t
 
@@ -284,40 +281,23 @@ class BumpShift(AffineOperator):
         top = int(nz[-1]) if nz.size else 0
         return max(0, x.slots - 1 - top)
 
-    def to_spec(self) -> dict:
-        return {"op": self.name, "t": self.t}
+
+#: Operator kinds: the constructor, which takes the body first, and its
+#: spec parameters, each with its type and default.
+OPERATOR_KINDS = {
+    "identity": (IdentityOperator, {}),
+    "doubling": (DoublingShift, {}),
+    "cyclic": (CyclicShift, {}),
+    "retraction": (NormalizingRetraction, {}),
+    "retraction_compose": (RetractionDoubling, {}),
+    "ct_shift": (BumpShift, {"t": (float, None)}),
+}
 
 
-def operator_from_spec(spec: dict, body: ConvexBody) -> AffineOperator:
-    """Build a catalog operator bound to ``body``, e.g. {"op": "doubling"}."""
-    if not isinstance(spec, dict) or "op" not in spec:
-        raise ValueError(f"operator spec must be a dict with key 'op', got {spec!r}")
-    kind = spec["op"]
-    extra = {k: v for k, v in spec.items() if k != "op"}
-    if kind == "identity":
-        _reject_unknown(extra, set(), "operator")
-        return IdentityOperator(body)
-    if kind == "doubling":
-        _reject_unknown(extra, set(), "operator")
-        return DoublingShift(body)
-    if kind == "cyclic":
-        _reject_unknown(extra, set(), "operator")
-        return CyclicShift(body)
-    if kind == "retraction":
-        _reject_unknown(extra, set(), "operator")
-        return NormalizingRetraction(body)
-    if kind == "retraction_compose":
-        _reject_unknown(extra, set(), "operator")
-        return RetractionDoubling(body)
-    if kind == "ct_shift":
-        _reject_unknown(extra, {"t"}, "operator")
-        if not isinstance(body, BumpSimplex):
-            raise ValueError("ct_shift needs the bump simplex body")
-        if "t" in extra and abs(float(extra["t"]) - body.t) > DEFAULT_TOL:
-            raise ValueError(
-                f"ct_shift t={extra['t']} does not match body t={body.t}")
-        return BumpShift(body)
-    raise ValueError(f"unknown operator kind {kind!r}")
+def operator_from_spec(spec: dict, body: ConvexBody, **fill) -> AffineOperator:
+    """Build a catalog operator bound to ``body``, e.g. {"op": "doubling"}.
+    ``fill`` supplies parameters the spec leaves out (see build_from_spec)."""
+    return build_from_spec(spec, "op", OPERATOR_KINDS, "operator", body, **fill)
 
 
 def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DEFAULT_TOL, GridFunction, limsup_tail, peak_sequence
+from .grid import DEFAULT_TOL, GridFunction, check_level, limsup_tail, peak_sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +248,7 @@ class DensitySimplex(ConvexBody):
     t_exact = 2.0
 
     def __init__(self, level: int):
-        self.level = int(level)
+        self.level = check_level(level)
         self.name = "density_simplex"
 
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
@@ -297,7 +298,7 @@ class ConeHull(ConvexBody):
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"a must lie in [0, 1], got {a}")
         self.a = float(a)
-        self.level = int(level)
+        self.level = check_level(level)
         self.name = f"cone_hull(a={self.a:g})"
         self.t_exact = 1.0 + self.a
 
@@ -361,7 +362,7 @@ class UnitBall(ConvexBody):
     t_exact = 1.0
 
     def __init__(self, level: int):
-        self.level = int(level)
+        self.level = check_level(level)
         self.name = "ball"
 
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
@@ -520,30 +521,64 @@ def rademacher_family(level: int, n_max: int | None = None) -> SequenceFamily:
     return SequenceFamily(f"rademacher(level={level})", points, GridFunction.zero(level))
 
 
-def body_from_spec(spec: dict, *, level: int = 12, slots: int = 64) -> ConvexBody:
-    """Build a catalog body from its wire description, e.g. {"set": "ball"}."""
-    if not isinstance(spec, dict) or "set" not in spec:
-        raise ValueError(f"body spec must be a dict with key 'set', got {spec!r}")
-    kind = spec["set"]
-    extra = {k: v for k, v in spec.items() if k != "set"}
-    if kind == "density_simplex":
-        _reject_unknown(extra, {"level"}, "body")
-        return DensitySimplex(int(extra.get("level", level)))
-    if kind == "cone_hull":
-        _reject_unknown(extra, {"a", "level"}, "body")
-        return ConeHull(float(extra.get("a", 0.0)), int(extra.get("level", level)))
-    if kind == "ball":
-        _reject_unknown(extra, {"level"}, "body")
-        return UnitBall(int(extra.get("level", level)))
-    if kind == "ct":
-        _reject_unknown(extra, {"t", "M"}, "body")
-        return BumpSimplex(float(extra.get("t", 1.5)), int(extra.get("M", slots)))
-    raise ValueError(f"unknown body kind {kind!r}")
+#: Body kinds: the constructor and its spec parameters, each with its type
+#: and default, in the constructor's argument order.
+BODY_KINDS = {
+    "density_simplex": (DensitySimplex, {"level": (int, 12)}),
+    "cone_hull": (ConeHull, {"a": (float, 0.0), "level": (int, 12)}),
+    "ball": (UnitBall, {"level": (int, 12)}),
+    "ct": (BumpSimplex, {"t": (float, 1.5), "M": (int, 64)}),
+}
 
 
-def _reject_unknown(extra: dict, allowed: set, owner: str) -> None:
-    """Reject spec keys outside ``allowed``; ``owner`` says whether they
-    claim to be body or operator parameters."""
-    unknown = set(extra) - allowed
+def body_from_spec(spec: dict, **fill) -> ConvexBody:
+    """Build a catalog body from its wire description, e.g. {"set": "ball"}.
+    ``fill`` supplies parameters the spec leaves out (see build_from_spec)."""
+    return build_from_spec(spec, "set", BODY_KINDS, "body", **fill)
+
+
+def build_from_spec(spec: dict, key: str, kinds: dict, owner: str, /,
+                    *lead, **fill):
+    """The one spec parser: ``spec[key]`` names a kind of ``kinds``, whose
+    constructor gets ``lead`` and then the kind's parameters.  A parameter
+    comes from the spec, else from ``fill`` when that holds a value other
+    than None for it, else from its default."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{owner} spec must be a dict with key {key!r}, got {spec!r}")
+    kind = spec[key]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {owner} kind {kind!r}; expected one of {sorted(kinds)}")
+    ctor, params = kinds[kind]
+    given = {k: v for k, v in fill.items() if k in params and v is not None}
+    given.update((k, v) for k, v in spec.items() if k != key)
+    return ctor(*lead, *checked_params(given, params, f"{owner} parameters").values())
+
+
+def checked_params(given: dict, params: dict, owner: str) -> dict:
+    """``given`` checked against ``params`` ({name: (type, default)}): every
+    name known, every value of its type (see _checked_value), the defaults
+    filling the rest, in the order of ``params``."""
+    unknown = set(given) - set(params)
     if unknown:
-        raise ValueError(f"unknown {owner} parameters {sorted(unknown)}")
+        raise ValueError(f"unknown {owner} {sorted(unknown)}")
+    return {name: _checked_value(name, given[name], kind) if name in given else default
+            for name, (kind, default) in params.items()}
+
+
+def _checked_value(name: str, value, kind: type):
+    """``value`` cast to ``kind``: int and float take numbers only, never
+    bools or strings, and int takes integral ones only; tuple takes a list
+    of numbers and gives a tuple of floats."""
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(_checked_value(name, v, float) for v in value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, numbers.Integral)
+                            or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range, got {value!r}") from None

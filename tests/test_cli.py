@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from fptlab.cli import ExperimentConfig, _parse_spec, main
+from fptlab.operators import OPERATOR_KINDS
+from fptlab.sets import BODY_KINDS
 
 _REPRO_HEADER = ["quantity", "reference_value", "estimate_low",
                  "estimate_high", "gap", "tolerance", "status"]
@@ -50,15 +52,20 @@ def test_config_defaults():
 # spec parsing
 
 
+def test_readme_tables_list_every_kind_and_default():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    for kinds in (BODY_KINDS, OPERATOR_KINDS):
+        for kind, (_, params) in kinds.items():
+            row = next(line for line in lines if line.startswith(f"| `{kind}` |"))
+            for name, (_, default) in params.items():
+                shown = "the body's" if default is None else f"{default:g}"
+                assert f"`{name}` ({shown})" in row, row
+
+
 def test_parse_spec_accepts_names_and_json():
-    names = ("ball", "ct")
-    assert _parse_spec("ball", "set", names) == {"set": "ball"}
-    assert _parse_spec('{"set": "ct", "t": 1.5}', "set", names) == {
+    assert _parse_spec("ball", "set") == {"set": "ball"}
+    assert _parse_spec('{"set": "ct", "t": 1.5}', "set") == {
         "set": "ct", "t": 1.5}
-    with pytest.raises(ValueError, match="unknown set name"):
-        _parse_spec("cube", "set", names)
-    with pytest.raises(ValueError, match="must carry key"):
-        _parse_spec('{"t": 1.5}', "set", names)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +213,42 @@ def test_sharpness_single_t(tmp_path):
 # exit code 2 on configuration errors
 
 
-def test_cli_configuration_errors_exit_two(tmp_path, capsys):
-    assert main(["solve", "--op", "nonsense", "--set", "ball"]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert main(["solve", "--op", '{"t": 1.5}', "--set", "ball"]) == 2
-    capsys.readouterr()
-    assert main(["reproduce", "--config", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "t.csv")]) == 2
-    capsys.readouterr()
-    assert main(["sharpness", "--t-grid", "2.5",
-                 "--out", str(tmp_path / "s.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
-    bad_cfg = tmp_path / "bad.json"
-    bad_cfg.write_text('{"level": 12, "bogus": 1}')
-    assert main(["reproduce", "--config", str(bad_cfg),
-                 "--out", str(tmp_path / "t.csv")]) == 2
+def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FPTLAB_SEED", raising=False)
+    out = ["--out", str(tmp_path / "o")]
+
+    def exits_two(argv, message="error:"):
+        assert main(argv + out) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, (argv, err)
+
+    exits_two(["solve", "--op", "nonsense", "--set", "ball"],
+              "unknown operator kind 'nonsense'; expected one of [")
+    exits_two(["solve", "--op", '{"t": 1.5}', "--set", "ball"])
+    exits_two(["solve", "--op", "cyclic", "--set", "cube"],
+              "unknown body kind 'cube'")
+    exits_two(["solve", "--op", "cyclic", "--set", '{"t": 1.5}'],
+              "with key 'set'")
+    exits_two(["reproduce", "--config", str(tmp_path / "missing.json")])
+    exits_two(["sharpness", "--t-grid", "2.5"])
+    # malformed values: each is rejected where it is parsed
+    for body in ('{"set":"ct","t":null}', '{"set":"ct","M":[3]}',
+                 '{"set":"ball","level":1.7}', '{"set":"ball","level":true}',
+                 '{"set":"cone_hull","a":"0.5"}'):
+        exits_two(["solve", "--op", "identity", "--set", body], "must be")
+    exits_two(["solve", "--op", '{"op":"ct_shift","t":null}', "--set", "ct"],
+              "t must be a number")
+    exits_two(["solve", "--op", "cyclic", "--set", "ball", "--level", "-1"],
+              "level must be in [0, 24]")
+    for text in ('{"level": 12, "bogus": 1}', '{"level":"x"}', '{"a_grid":5}',
+                 '{"seed":1.5}', '[12]'):
+        bad_cfg = tmp_path / "bad.json"
+        bad_cfg.write_text(text)
+        exits_two(["reproduce", "--config", str(bad_cfg)])
+    monkeypatch.setenv("FPTLAB_SEED", "abc")
+    for command in (["reproduce"], ["sharpness"],
+                    ["solve", "--op", "cyclic", "--set", "ball"]):
+        exits_two(command, "FPTLAB_SEED must be an integer, got 'abc'")
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +269,39 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, argv, golden, code):
     out = tmp_path / golden
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the fill rule: a flag fills a parameter the spec leaves out
+
+
+def _solve_bytes(tmp_path, name, argv):
+    out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    rc = main(["solve", *argv, "--n-max", "64", "--out", str(out),
+               "--trace", str(trace)])
+    return rc, out.read_bytes(), trace.read_bytes()
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (["--op", "cyclic", "--set", "cone_hull", "--a", "0.5", "--level", "6"],
+     ["--op", "cyclic", "--set", '{"set":"cone_hull","a":0.5,"level":6}']),
+    (["--op", "cyclic", "--set", '{"set":"cone_hull","a":0.25}', "--a", "0.5",
+      "--level", "6"],
+     ["--op", "cyclic", "--set", '{"set":"cone_hull","a":0.25,"level":6}']),
+    (["--op", "ct_shift", "--set", "ct", "--t", "1.25", "--M", "32"],
+     ["--op", '{"op":"ct_shift","t":1.25}',
+      "--set", '{"set":"ct","t":1.25,"M":32}']),
+    (["--op", "cyclic", "--set", '{"set":"ball","level":5}', "--level", "9",
+      "--mode", "proof"],
+     ["--op", "cyclic", "--set", "ball", "--level", "5", "--mode", "proof"]),
+], ids=["flag-fills", "spec-wins", "ct-flags", "proof-level"])
+def test_flags_fill_what_the_spec_leaves_out(tmp_path, monkeypatch, flags, spec):
+    monkeypatch.delenv("FPTLAB_SEED", raising=False)
+    assert _solve_bytes(tmp_path, "flags", flags) == \
+        _solve_bytes(tmp_path, "spec", spec)
+
+
+def test_filled_t_must_match_the_body(tmp_path, capsys):
+    assert main(["solve", "--op", "ct_shift", "--set", '{"set":"ct","t":1.9}',
+                 "--t", "1.5", "--out", str(tmp_path / "o.json")]) == 2
+    assert "does not match" in capsys.readouterr().err

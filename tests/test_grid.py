@@ -109,6 +109,17 @@ def test_peak_sequence_basics():
     assert norm(f) == 1.0
 
 
+@pytest.mark.parametrize("level", [-1, 1.7, True, 25])
+def test_grid_function_checks_its_level(level):
+    with pytest.raises(ValueError, match="level must be"):
+        GridFunction(level, [0.0])
+
+
+def test_grid_function_level_is_a_python_int():
+    f = GridFunction(np.int64(2), np.zeros(4))
+    assert type(f.level) is int and f.level == 2
+
+
 def test_peak_sequence_rejects_bad_n():
     with pytest.raises(ValueError):
         peak_sequence(3, 4)

@@ -302,15 +302,27 @@ def test_operator_from_spec_round_trip():
     bump = BumpSimplex(1.5, 16)
     T = operator_from_spec({"op": "ct_shift", "t": 1.5}, bump)
     assert isinstance(T, BumpShift) and T.t == 1.5
+    # a fill value lands only where the kind takes it; the spec's own wins
+    T = operator_from_spec({"op": "ct_shift", "t": 1.5}, bump, t=1.25, level=3)
+    assert isinstance(T, BumpShift) and T.t == 1.5
+    assert isinstance(operator_from_spec({"op": "cyclic"}, UnitBall(level), t=1.5),
+                      CyclicShift)
 
 
 def test_operator_from_spec_rejects_mismatches():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown operator kind 'warp'; "
+                                         r"expected one of \['ct_shift', 'cyclic'"):
         operator_from_spec({"op": "warp"}, DensitySimplex(5))
     with pytest.raises(ValueError):
         operator_from_spec({"op": "doubling"}, ConeHull(0.5, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match body t=1.5"):
         operator_from_spec({"op": "ct_shift", "t": 1.25}, BumpSimplex(1.5, 8))
+    with pytest.raises(ValueError, match="does not match body t=1.5"):
+        operator_from_spec({"op": "ct_shift"}, BumpSimplex(1.5, 8), t=1.25)
+    with pytest.raises(ValueError, match="t must be a number"):
+        operator_from_spec({"op": "ct_shift", "t": "1.5"}, BumpSimplex(1.5, 8))
+    with pytest.raises(ValueError, match="bump shift needs the bump simplex"):
+        operator_from_spec({"op": "ct_shift"}, DensitySimplex(5))
     with pytest.raises(ValueError):
         operator_from_spec({"op": "retraction"}, DensitySimplex(5))
     with pytest.raises(ValueError, match=r"unknown operator parameters \['t'\]"):

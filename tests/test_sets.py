@@ -287,9 +287,46 @@ def test_body_from_spec_round_trip():
 
 
 def test_body_from_spec_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown body kind 'torus'; "
+                                         r"expected one of \['ball', 'cone_hull'"):
         body_from_spec({"set": "torus"})
+    with pytest.raises(ValueError, match="unknown body kind"):
+        body_from_spec({"set": ["ball"]})
     with pytest.raises(ValueError, match=r"unknown body parameters \['radius'\]"):
         body_from_spec({"set": "ball", "radius": 2})
     with pytest.raises(ValueError):
         body_from_spec({"op": "ball"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"set": "ball", "level": 1.7}, "level must be an integer"),
+    ({"set": "ball", "level": True}, "level must be a number"),
+    ({"set": "ball", "level": "5"}, "level must be a number"),
+    ({"set": "ct", "t": None}, "t must be a number"),
+    ({"set": "ct", "M": [3]}, "M must be a number"),
+    ({"set": "cone_hull", "a": False}, "a must be a number"),
+    ({"set": "cone_hull", "a": 10 ** 400}, "a is out of range"),
+])
+def test_body_from_spec_checks_value_types(spec, message):
+    with pytest.raises(ValueError, match=message):
+        body_from_spec(spec)
+
+
+def test_body_from_spec_fill_and_defaults():
+    # an integral float is an integer; a fill value lands only where the
+    # kind takes that parameter and the spec leaves it out; None fills nothing
+    assert body_from_spec({"set": "ball", "level": 5.0}).level == 5
+    assert body_from_spec({"set": "ball"}).level == 12
+    assert body_from_spec({"set": "ball"}, level=5, a=0.5, M=8).level == 5
+    assert body_from_spec({"set": "ball", "level": 4}, level=5).level == 4
+    hull = body_from_spec({"set": "cone_hull", "a": 0.25}, a=0.5, level=None)
+    assert hull.a == 0.25 and hull.level == 12
+    bump = body_from_spec({"set": "ct"}, t=None, M=32)
+    assert bump.t == 1.5 and bump.slots == 32
+
+
+@pytest.mark.parametrize("level", [-1, 1.7, True, 25])
+def test_grid_bodies_check_their_level(level):
+    for make in (DensitySimplex, UnitBall, lambda lvl: ConeHull(0.5, lvl)):
+        with pytest.raises(ValueError, match="level must be"):
+            make(level)
