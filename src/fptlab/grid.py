@@ -83,6 +83,11 @@ class GridFunction:
         """Integral of |f| over [0, 1]."""
         return float(np.abs(self.values).sum() * self.cell_width)
 
+    def row_norms(self, rows: np.ndarray) -> np.ndarray:
+        """``norm`` of each row of a C-contiguous 2-d array of cell values,
+        bit-equal to it: each row is summed as one 1-d array is."""
+        return np.abs(rows).sum(axis=1) * self.cell_width
+
     def _compat(self, other: GridFunction) -> None:
         if not isinstance(other, GridFunction):
             raise TypeError("expected GridFunction operands")
@@ -183,10 +188,15 @@ def _trailing_window(terms, window_fraction: float) -> tuple[float, ...]:
         raise ValueError("empty sequence")
     if not all(math.isfinite(t) for t in terms):
         raise ValueError("terms must be finite")
+    return terms[len(terms) - window_length(len(terms), window_fraction):]
+
+
+def window_length(n: int, window_fraction: float) -> int:
+    """Number of trailing terms that a run of ``n`` terms declares as its
+    window: at least one."""
     if not (0.0 < window_fraction <= 1.0):
         raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
-    k = max(1, math.ceil(window_fraction * len(terms)))
-    return terms[len(terms) - k:]
+    return max(1, math.ceil(window_fraction * n))
 
 
 def limsup_tail(terms, window_fraction: float = 0.5) -> float:

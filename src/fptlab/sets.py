@@ -18,7 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DEFAULT_TOL, GridFunction, check_level, limsup_tail, peak_sequence
+from .grid import (
+    DEFAULT_TOL,
+    MAX_LEVEL,
+    GridFunction,
+    check_level,
+    limsup_tail,
+    peak_sequence,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +88,13 @@ class CoordPoint:
     def norm(self) -> float:
         """Weighted sum of |coeffs|: the L1 norm of the embedded bumps."""
         return float(np.abs(self.coeffs) @ self.weights)
+
+    def row_norms(self, rows: np.ndarray) -> np.ndarray:
+        """``norm`` of each row of a 2-d array of coefficients, bit-equal to
+        it.  Row by row, because one matrix-vector product rounds differently
+        from a row's dot product in the last place."""
+        w = self.weights
+        return np.array([np.abs(row) @ w for row in rows])
 
     def _compat(self, other: CoordPoint) -> None:
         if abs(self.t - other.t) > DEFAULT_TOL or self.slots != other.slots:
@@ -406,6 +420,9 @@ class BumpSimplex(ConvexBody):
             raise ValueError(f"t must lie in (1, 2), got {t}")
         if slots < 4:
             raise ValueError(f"need at least 4 slots, got {slots}")
+        if slots > 2 ** MAX_LEVEL:
+            raise ValueError(f"need at most 2**{MAX_LEVEL} slots, the cell count "
+                             f"of the finest grid, got {slots}")
         self.t = float(t)
         self.slots = int(slots)
         self.name = f"bump_simplex(t={self.t:g})"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import opial_sum, recentering_bounds
-from .grid import limsup_tail
+from .grid import limsup_tail, window_length
 from .operators import (
     AffineOperator,
     CyclicShift,
@@ -87,7 +87,7 @@ class AfpsRecord:
 
     def radius_from(self, y) -> float:
         """Trailing limsup of norm distances from ``y`` to the means."""
-        return limsup_tail([norm(y - p) for p in self.points], self.window_fraction)
+        return float(_phi_values([y], self.points, self.window_fraction)[0])
 
     def limit_spread(self) -> float | None:
         """Trailing limsup of norm distances from the detected limit."""
@@ -221,7 +221,7 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
                       window_fraction=window_fraction)
 
 
-def nearest_afps_radius(y, records, *, default=None) -> float:
+def nearest_afps_radius(y, records) -> float:
     """Smallest trailing radius of ``y`` against the recorded sequences.
 
     This is the working surrogate for the infimum over all approximate
@@ -229,8 +229,6 @@ def nearest_afps_radius(y, records, *, default=None) -> float:
     """
     records = list(records)
     if not records:
-        if default is not None:
-            return default
         raise ValueError("need at least one record")
     return min(rec.radius_from(y) for rec in records)
 
@@ -251,20 +249,23 @@ def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float
     return eps if eps > 1e-12 else None
 
 
-def _phi_values(points, record: AfpsRecord, window_fraction: float) -> np.ndarray:
-    """Trailing limsup of norm distances from each point to the record means,
-    vectorized in blocks to keep memory flat."""
-    w_len = max(1, math.ceil(window_fraction * len(record.points)))
-    window = record.points[len(record.points) - w_len:]
+def _phi_values(points, means, window_fraction: float) -> np.ndarray:
+    """Trailing limsup of norm distances from each point to ``means``.
+
+    The trailing window is stacked once per call and the distances are
+    reduced by the point class's ``row_norms``, in blocks of points to keep
+    memory flat; each entry is bit-equal to the limsup_tail of the norms.
+    """
+    window = means[len(means) - window_length(len(means), window_fraction):]
     W = np.stack([p.array for p in window])
     Z = np.stack([p.array for p in points])
-    weights = points[0].weights
     out = np.empty(Z.shape[0])
-    per_row = max(1, W.shape[0] * W.shape[1])
-    chunk = max(1, (1 << 21) // per_row)
+    chunk = max(1, (1 << 21) // W.size)
     for i in range(0, Z.shape[0], chunk):
-        gaps = np.abs(Z[i:i + chunk, None, :] - W[None, :, :]) @ weights
-        out[i:i + chunk] = gaps.max(axis=1)
+        gaps = (Z[i:i + chunk, None, :] - W[None, :, :]).reshape(-1, W.shape[1])
+        out[i:i + chunk] = points[0].row_norms(gaps).reshape(-1, W.shape[0]).max(axis=1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("terms must be finite")
     return out
 
 
@@ -291,55 +292,52 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    r0 = nearest_afps_radius(x0, records)
+    radii = [rec.radius_from(x0) for rec in records]
+    r0 = min(radii)
     rho = r0 * (1.0 - eps) / (t_coeff * (1.0 + eps))
-    with_limits = [rec for rec in records if rec.limit is not None]
+    with_limits = [i for i, rec in enumerate(records) if rec.limit is not None]
     if not with_limits:
         raise BranchConditionError("no record detected an in-measure limit")
-    best = min(with_limits, key=lambda rec: rec.radius_from(x0))
-    near = best.radius_from(x0) <= r0 * (1.0 + eps) + branch_slack
+    i_best = min(with_limits, key=radii.__getitem__)
+    best = records[i_best]
+    near = radii[i_best] <= r0 * (1.0 + eps) + branch_slack
     gap_x = best.limit_spread()
 
-    current = records[-1]
-    zs = list(current.points)
-    zbar = []
-    z_lim = None
     gap_z = None
     phi_min = None
     phi_ratio = None
-    quality = current.limit_quality
-    if len(zs) >= 16:
-        phi = _phi_values(zs, best, window_fraction)
-        phi_min = float(phi.min())
-        k = int(min(n_select, max(8, len(zs) // 4)))
-        chosen = np.sort(np.argsort(phi, kind="stable")[:k])
-        zbar = running_means([zs[idx] for idx in chosen])
-        try:
-            _, z_lim = komlos_extract(zbar, extraction_tol=extraction_tol,
-                                      min_cluster=min(4, len(zbar) // 2))
-        except (ExtendSequenceError, ValueError):
-            z_lim = _median_point(zbar[len(zbar) // 2:])
-        gap_z = limsup_tail([norm(z_lim - zb) for zb in zbar], window_fraction)
-        phi_bar = _phi_values(zbar, best, window_fraction)
-        if phi_min > 1e-12:
-            phi_ratio = float(limsup_tail(phi_bar, window_fraction) / phi_min)
-
     if gap_x is not None and gap_x <= rho + branch_slack:
         branch = "x_limit"
         result = C.recenter(best.limit, best.points, rng=rng,
                             window_fraction=window_fraction)
-        base_seq = best.points
-    elif gap_z is not None and gap_z <= rho + branch_slack:
+        r_after = best.radius_from(result.point)
+    else:
+        # two _phi_values passes and an extraction: run only when needed
+        zs = records[-1].points
+        if len(zs) >= 16:
+            phi = _phi_values(zs, best.points, window_fraction)
+            phi_min = float(phi.min())
+            k = int(min(n_select, max(8, len(zs) // 4)))
+            chosen = np.sort(np.argsort(phi, kind="stable")[:k])
+            zbar = running_means([zs[idx] for idx in chosen])
+            try:
+                _, z_lim = komlos_extract(zbar, extraction_tol=extraction_tol,
+                                          min_cluster=min(4, len(zbar) // 2))
+            except (ExtendSequenceError, ValueError):
+                z_lim = _median_point(zbar[len(zbar) // 2:])
+            gap_z = float(_phi_values([z_lim], zbar, window_fraction)[0])
+            phi_bar = _phi_values(zbar, best.points, window_fraction)
+            if phi_min > 1e-12:
+                phi_ratio = float(limsup_tail(phi_bar, window_fraction) / phi_min)
+        if gap_z is None or gap_z > rho + branch_slack:
+            raise BranchConditionError(
+                f"no branch within rho={rho:.4g}: limit gap {gap_x}, "
+                f"means gap {gap_z}")
         branch = "mean_limit"
         result = C.recenter(z_lim, zbar, rng=rng, window_fraction=window_fraction)
-        base_seq = tuple(zbar)
-    else:
-        raise BranchConditionError(
-            f"no branch within rho={rho:.4g}: limit gap {gap_x}, "
-            f"means gap {gap_z}")
+        r_after = float(_phi_values([result.point], zbar, window_fraction)[0])
 
     w = result.point
-    r_after = limsup_tail([norm(w - p) for p in base_seq], window_fraction)
     if r_after > (1.0 - eps) * r0 + branch_slack:
         raise BranchConditionError(
             f"contraction certificate failed: {r_after:.6g} > "
@@ -355,7 +353,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
                         displacement=displacement, displacement_bound=disp_bound,
                         recenter_bound=result.bound_type, near_achieving=near,
                         phi_min=phi_min, phi_ratio=phi_ratio,
-                        extraction_quality=quality)
+                        extraction_quality=records[-1].limit_quality)
     return w, report
 
 

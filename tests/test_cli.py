@@ -240,6 +240,10 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
               "t must be a number")
     exits_two(["solve", "--op", "cyclic", "--set", "ball", "--level", "-1"],
               "level must be in [0, 24]")
+    # a slot count beyond the finest grid is refused before any allocation
+    exits_two(["solve", "--op", "ct_shift", "--set", "ct", "--M", "1000000000000"],
+              "at most 2**24 slots")
+    exits_two(["sharpness", "--M", "1000000000000"], "at most 2**24 slots")
     for text in ('{"level": 12, "bogus": 1}', '{"level":"x"}', '{"a_grid":5}',
                  '{"seed":1.5}', '[12]'):
         bad_cfg = tmp_path / "bad.json"
@@ -260,7 +264,13 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
     (["sharpness", "--seed", "0"], "sharpness-seed0.csv", 0),
     (["solve", "--op", "ct_shift", "--set", "ct", "--t", "1.5",
       "--mode", "practical"], "solve-ct_shift-t1.5-practical.json", 1),
-], ids=["reproduce", "sharpness", "solve-ct_shift"])
+    (["solve", "--op", "cyclic", "--set", "ball", "--mode", "proof",
+      "--level", "6"], "solve-cyclic-ball-L6-proof.json", 0),
+    (["solve", "--op", "cyclic", "--set", '{"set":"cone_hull","a":0.5}',
+      "--mode", "proof", "--level", "6"],
+     "solve-cyclic-cone_hull0.5-L6-proof.json", 0),
+], ids=["reproduce", "sharpness", "solve-ct_shift", "solve-proof-ball",
+        "solve-proof-cone_hull"])
 def test_outputs_match_golden_bytes(tmp_path, monkeypatch, argv, golden, code):
     """The files under tests/golden were written by these commands.  The
     ct_shift JSON carries a norm that moves in the last place if the two

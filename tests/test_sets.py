@@ -26,6 +26,7 @@ from fptlab import (
     peak_sequence,
     rademacher_family,
 )
+from fptlab.grid import MAX_LEVEL
 
 LEVEL = 7
 
@@ -80,6 +81,17 @@ def test_bump_simplex_membership():
         assert body.membership(coord_basis(1.5, 8, k))
     assert not body.membership(CoordPoint(1.5, np.zeros(8)))
     assert not body.membership(CoordPoint(1.25, np.eye(8)[0]))
+
+
+def test_bump_simplex_bounds_its_slot_count():
+    # constructors allocate nothing, so the bound is tested without a solve
+    top = 2 ** MAX_LEVEL
+    assert BumpSimplex(1.5, top).slots == top
+    for slots in (3, top + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="slots"):
+            BumpSimplex(1.5, slots)
+    with pytest.raises(ValueError, match=f"at most 2\\*\\*{MAX_LEVEL} slots"):
+        body_from_spec({"set": "ct", "M": 10 ** 12})
 
 
 def test_sample_membership_round_trip():

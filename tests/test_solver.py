@@ -3,6 +3,7 @@ approximate fixed-point records, admissible contraction parameters, the
 certified step, and both solvers end to end."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fptlab import (
     BumpShift,
     BumpSimplex,
     ConeHull,
+    CoordPoint,
     CyclicShift,
     DensitySimplex,
     DomainError,
@@ -28,6 +30,7 @@ from fptlab import (
     cesaro_means,
     cesaro_solve,
     komlos_extract,
+    limsup_tail,
     measure_distance,
     nearest_afps_radius,
     norm,
@@ -35,6 +38,7 @@ from fptlab import (
     proof_step,
     solve,
 )
+from fptlab.solver import _phi_values
 
 FIXED = "fixed_point"
 ESCAPED = "escaped_in_measure"
@@ -145,6 +149,29 @@ def test_record_radius_and_spread_agree(cyclic_means):
     assert blind.limit_spread() is None
 
 
+def test_record_radius_is_bit_equal_to_the_norm_loop():
+    # The stacked window radius must round exactly as the per-mean loop it
+    # replaces, for both point types: the coordinate rows fail this if they
+    # are reduced by one matrix-vector product.
+    rng = np.random.default_rng(5)
+    spaces = [GridFunction.zero(level) for level in range(11)]
+    spaces += [CoordPoint(t, np.zeros(m)) for t in (1.1, 1.5, 1.9)
+               for m in (4, 64, 257)]
+    for space in spaces:
+        size = space.array.size
+        for n in (1, 2, 7, int(rng.integers(8, 600))):
+            scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            means = [space.like(row) for row in rng.standard_normal((n, size)) * scale]
+            ys = [space.like(rng.standard_normal(size)) for _ in range(3)]
+            rows = np.stack([(ys[0] - p).array for p in means])
+            assert space.row_norms(rows).tolist() == [norm(ys[0] - p) for p in means]
+            for wf in (0.3, 0.5, 1.0):
+                rec = AfpsRecord(means, [0.0] * n, window_fraction=wf)
+                loops = [limsup_tail([norm(y - p) for p in means], wf) for y in ys]
+                assert [rec.radius_from(y) for y in ys] == loops
+                assert _phi_values(ys, means, wf).tolist() == loops
+
+
 def test_record_validation():
     T = IdentityOperator(DensitySimplex(3))
     with pytest.raises(ValueError, match="n_inner"):
@@ -155,7 +182,6 @@ def test_record_validation():
 
 def test_nearest_radius_default_and_error(cyclic_means):
     x0, _ = cyclic_means
-    assert nearest_afps_radius(x0, [], default=7.5) == 7.5
     with pytest.raises(ValueError, match="at least one record"):
         nearest_afps_radius(x0, [])
     rec_a = build_afps_record(CyclicShift(UnitBall(6)), x0, 32)
@@ -218,7 +244,27 @@ def test_proof_step_contracts_cyclic_radius():
     assert report.displacement <= report.displacement_bound
     assert report.recenter_bound in ("exact", "upper")
     assert report.near_achieving
-    assert report.phi_min is not None
+    assert report.phi_min is None and report.limit_gap_means is None
+    assert ball.membership(w, 1e-7)
+
+
+def test_proof_step_takes_the_mean_branch():
+    # A record whose detected limit is the start point itself has limit gap
+    # r0 > rho, so the step must fall back to the limit of selected means.
+    ball = UnitBall(6)
+    T = CyclicShift(ball)
+    x0 = ball.sample(np.random.default_rng(3))
+    rec = dataclasses.replace(build_afps_record(T, x0, 512, extraction_tol=0.05),
+                              limit=x0)
+    eps = admissible_eps(1.0, 1.0)
+    w, report = proof_step(T, ball, x0, eps, [rec], mean_lip=1.0, t_coeff=1.0,
+                           rng=np.random.default_rng(0))
+    assert report.limit_gap_x == report.r_before > report.rho
+    assert report.branch == "mean_limit"
+    assert report.phi_min is not None and report.phi_ratio is not None
+    assert report.limit_gap_means <= report.rho + 1e-6
+    assert report.r_after <= (1.0 - eps) * report.r_before + 1e-6
+    assert report.displacement <= report.displacement_bound
     assert ball.membership(w, 1e-7)
 
 
