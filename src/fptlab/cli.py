@@ -26,16 +26,16 @@ from .coefficients import (
     orlicz_coefficient,
     recentering_bounds,
 )
-from .grid import GridFunction, limsup_tail
+from .grid import GridFunction
 from .operators import mean_lipschitz, operator_from_spec
 from .sets import (
     BumpSimplex,
     ConeHull,
     UnitBall,
+    _phi_values,
     body_from_spec,
     bump_tail_family,
     checked_params,
-    norm,
     peak_family,
 )
 from .solver import STATUS_FIXED, cesaro_solve, solve
@@ -187,10 +187,10 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
     add("opial_sum", "bracket", 2.0, opial_cross_check(1.0, min(level + 2, 14)),
         opial_sum(), cfg.tol_rel)
 
-    drift = limsup_tail([norm(p) for p in peaks.points], wf)
+    drift = float(_phi_values([peaks.limit], peaks.points, wf)[0])
     add("drift_radius(density_simplex)", "upper", 1.0, drift, drift, 1e-6)
     fam = bump_tail_family(1.5, cfg.slots)
-    drift = limsup_tail([norm(p) for p in fam.points], wf)
+    drift = float(_phi_values([fam.limit], fam.points, wf)[0])
     add("drift_radius(bump,t=1.5)", "upper", 1.0, drift, drift, 1e-6)
 
     z = GridFunction(level, np.where(np.arange(2 ** level) >= 2 ** (level - 1),

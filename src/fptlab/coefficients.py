@@ -20,6 +20,7 @@ from .sets import (
     BumpSimplex,
     ConvexBody,
     SequenceFamily,
+    _phi_values,
     bump_tail_family,
     measure_distance,
     norm,
@@ -99,8 +100,7 @@ def recentering_bounds(body: ConvexBody, families=None, *,
             raise ValueError(
                 f"family {fam.name!r} does not drift to its declared limit "
                 f"(trailing in-measure defect {defect:.4g} > {drift_tol:g})")
-        gaps = [norm(fam.limit - p) for p in fam.points]
-        scale = limsup_tail(gaps, window_fraction)
+        scale = float(_phi_values([fam.limit], fam.points, window_fraction)[0])
         if scale <= 1e-12:
             # norm-converging family: recentering is free
             continue
@@ -109,9 +109,7 @@ def recentering_bounds(body: ConvexBody, families=None, *,
                                window_fraction=window_fraction)
         candidates = [result.point]
         candidates.extend(body.sample(rng) for _ in range(n_samples))
-        fam_low = min(
-            limsup_tail([norm(c - p) for p in fam.points], window_fraction)
-            for c in candidates) / scale
+        fam_low = float(_phi_values(candidates, fam.points, window_fraction).min()) / scale
         fam_high = 1.0 + norm(result.point - fam.limit) / scale
         if result.bound_type != "exact":
             fam_high = RECENTERING_CAP
@@ -155,9 +153,9 @@ def disjoint_additivity_defect(points, z, *, window_fraction: float = 0.5,
         raise ValueError(
             f"sequence does not vanish in measure (trailing defect "
             f"{defect:.4g} > {drift_tol:g})")
-    with_z = limsup_tail([norm(p + z) for p in points], window_fraction)
-    alone = limsup_tail([norm(p) for p in points], window_fraction)
-    return abs(with_z - alone - norm(z))
+    # |(-z) - p| = |p + z| and |0 - p| = |p|, bit for bit
+    with_z, alone = _phi_values([-z, zero], points, window_fraction)
+    return float(abs(with_z - alone - norm(z)))
 
 
 def opial_sum() -> float:

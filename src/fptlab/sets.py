@@ -25,7 +25,16 @@ from .grid import (
     check_level,
     limsup_tail,
     peak_sequence,
+    window_length,
 )
+
+#: Most bytes that one point family may hold.  A configuration that asks for
+#: more is refused with ValueError before anything is allocated.
+BYTE_BUDGET = 2 ** 30
+
+#: Most floats of point-minus-mean differences that ``_phi_values`` holds at
+#: once; a single point against a larger window is still one block.
+PHI_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +177,33 @@ def norm(x) -> float:
     return x.norm()
 
 
+def _phi_values(points, means, window_fraction: float) -> np.ndarray:
+    """Trailing limsup of norm distances from each point to ``means``: the
+    one trailing-radius kernel.
+
+    The trailing window is stacked once per call and the points one block at
+    a time (see PHI_BLOCK_FLOATS); the distances are reduced by the point
+    class's ``row_norms``, so each entry is bit-equal to the limsup_tail of
+    the norms.  Operands must share one space, as they must to subtract.
+    Only the window's distances are checked finite: the points are finite,
+    so only a difference that overflows can fail.
+    """
+    window = means[len(means) - window_length(len(means), window_fraction):]
+    first = points[0]
+    for p in (*points, *window):
+        first._compat(p)
+    W = np.stack([p.array for p in window])
+    out = np.empty(len(points))
+    block = max(1, PHI_BLOCK_FLOATS // W.size)
+    for i in range(0, len(points), block):
+        Z = np.stack([p.array for p in points[i:i + block]])
+        gaps = (Z[:, None, :] - W[None, :, :]).reshape(-1, W.shape[1])
+        out[i:i + block] = first.row_norms(gaps).reshape(-1, W.shape[0]).max(axis=1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("terms must be finite")
+    return out
+
+
 def measure_distance(x, y) -> float:
     """In-measure (Ky Fan) distance: the integral of min(|x - y|, 1).
 
@@ -241,11 +277,8 @@ class ConvexBody:
         candidates = [self.sample(rng) for _ in range(n_candidates)]
         if self.membership(x, tol=1e-7):
             candidates.append(x)
-
-        def score(c):
-            return limsup_tail([norm(c - p) for p in seq], window_fraction)
-
-        return min(candidates, key=score)
+        # argmin picks the first of equal scores, as min(key=) does
+        return candidates[int(np.argmin(_phi_values(candidates, seq, window_fraction)))]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -338,7 +371,7 @@ class ConeHull(ConvexBody):
     def sample(self, rng: np.random.Generator) -> GridFunction:
         f = DensitySimplex(self.level).sample(rng)
         lam = rng.random()
-        return lam * f + GridFunction.constant((1.0 - lam) * self.a, self.level)
+        return GridFunction(self.level, f.values * lam + (1.0 - lam) * self.a)
 
     def zero_point(self) -> GridFunction:
         return GridFunction.zero(self.level)
@@ -520,6 +553,11 @@ def bump_tail_family(t: float, slots: int, k_min: int = 1,
     k_max = slots - 1 if k_max is None else k_max
     if not (1 <= k_min <= k_max < slots):
         raise ValueError(f"need 1 <= {k_min} <= {k_max} < {slots}")
+    count = k_max - k_min + 1
+    if count * slots * 8 > BYTE_BUDGET:
+        raise ValueError(f"a bump tail family of {count} points of {slots} slots "
+                         f"needs {count * slots * 8} bytes, more than the budget "
+                         f"of {BYTE_BUDGET}")
     points = tuple(coord_basis(t, slots, k) for k in range(k_min, k_max + 1))
     return SequenceFamily(f"bump_tail(t={t:g})", points,
                           CoordPoint(t, np.zeros(slots)))

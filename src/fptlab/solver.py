@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import opial_sum, recentering_bounds
-from .grid import limsup_tail, window_length
+from .grid import limsup_tail
 from .operators import (
     AffineOperator,
     CyclicShift,
@@ -35,7 +35,7 @@ from .operators import (
     orbit_means_residuals,
     running_means,
 )
-from .sets import ConvexBody, measure_distance, norm
+from .sets import ConvexBody, _phi_values, measure_distance, norm
 
 STATUS_FIXED = "fixed_point"
 STATUS_ESCAPED = "escaped_in_measure"
@@ -247,26 +247,6 @@ def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float
     while eps > 1e-12 and mean_lip >= (opial / t_coeff) * (1.0 - eps) / (1.0 + eps) ** 2:
         eps *= 0.5
     return eps if eps > 1e-12 else None
-
-
-def _phi_values(points, means, window_fraction: float) -> np.ndarray:
-    """Trailing limsup of norm distances from each point to ``means``.
-
-    The trailing window is stacked once per call and the distances are
-    reduced by the point class's ``row_norms``, in blocks of points to keep
-    memory flat; each entry is bit-equal to the limsup_tail of the norms.
-    """
-    window = means[len(means) - window_length(len(means), window_fraction):]
-    W = np.stack([p.array for p in window])
-    Z = np.stack([p.array for p in points])
-    out = np.empty(Z.shape[0])
-    chunk = max(1, (1 << 21) // W.size)
-    for i in range(0, Z.shape[0], chunk):
-        gaps = (Z[i:i + chunk, None, :] - W[None, :, :]).reshape(-1, W.shape[1])
-        out[i:i + chunk] = points[0].row_norms(gaps).reshape(-1, W.shape[0]).max(axis=1)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("terms must be finite")
-    return out
 
 
 def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from fptlab.cli import ExperimentConfig, _parse_spec, main
+from fptlab import sets
+from fptlab.cli import ExperimentConfig, _parse_spec, main, run_reproduce
+from fptlab.grid import limsup_tail
 from fptlab.operators import OPERATOR_KINDS
-from fptlab.sets import BODY_KINDS
+from fptlab.sets import BODY_KINDS, bump_tail_family, norm, peak_family
 
 _REPRO_HEADER = ["quantity", "reference_value", "estimate_low",
                  "estimate_high", "gap", "tolerance", "status"]
@@ -94,6 +96,20 @@ def test_reproduce_runs_are_byte_identical(tmp_path):
     assert main(["reproduce", "--out", str(out_a), "--seed", "123"]) == 0
     assert main(["reproduce", "--out", str(out_b), "--seed", "123"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("level, wf, slots, seed",
+                         [(11, 0.5, 32, 1), (12, 0.4, 100, 2), (12, 0.5, 64, 0)])
+def test_reproduce_drift_radii_match_the_norm_loop(level, wf, slots, seed):
+    cfg = ExperimentConfig(level=level, window_fraction=wf, slots=slots, seed=seed,
+                           a_grid=(0.5,), t_grid=(1.5,), orlicz_p=(2.0,))
+    rows = {row[0]: row for row in run_reproduce(cfg)[0]}
+    peaks = peak_family(level, k_min=max(1, level - 8), k_max=level)
+    bumps = bump_tail_family(1.5, slots)
+    for quantity, fam in (("drift_radius(density_simplex)", peaks),
+                          ("drift_radius(bump,t=1.5)", bumps)):
+        loop = limsup_tail([norm(p) for p in fam.points], wf)
+        assert rows[quantity][2] == rows[quantity][3] == loop, quantity
 
 
 def test_reproduce_env_seed_overrides_flag(tmp_path, monkeypatch):
@@ -244,6 +260,11 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
     exits_two(["solve", "--op", "ct_shift", "--set", "ct", "--M", "1000000000000"],
               "at most 2**24 slots")
     exits_two(["sharpness", "--M", "1000000000000"], "at most 2**24 slots")
+    # a bump family over the byte budget is refused before it is built; the
+    # budget is lowered so that nothing large is ever asked for
+    with monkeypatch.context() as patch:
+        patch.setattr(sets, "BYTE_BUDGET", 4096)
+        exits_two(["sharpness", "--M", "64"], "more than the budget of 4096")
     for text in ('{"level": 12, "bogus": 1}', '{"level":"x"}', '{"a_grid":5}',
                  '{"seed":1.5}', '[12]'):
         bad_cfg = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ import pytest
 from fptlab import (
     BumpSimplex,
     CoefficientReport,
+    CoordPoint,
     ConeHull,
     DensitySimplex,
     GridFunction,
@@ -18,6 +19,8 @@ from fptlab import (
     disjoint_additivity_defect,
     fixed_point_gate,
     gate_margin,
+    limsup_tail,
+    norm,
     opial_cross_check,
     opial_sum,
     orlicz_coefficient,
@@ -108,6 +111,32 @@ def test_additivity_defect_cancelling_z_law():
         fam = peak_family(level, k_min=3, k_max=k)
         defect = disjoint_additivity_defect(fam, z, drift_tol=0.1)
         assert abs(defect - 2.0 ** (1 - k)) <= 1e-12
+
+
+def test_additivity_defect_matches_the_norm_loops():
+    # the kernel prices |p + z| as |(-z) - p| and |p| as |0 - p|: both are
+    # exact, so the defect equals the one from the per-point loops
+    rng = np.random.default_rng(21)
+
+    def loops(points, z, wf):
+        with_z = limsup_tail([norm(p + z) for p in points], wf)
+        alone = limsup_tail([norm(p) for p in points], wf)
+        return abs(with_z - alone - norm(z))
+
+    cases = []
+    for level in (8, 10, 12):
+        fam = peak_family(level, k_min=max(1, level - 8))
+        cases += [(fam, GridFunction(level, rng.standard_normal(2 ** level)
+                                     * 10.0 ** rng.uniform(-2, 2)))
+                  for _ in range(4)]
+    for t, slots in ((1.1, 16), (1.5, 64), (1.9, 257)):
+        fam = bump_tail_family(t, slots, k_min=4)
+        cases += [(fam, CoordPoint(t, rng.standard_normal(slots))) for _ in range(4)]
+    for fam, z in cases:
+        for wf in (0.3, 0.5, 1.0):
+            got = disjoint_additivity_defect(fam, z, window_fraction=wf, drift_tol=1.0)
+            assert type(got) is float
+            assert got == loops(fam.points, z, wf), (fam.name, wf)
 
 
 def test_additivity_rejects_oscillating_sequence():

@@ -1,0 +1,30 @@
+"""Each demo under demos/ runs to completion and prints what it printed
+when its golden file under tests/golden was written."""
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+#: Wall times such as "(1.1s)" and the padding around them vary run to run.
+_TIMING = re.compile(r" *\(\d+\.\ds\) *")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_stdout_matches_golden(demo):
+    env = {k: v for k, v in os.environ.items() if k != "FPTLAB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    stdout = _TIMING.sub(" (s) ", run.stdout)
+    assert stdout == (GOLDEN / f"demo-{demo.stem}.txt").read_text()

@@ -26,7 +26,9 @@ from fptlab import (
     peak_sequence,
     rademacher_family,
 )
+from fptlab import sets
 from fptlab.grid import MAX_LEVEL
+from fptlab.sets import PHI_BLOCK_FLOATS, _phi_values
 
 LEVEL = 7
 
@@ -342,3 +344,102 @@ def test_grid_bodies_check_their_level(level):
     for make in (DensitySimplex, UnitBall, lambda lvl: ConeHull(0.5, lvl)):
         with pytest.raises(ValueError, match="level must be"):
             make(level)
+
+
+def test_cone_hull_sample_matches_the_four_point_expression():
+    # one point built from the arrays rounds exactly as lam * f + constant
+    # did, and draws the same numbers from the generator
+    cases = 0
+    for level in range(13):
+        for a in (0.0, 0.25, 0.3, 0.5, 0.75, 1.0):
+            body = ConeHull(a, level)
+            for seed in range(16):
+                rng = np.random.default_rng([level, seed])
+                old_rng = np.random.default_rng([level, seed])
+                got = body.sample(rng)
+                f = DensitySimplex(level).sample(old_rng)
+                lam = old_rng.random()
+                old = lam * f + GridFunction.constant((1.0 - lam) * a, level)
+                assert got.values.tobytes() == old.values.tobytes(), (level, a, seed)
+                assert rng.random() == old_rng.random()
+                cases += 1
+    assert cases == 1248
+
+
+def test_bump_tail_family_respects_the_byte_budget(monkeypatch):
+    # arithmetic only: the budget is lowered, never a large family built
+    monkeypatch.setattr(sets, "BYTE_BUDGET", 4096)
+    with pytest.raises(ValueError, match="more than the budget of 4096"):
+        bump_tail_family(1.5, 64)  # 63 points of 64 slots: 32256 bytes
+    assert len(bump_tail_family(1.5, 8).points) == 7  # 448 bytes
+    # 8 points of 64 slots fill the budget exactly; a ninth is refused
+    assert len(bump_tail_family(1.5, 64, k_max=8).points) == 8
+    with pytest.raises(ValueError, match="9 points of 64 slots needs 4608 bytes"):
+        bump_tail_family(1.5, 64, k_max=9)
+
+
+# ---------------------------------------------------------------------------
+# the trailing-radius kernel
+
+
+def _norm_loops(points, means, wf):
+    return [limsup_tail([norm(y - p) for p in means], wf) for y in points]
+
+
+def test_phi_values_many_points_match_the_norm_loop():
+    # the table-path shapes: 65 candidates against a 9-term grid family and
+    # against the 63-term bump family, every value == the per-norm loop
+    rng = np.random.default_rng(11)
+    level = 12
+    peaks = peak_family(level, k_min=level - 8, k_max=level)
+    body = ConeHull(0.5, level)
+    grid_points = [body.sample(rng) for _ in range(64)] + [peaks.limit]
+    bumps = bump_tail_family(1.5, 64)
+    simplex = BumpSimplex(1.5, 64)
+    coord_points = [simplex.sample(rng) for _ in range(64)] + [bumps.limit]
+    for points, fam in ((grid_points, peaks), (coord_points, bumps)):
+        assert len(points) == 65
+        for wf in (0.3, 0.5, 1.0):
+            got = _phi_values(points, fam.points, wf)
+            assert got.tolist() == _norm_loops(points, fam.points, wf)
+
+
+def test_phi_values_blocks_match_the_norm_loop():
+    # point counts just below, at and above one block, and past two
+    rng = np.random.default_rng(12)
+    for space, n_means in ((CoordPoint(1.25, np.zeros(64)), 8),
+                           (GridFunction.zero(8), 5)):
+        size = space.array.size
+        means = [space.like(rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3))
+                 for _ in range(n_means)]
+        block = PHI_BLOCK_FLOATS // (((n_means + 1) // 2) * size)
+        assert block > 1
+        for n in (block - 1, block, block + 1, 2 * block + 1):
+            points = [space.like(rng.standard_normal(size)) for _ in range(n)]
+            got = _phi_values(points, means, 0.5)
+            assert got.tolist() == _norm_loops(points, means, 0.5), (space.kind, n)
+
+
+def test_phi_values_rejects_mixed_spaces():
+    with pytest.raises(ValueError, match="mixed coordinate spaces"):
+        _phi_values([CoordPoint(1.5, np.zeros(8))],
+                    [CoordPoint(1.9, np.ones(8))] * 2, 0.5)
+    with pytest.raises(ValueError, match="mixed grid levels"):
+        _phi_values([GridFunction.zero(4)], [GridFunction.zero(5)] * 2, 0.5)
+
+
+def test_recenter_sampled_returns_the_first_minimizer():
+    # three copies of the sequence's own point tie at radius 0; the first
+    # one wins, as it did with min(key=)
+    rng = np.random.default_rng(13)
+    body = ConeHull(0.25, 6)
+    drawn = [body.sample(rng) for _ in range(5)]
+    pool = [drawn[i].like(drawn[i].values) for i in (3, 1, 4, 1, 0, 1, 2)]
+    feed = iter(pool)
+    body.sample = lambda _rng: next(feed)
+    seq = [drawn[1], drawn[1]]
+    x = GridFunction.constant(3.0, 6)  # not a member, so never a candidate
+    scores = _norm_loops(pool, seq, 0.5)
+    assert scores[1] == scores[3] == scores[5] == 0.0
+    got = body._recenter_sampled(x, seq, None, len(pool), 0.5)
+    assert got is pool[1] is min(pool, key=lambda c: scores[pool.index(c)])
