@@ -22,9 +22,10 @@ from .sets import (
     SequenceFamily,
     _phi_values,
     bump_tail_family,
-    measure_distance,
+    measure_distances,
     norm,
     peak_family,
+    point_rows,
 )
 
 #: No bounded set needs more than its diameter ratio; 2 is the hard ceiling.
@@ -146,9 +147,9 @@ def disjoint_additivity_defect(points, z, *, window_fraction: float = 0.5,
     points = list(points)
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    zero = 0.0 * points[0]
-    defect = limsup_tail([measure_distance(p, zero) for p in points],
-                         window_fraction)
+    points = point_rows(points)
+    zero = 0.0 * points.space
+    defect = limsup_tail(measure_distances(zero, points), window_fraction)
     if defect > drift_tol:
         raise ValueError(
             f"sequence does not vanish in measure (trailing defect "

@@ -157,7 +157,11 @@ class CyclicShift(AffineOperator):
         self.level = domain.level
 
     def _transform(self, f: GridFunction) -> GridFunction:
-        return GridFunction(f.level, np.roll(f.values, 1))
+        v = f.values
+        out = np.empty_like(v)
+        out[0] = v[-1]
+        out[1:] = v[:-1]
+        return GridFunction(f.level, out)
 
     def lipschitz_exact(self, n: int) -> float:
         return 1.0
@@ -367,15 +371,9 @@ def cesaro_residual_series(T: AffineOperator, x0, n_max: int, *,
     One orbit pass therefore prices every residual without re-applying T to
     any mean.
     """
-    return orbit_means_residuals(orbit(T, x0, n_max + 1, check_domain=check_domain))
-
-
-def orbit_means_residuals(orb) -> tuple[list, list[float]]:
-    """Means z_1..z_n of the orbit [x0, T x0, ..., T**(n+1) x0] and their
-    residuals norm(T x0 - T**(s+1) x0) / s."""
-    n = len(orb) - 2
-    residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, n + 1)]
-    return running_means(orb[1:n + 1]), residuals
+    orb = orbit(T, x0, n_max + 1, check_domain=check_domain)
+    residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, n_max + 1)]
+    return running_means(orb[1:n_max + 1]), residuals
 
 
 def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,8 +33,9 @@ from .grid import (
 #: more is refused with ValueError before anything is allocated.
 BYTE_BUDGET = 2 ** 30
 
-#: Most floats of point-minus-mean differences that ``_phi_values`` holds at
-#: once; a single point against a larger window is still one block.
+#: Most floats of temporary rows that one row reduction holds at once, such
+#: as the point-minus-mean differences of ``_phi_values``; a single point
+#: against a larger window is still one block.
 PHI_BLOCK_FLOATS = 1 << 14
 
 
@@ -177,28 +179,74 @@ def norm(x) -> float:
     return x.norm()
 
 
+class PointRows(Sequence):
+    """Points of one space stored as the rows of one read-only float array.
+
+    ``space`` is any point of that space: it gives ``like``, ``row_norms``,
+    ``weights`` and ``widths`` for the rows.  Kernels read ``rows``.  A
+    slice is a PointRows of a view of the rows; an index gives a point
+    object, and the point objects are all built at the first such access
+    and kept, so they are built at most once.
+    """
+
+    def __init__(self, space, rows: np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != space.array.size:
+            raise ValueError(f"expected rows of {space.array.size} slots, "
+                             f"got shape {rows.shape}")
+        rows.setflags(write=False)
+        self.space = space
+        self.rows = rows
+        self._points = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointRows(self.space, self.rows[index])
+        if self._points is None:
+            self._points = tuple(self.space.like(row) for row in self.rows)
+        return self._points[index]
+
+    def take(self, indices) -> PointRows:
+        """The rows at ``indices``, in that order, as their own PointRows."""
+        return PointRows(self.space, self.rows[indices])
+
+
+def point_rows(points) -> PointRows:
+    """``points`` as a PointRows: one as it is, any other nonempty iterable
+    of points of one space stacked once."""
+    if isinstance(points, PointRows):
+        return points
+    points = list(points)
+    space = points[0]
+    for p in points:
+        space._compat(p)
+    return PointRows(space, np.stack([p.array for p in points]))
+
+
 def _phi_values(points, means, window_fraction: float) -> np.ndarray:
     """Trailing limsup of norm distances from each point to ``means``: the
     one trailing-radius kernel.
 
-    The trailing window is stacked once per call and the points one block at
-    a time (see PHI_BLOCK_FLOATS); the distances are reduced by the point
-    class's ``row_norms``, so each entry is bit-equal to the limsup_tail of
-    the norms.  Operands must share one space, as they must to subtract.
-    Only the window's distances are checked finite: the points are finite,
-    so only a difference that overflows can fail.
+    Both arguments are PointRows or sequences of points of one space, as
+    they must be to subtract (see point_rows).  The trailing window of the
+    means is stacked once, and the points one block at a time (see
+    PHI_BLOCK_FLOATS); a PointRows is sliced, not copied.  The distances
+    are reduced by the point class's ``row_norms``, so each entry is
+    bit-equal to the limsup_tail of the norms.  Only the window's distances
+    are checked finite: the points are finite, so only a difference that
+    overflows can fail.
     """
-    window = means[len(means) - window_length(len(means), window_fraction):]
-    first = points[0]
-    for p in (*points, *window):
-        first._compat(p)
-    W = np.stack([p.array for p in window])
+    window = point_rows(means[len(means) - window_length(len(means), window_fraction):])
+    space, W = window.space, window.rows
     out = np.empty(len(points))
     block = max(1, PHI_BLOCK_FLOATS // W.size)
     for i in range(0, len(points), block):
-        Z = np.stack([p.array for p in points[i:i + block]])
-        gaps = (Z[:, None, :] - W[None, :, :]).reshape(-1, W.shape[1])
-        out[i:i + block] = first.row_norms(gaps).reshape(-1, W.shape[0]).max(axis=1)
+        Z = point_rows(points[i:i + block])
+        space._compat(Z.space)
+        gaps = (Z.rows[:, None, :] - W[None, :, :]).reshape(-1, W.shape[1])
+        out[i:i + block] = space.row_norms(gaps).reshape(-1, W.shape[0]).max(axis=1)
     if not np.all(np.isfinite(out)):
         raise ValueError("terms must be finite")
     return out
@@ -216,6 +264,22 @@ def measure_distance(x, y) -> float:
         raise TypeError("mixed or unsupported point types")
     x._compat(y)
     return float(np.minimum(x.weights * np.abs(x.array - y.array), x.widths).sum())
+
+
+def measure_distances(x, points) -> np.ndarray:
+    """``measure_distance`` from ``x`` to each of ``points`` (a PointRows or
+    a sequence of points), bit-equal to it: |p - x| is |x - p| exactly, and
+    each row is summed as one 1-d array is."""
+    points = point_rows(points)
+    if type(x) is not type(points.space) or not isinstance(x, _POINT_TYPES):
+        raise TypeError("mixed or unsupported point types")
+    x._compat(points.space)
+    # min(weights * |rows - x|, widths), in place in one temporary
+    d = points.rows - x.array
+    np.abs(d, out=d)
+    d *= x.weights
+    np.minimum(d, x.widths, out=d)
+    return d.sum(axis=1)
 
 
 def export_sequence_csv(path, points, limit=None) -> None:
@@ -534,8 +598,7 @@ class SequenceFamily:
 
     def drift_defect(self, window_fraction: float = 0.5) -> float:
         """Largest trailing in-measure distance to the declared limit."""
-        return limsup_tail([measure_distance(p, self.limit) for p in self.points],
-                           window_fraction)
+        return limsup_tail(measure_distances(self.limit, self.points), window_fraction)
 
 
 def peak_family(level: int, k_min: int = 1, k_max: int | None = None) -> SequenceFamily:

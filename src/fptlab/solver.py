@@ -32,10 +32,18 @@ from .operators import (
     affinity_defect,
     afps_residual,
     mean_lipschitz,
-    orbit_means_residuals,
     running_means,
 )
-from .sets import ConvexBody, _phi_values, measure_distance, norm
+from .sets import (
+    PHI_BLOCK_FLOATS,
+    ConvexBody,
+    PointRows,
+    _phi_values,
+    measure_distance,
+    measure_distances,
+    norm,
+    point_rows,
+)
 
 STATUS_FIXED = "fixed_point"
 STATUS_ESCAPED = "escaped_in_measure"
@@ -51,8 +59,10 @@ class BranchConditionError(RuntimeError):
 
 
 def _median_point(points):
-    """Cellwise median: the robust center of a cluster of points."""
-    return points[0].like(np.median(np.stack([p.array for p in points]), axis=0))
+    """Cellwise median: the robust center of a cluster of points (a
+    PointRows or a sequence of points)."""
+    points = point_rows(points)
+    return points.space.like(np.median(points.rows, axis=0))
 
 
 def _safe_residual(T: AffineOperator, x) -> float | None:
@@ -70,19 +80,21 @@ class AfpsRecord:
     stays bounded: the residual of the s-th mean decays like 1/s by the
     affine two-point identity.  ``limit`` is the in-measure cluster point of
     the trailing means when one exists, with ``limit_quality`` the largest
-    in-measure distance from the limit to a selected term.
+    in-measure distance from the limit to a selected term.  ``points`` may
+    be given as any sequence of points and is kept as one PointRows, an
+    (n, slots) array of the means.
     """
 
-    points: tuple
+    points: PointRows
     residuals: tuple
     limit: object | None = None
     limit_quality: float | None = None
     window_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.points:
+        if not len(self.points):
             raise ValueError("record needs at least one mean")
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", point_rows(self.points))
         object.__setattr__(self, "residuals", tuple(float(r) for r in self.residuals))
 
     def radius_from(self, y) -> float:
@@ -144,13 +156,16 @@ def komlos_extract(seq, *, extraction_tol: float = 1e-3, min_cluster: int = 4,
     no cluster of ``min_cluster`` terms exists the sequence is declared too
     short, never silently truncated.
     """
-    seq = list(seq)
+    seq = point_rows(seq)
     n = len(seq)
     if n < 8:
         raise ValueError(f"need at least 8 terms, got {n}")
     if not (0.0 < trailing_fraction <= 1.0):
         raise ValueError(f"trailing_fraction must be in (0, 1], got {trailing_fraction}")
-    top = max(norm(p) for p in seq)
+    rows = seq.rows
+    block = max(1, PHI_BLOCK_FLOATS // rows.shape[1])
+    top = max(float(seq.space.row_norms(rows[i:i + block]).max())
+              for i in range(0, n, block))
     if not math.isfinite(top) or top > 1e9:
         raise ValueError("sequence is not bounded in norm")
 
@@ -165,23 +180,25 @@ def komlos_extract(seq, *, extraction_tol: float = 1e-3, min_cluster: int = 4,
         picks.update(int(i) for i in np.linspace(start, n - 1, num=min(room, n - start), dtype=int))
     cand = sorted(picks)[-max_candidates:]
 
+    def covered(center, members):
+        keep = measure_distances(center, seq.take(members)) <= extraction_tol
+        return [i for i, k in zip(members, keep) if k]
+
     cluster = [n - 1]
-    center = seq[n - 1]
+    center = seq.space.like(rows[n - 1])
     pool = [i for i in cand if i != n - 1]
     while pool:
-        dists = [measure_distance(center, seq[i]) for i in pool]
+        dists = measure_distances(center, seq.take(pool))
         j = int(np.argmin(dists))
         if dists[j] > extraction_tol:
             break
         cluster.append(pool.pop(j))
-        center = _median_point([seq[i] for i in cluster])
+        center = _median_point(seq.take(cluster))
     # soundness: the final median must cover every member it claims
-    cluster = [i for i in cluster
-               if measure_distance(center, seq[i]) <= extraction_tol]
+    cluster = covered(center, cluster)
     if len(cluster) >= min_cluster:
-        center = _median_point([seq[i] for i in cluster])
-        cluster = [i for i in cluster
-                   if measure_distance(center, seq[i]) <= extraction_tol]
+        center = _median_point(seq.take(cluster))
+        cluster = covered(center, cluster)
     if len(cluster) < min_cluster:
         raise ExtendSequenceError(
             f"extend the sequence: only {len(cluster)} trailing terms cluster "
@@ -195,29 +212,47 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
     """Record the Cesaro means of the orbit of ``x0`` with their residuals.
 
     Residuals come from the affine identity z_s - T z_s = (T x0 - T**(s+1) x0)/s,
-    so the whole record costs one orbit pass.  Coordinate orbits that run out
-    of tracked slots are truncated at the last computable mean.
+    so the whole record costs one orbit pass.  The orbit is streamed: each
+    mean is written into one preallocated (n_inner, slots) array as the
+    running sum times 1/s, the rounding of ``running_means``, and no orbit
+    point outlives its step.  Coordinate orbits that run out of tracked
+    slots are truncated at the last computable mean.
     """
     if n_inner < 1:
         raise ValueError(f"n_inner must be >= 1, got {n_inner}")
-    pts = [x0]
+    rows = np.empty((n_inner, x0.array.size))
+    residuals = np.empty(n_inner)
+    n = 0
     try:
-        for _ in range(n_inner + 1):
-            pts.append(T.apply(pts[-1]))
+        p = T.apply(x0)
+        first = p.array
+        total = first.copy()
+        for s in range(1, n_inner + 1):
+            nxt = T.apply(p)
+            if s > 1:
+                total += p.array
+            np.multiply(total, 1.0 / s, out=rows[s - 1])
+            residuals[s - 1] = p.row_norms((first - nxt.array)[None])[0] / s
+            p = nxt
+            n = s
     except MassOverflowError:
         pass
-    if len(pts) < 3:
+    if n == 0:
         raise ExtendSequenceError("orbit ended before the first residual")
-    means, residuals = orbit_means_residuals(pts)
+    # a sum that overflows stays non-finite, so the last one vouches for
+    # every mean
+    if not np.all(np.isfinite(total)):
+        raise ValueError("values must be finite")
+    means = PointRows(x0, rows[:n])
     limit = None
     quality = None
-    if len(means) >= 8:
+    if n >= 8:
         try:
             idx, limit = komlos_extract(means, extraction_tol=extraction_tol)
-            quality = max(measure_distance(limit, means[i]) for i in idx)
+            quality = float(measure_distances(limit, means.take(idx)).max())
         except (ExtendSequenceError, ValueError):
             limit = None
-    return AfpsRecord(tuple(means), tuple(residuals), limit, quality,
+    return AfpsRecord(means, residuals[:n], limit, quality,
                       window_fraction=window_fraction)
 
 
@@ -299,7 +334,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
             phi_min = float(phi.min())
             k = int(min(n_select, max(8, len(zs) // 4)))
             chosen = np.sort(np.argsort(phi, kind="stable")[:k])
-            zbar = running_means([zs[idx] for idx in chosen])
+            zbar = running_means(zs.take(chosen))
             try:
                 _, z_lim = komlos_extract(zbar, extraction_tol=extraction_tol,
                                           min_cluster=min(4, len(zbar) // 2))

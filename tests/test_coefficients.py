@@ -20,6 +20,7 @@ from fptlab import (
     fixed_point_gate,
     gate_margin,
     limsup_tail,
+    measure_distance,
     norm,
     opial_cross_check,
     opial_sum,
@@ -133,10 +134,17 @@ def test_additivity_defect_matches_the_norm_loops():
         fam = bump_tail_family(t, slots, k_min=4)
         cases += [(fam, CoordPoint(t, rng.standard_normal(slots))) for _ in range(4)]
     for fam, z in cases:
+        zero = 0.0 * fam.points[0]
         for wf in (0.3, 0.5, 1.0):
             got = disjoint_additivity_defect(fam, z, window_fraction=wf, drift_tol=1.0)
             assert type(got) is float
             assert got == loops(fam.points, z, wf), (fam.name, wf)
+            # the vanishing check compares the per-point loop's defect
+            vanish = limsup_tail([measure_distance(p, zero) for p in fam.points], wf)
+            disjoint_additivity_defect(fam, z, window_fraction=wf, drift_tol=vanish)
+            with pytest.raises(ValueError, match="does not vanish"):
+                disjoint_additivity_defect(fam, z, window_fraction=wf,
+                                           drift_tol=float(np.nextafter(vanish, -1.0)))
 
 
 def test_additivity_rejects_oscillating_sequence():

@@ -3,7 +3,6 @@ when its golden file under tests/golden was written."""
 from __future__ import annotations
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-#: Wall times such as "(1.1s)" and the padding around them vary run to run.
-_TIMING = re.compile(r" *\(\d+\.\ds\) *")
-
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_stdout_matches_golden(demo):
@@ -26,5 +22,4 @@ def test_demo_stdout_matches_golden(demo):
     run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    stdout = _TIMING.sub(" (s) ", run.stdout)
-    assert stdout == (GOLDEN / f"demo-{demo.stem}.txt").read_text()
+    assert run.stdout == (GOLDEN / f"demo-{demo.stem}.txt").read_text()

@@ -149,6 +149,15 @@ def test_cyclic_constant_is_fixed():
     assert afps_residual(S, GridFunction.constant(0.5, 5)) == 0.0
 
 
+def test_cyclic_shift_rotates_by_one_cell():
+    # the slice copy moves the same bytes as np.roll, one cell included
+    rng = np.random.default_rng(23)
+    for level in range(9):
+        f = GridFunction(level, rng.standard_normal(2 ** level))
+        got = CyclicShift(UnitBall(level))._transform(f)
+        assert got.values.tobytes() == np.roll(f.values, 1).tobytes()
+
+
 def test_cyclic_means_close_after_full_cycle():
     ball = UnitBall(4)
     S = CyclicShift(ball)

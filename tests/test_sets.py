@@ -28,7 +28,7 @@ from fptlab import (
 )
 from fptlab import sets
 from fptlab.grid import MAX_LEVEL
-from fptlab.sets import PHI_BLOCK_FLOATS, _phi_values
+from fptlab.sets import PHI_BLOCK_FLOATS, _phi_values, measure_distances, point_rows
 
 LEVEL = 7
 
@@ -282,6 +282,10 @@ def test_families_drift_verdicts():
     # sign blocks oscillate: the declared limit 0 is wrong in measure
     rad = rademacher_family(8)
     assert rad.drift_defect() >= 0.99
+    for fam in (peaks, bumps, rad):
+        for wf in (0.3, 0.5, 1.0):
+            loop = limsup_tail([measure_distance(p, fam.limit) for p in fam.points], wf)
+            assert fam.drift_defect(wf) == loop, (fam.name, wf)
 
 
 def test_family_needs_two_points():
@@ -426,6 +430,33 @@ def test_phi_values_rejects_mixed_spaces():
                     [CoordPoint(1.9, np.ones(8))] * 2, 0.5)
     with pytest.raises(ValueError, match="mixed grid levels"):
         _phi_values([GridFunction.zero(4)], [GridFunction.zero(5)] * 2, 0.5)
+
+
+def test_measure_distances_are_bit_equal_to_measure_distance():
+    # the row kernel must round exactly as one measure_distance per point,
+    # on lists and on stacked rows, with slots both under and over the cap
+    rng = np.random.default_rng(17)
+    spaces = [GridFunction.zero(level) for level in range(11)]
+    spaces += [CoordPoint(t, np.zeros(m)) for t in (1.1, 1.5, 1.9)
+               for m in (4, 64, 257)]
+    for space in spaces:
+        size = space.array.size
+        for n in (1, 2, 7, int(rng.integers(8, 300))):
+            scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            points = [space.like(row) for row in rng.standard_normal((n, size)) * scale]
+            x = space.like(rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3))
+            loop = [measure_distance(x, p) for p in points]
+            assert measure_distances(x, points).tolist() == loop
+            assert measure_distances(x, point_rows(points)).tolist() == loop
+
+
+def test_measure_distances_reject_mixed_points():
+    with pytest.raises(TypeError, match="mixed or unsupported"):
+        measure_distances(GridFunction.zero(2), [CoordPoint(1.5, np.zeros(4))])
+    with pytest.raises(ValueError, match="mixed grid levels"):
+        measure_distances(GridFunction.zero(4), [GridFunction.zero(5)])
+    with pytest.raises(ValueError, match="mixed coordinate spaces"):
+        measure_distances(CoordPoint(1.5, np.zeros(8)), [CoordPoint(1.9, np.ones(8))])
 
 
 def test_recenter_sampled_returns_the_first_minimizer():

@@ -23,6 +23,7 @@ from fptlab import (
     ExtendSequenceError,
     GridFunction,
     IdentityOperator,
+    MassOverflowError,
     RetractionDoubling,
     UnitBall,
     admissible_eps,
@@ -36,6 +37,7 @@ from fptlab import (
     norm,
     peak_sequence,
     proof_step,
+    running_means,
     solve,
 )
 from fptlab.solver import _phi_values
@@ -88,6 +90,10 @@ def test_extract_rejects_unbounded_sequence():
     huge = GridFunction.constant(2e9, 3)
     with pytest.raises(ValueError, match="not bounded"):
         komlos_extract([huge] * 16)
+    # norms are reduced a few rows at a time at level 12: the last block counts
+    late = [GridFunction.zero(12)] * 15 + [GridFunction.constant(2e9, 12)]
+    with pytest.raises(ValueError, match="not bounded"):
+        komlos_extract(late)
 
 
 def test_extract_rejects_bad_trailing_fraction():
@@ -170,6 +176,60 @@ def test_record_radius_is_bit_equal_to_the_norm_loop():
                 loops = [limsup_tail([norm(y - p) for p in means], wf) for y in ys]
                 assert [rec.radius_from(y) for y in ys] == loops
                 assert _phi_values(ys, means, wf).tolist() == loops
+
+
+def _orbit_loop_record(T, x0, n):
+    """Means and residuals of build_afps_record from the whole orbit list:
+    running_means of orbit[1:m+1] and norm(orbit[1] - orbit[s+1]) / s."""
+    orb = [x0]
+    try:
+        for _ in range(n + 1):
+            orb.append(T.apply(orb[-1]))
+    except MassOverflowError:
+        pass
+    m = len(orb) - 2
+    residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, m + 1)]
+    return running_means(orb[1:m + 1]), residuals
+
+
+def test_streamed_record_is_bit_equal_to_the_orbit_loops():
+    rng = np.random.default_rng(9)
+    cases = []
+    for level in range(9):
+        ball = UnitBall(level)
+        cases.append((CyclicShift(ball), ball.sample(rng), min(8 * 2 ** level, 600)))
+    cases.append((DoublingShift(DensitySimplex(10)), GridFunction.constant(1.0, 10), 40))
+    sub = ConeHull(0.0, 8)
+    cases.append((RetractionDoubling(sub), sub.sample(rng), 300))
+    bumps = BumpSimplex(1.5, 64)
+    shift = BumpShift(bumps)
+    # 48 free slots: the orbit overflows after 49 applications, so the
+    # record stops at 47 of the 100 means asked for
+    cases.append((shift, shift.default_start(rng), 100))
+    cases.append((shift, shift.default_start(rng), 30))
+    for T, x0, n in cases:
+        rec = build_afps_record(T, x0, n, extraction_tol=0.05)
+        means, residuals = _orbit_loop_record(T, x0, n)
+        assert len(rec.points) == len(means) == len(residuals), T.name
+        assert rec.points.rows.tobytes() == np.stack([z.array for z in means]).tobytes()
+        assert rec.residuals == tuple(residuals), T.name
+        # the point objects are built once, from the rows
+        assert all(a is b for a, b in zip(rec.points, rec.points))
+        assert [p.array.tobytes() for p in rec.points] == [z.array.tobytes() for z in means]
+        assert dataclasses.replace(rec, limit=None).points is rec.points
+        assert (_phi_values(rec.points[-40:], rec.points, 0.5).tolist()
+                == _phi_values(means[-40:], means, 0.5).tolist())
+        if len(means) < 8:
+            continue
+        try:
+            idx, limit = komlos_extract(means, extraction_tol=0.05)
+        except ExtendSequenceError:
+            assert rec.limit is None
+            continue
+        assert komlos_extract(rec.points, extraction_tol=0.05)[0] == idx
+        assert rec.limit.array.tobytes() == limit.array.tobytes()
+        assert rec.limit_quality == max(measure_distance(limit, means[i]) for i in idx)
+    assert len(build_afps_record(shift, cases[-2][1], 100).points) == 47
 
 
 def test_record_validation():
