@@ -192,7 +192,8 @@ class NormalizingRetraction(AffineOperator):
         self.level = domain.level
 
     def _transform(self, f: GridFunction) -> GridFunction:
-        return f + GridFunction.constant(1.0 - f.integral(), f.level)
+        # one point: elementwise the same IEEE sum as f + constant(...)
+        return GridFunction(f.level, f.values + (1.0 - f.integral()))
 
     def lipschitz_exact(self, n: int) -> float:
         return 2.0

@@ -215,8 +215,9 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
     so the whole record costs one orbit pass.  The orbit is streamed: each
     mean is written into one preallocated (n_inner, slots) array as the
     running sum times 1/s, the rounding of ``running_means``, and no orbit
-    point outlives its step.  Coordinate orbits that run out of tracked
-    slots are truncated at the last computable mean.
+    point outlives its step; ``cesaro_solve`` marches its means with the
+    same arithmetic.  Coordinate orbits that run out of tracked slots are
+    truncated at the last computable mean.
     """
     if n_inner < 1:
         raise ValueError(f"n_inner must be >= 1, got {n_inner}")
@@ -288,16 +289,18 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
                mean_lip: float, t_coeff: float,
                rng: np.random.Generator | None = None,
                window_fraction: float = 0.5, branch_slack: float = 1e-6,
-               extraction_tol: float = 0.05, n_select: int = 24):
+               extraction_tol: float = 0.05, n_select: int = 24, radii=None):
     """One certified contraction step: returns (w, StepReport).
 
-    Measures the radius r of ``x0``, forms the contraction target
-    rho = r (1 - eps) / (t_coeff (1 + eps)), and tries two branches: the
-    detected limit of the best record, then the limit of means of a
-    low-score subsequence of the newest means.  Whichever limit sits within
-    rho (trailing limsup in norm) is recentered into the body, and the
-    recenter point must pass two measured certificates: radius contraction
-    by (1 - eps) and the displacement bound (2 + (1 + eps) mean_lip) r.
+    Measures the radius r of ``x0`` (``radii``, when given, holds each
+    record's ``radius_from(x0)`` as the caller priced it), forms the
+    contraction target rho = r (1 - eps) / (t_coeff (1 + eps)), and tries
+    two branches: the detected limit of the best record, then the limit of
+    means of a low-score subsequence of the newest means.  Whichever limit
+    sits within rho (trailing limsup in norm) is recentered into the body,
+    and the recenter point must pass two measured certificates: radius
+    contraction by (1 - eps) and the displacement bound
+    (2 + (1 + eps) mean_lip) r.
     Certificate failure raises BranchConditionError; nothing is papered over.
     """
     records = list(records)
@@ -307,7 +310,11 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    radii = [rec.radius_from(x0) for rec in records]
+    if radii is None:
+        radii = [rec.radius_from(x0) for rec in records]
+    elif len(radii) != len(records):
+        raise ValueError(f"need one radius per record, got {len(radii)} "
+                         f"for {len(records)}")
     r0 = min(radii)
     rho = r0 * (1.0 - eps) / (t_coeff * (1.0 + eps))
     with_limits = [i for i, rec in enumerate(records) if rec.limit is not None]
@@ -553,7 +560,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
             return finish_with_classification(outer, None, str(exc))
         apps += n_in + 1
         pool.append(rec)
-        r0 = nearest_afps_radius(a, pool)
+        # priced once: proof_step reads the same radii
+        radii = [rec.radius_from(a) for rec in pool]
+        r0 = min(radii)
         residual_a = _safe_residual(T, a)
         apps += 1
         if residual_a is not None and residual_a <= tol:
@@ -568,7 +577,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
             w, report = proof_step(T, C, a, eps, pool, mean_lip=mean_lip,
                                    t_coeff=t_coeff, rng=rng,
                                    window_fraction=window_fraction,
-                                   extraction_tol=extraction_tol)
+                                   extraction_tol=extraction_tol, radii=radii)
         except (BranchConditionError, ExtendSequenceError) as exc:
             return finish_with_classification(outer, r0, str(exc))
         residual_w = _safe_residual(T, w)
@@ -603,8 +612,24 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     the affine identity.  Orbits that stop moving are handled analytically:
     a genuinely fixed orbit point is returned at once, a mesh-pinned one is
     rejected as an artifact and handed to restart diagnosis, with the mean
-    horizon that tol would need reported either way.  Statuses agree with
-    the certified solver.
+    horizon that tol would need reported either way.
+
+    The orbit is streamed on arrays, with the arithmetic of
+    ``build_afps_record``: the running sum is one array that each orbit
+    point is added to in place, the sequential sum of ``running_means``,
+    and a mean point ``total * (1/s)`` is built only for a kept trace row or
+    a residual that clears tol.  The two differences of a step, T x0 minus
+    the new orbit point (the residual numerator) and the step itself (the
+    pin test), share one buffer and one ``row_norms`` call, bit-equal to
+    ``norm``.  So ``T.apply`` builds the one point object of a step, and
+    every verdict, residual and trace row rounds as the point arithmetic
+    would.  The sum and both differences are checked to be finite at the
+    step where a point object would have refused them.
+
+    Statuses do not always agree with the certified ``solve``: on ``cyclic``
+    over ``density_simplex`` and ``retraction`` over ``cone_hull(0)`` this
+    solver verifies a fixed point while ``solve``, whose growth gate is
+    closed there, reports budget_exhausted (ROADMAP item 2).
     """
     rng = np.random.default_rng(seed)
     if x0 is None:
@@ -626,6 +651,12 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         _fill_measure_column(trace, limit)
         return SolveOutcome(status, limit, residual, trace, diagnostics)
 
+    def check_finite(values) -> None:
+        # the point class refuses the array with its own error, as the
+        # point arithmetic did
+        if not np.all(np.isfinite(values)):
+            x0.like(values)
+
     try:
         first = T.apply(x0)
     except MassOverflowError:
@@ -633,20 +664,29 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         return classify("orbit cannot move from the starting point")
     apps = 1
     orbit_pt = first
-    total = first
+    total = first.array.copy()
+    # row 0: T x0 - T**(s+1) x0, row 1: T**(s+1) x0 - T**s x0
+    diffs = np.empty((2, total.size))
     best_residual = math.inf
     s = 1
     while s <= n_max:
-        z = total * (1.0 / s)
         try:
             nxt = T.apply(orbit_pt, check_domain=False)
         except MassOverflowError:
             diagnostics["applications"] = apps
             return classify(f"orbit ran out of tracked slots at step {s + 1}")
         apps += 1
-        residual = norm(first - nxt) / s
+        np.subtract(first.array, nxt.array, out=diffs[0])
+        np.subtract(nxt.array, orbit_pt.array, out=diffs[1])
+        gap, step = first.row_norms(diffs).tolist()
+        # a norm is finite whenever its row is, so the rows are looked at
+        # only when one is not
+        if not math.isfinite(gap):
+            check_finite(diffs[0])
+        residual = gap / s
         best_residual = min(best_residual, residual)
         if s % keep_every == 0 or residual <= tol or s == n_max:
+            z = x0.like(total * (1.0 / s))
             trace.append({"s": s, "residual": residual, "norm": norm(z),
                           "point": z})
         if residual <= tol:
@@ -659,10 +699,11 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 _fill_measure_column(trace, z)
                 return SolveOutcome(STATUS_FIXED, z, direct, trace, diagnostics)
             return classify("candidate mean failed verification")
-        if norm(nxt - orbit_pt) == 0.0:
+        if not math.isfinite(step):
+            check_finite(diffs[1])
+        if step == 0.0:
             # orbit stopped moving: every later mean is a closed form
             pin = nxt
-            gap = norm(first - pin)
             needed = math.inf if gap == 0.0 else gap / tol
             diagnostics["orbit_pinned_at"] = s + 1
             diagnostics["means_needed_for_tol"] = needed
@@ -678,7 +719,8 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                                         diagnostics)
             return classify("orbit pinned by the mesh floor; later means are "
                             "artifacts")
-        total = total + nxt
+        total += nxt.array
+        check_finite(total)
         orbit_pt = nxt
         s += 1
     diagnostics["applications"] = apps

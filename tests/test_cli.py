@@ -280,26 +280,41 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
 # golden outputs
 
 
-@pytest.mark.parametrize("argv, golden, code", [
-    (["reproduce", "--seed", "0"], "reproduce-seed0.csv", 0),
-    (["sharpness", "--seed", "0"], "sharpness-seed0.csv", 0),
+@pytest.mark.parametrize("argv, golden, code, trace", [
+    (["reproduce", "--seed", "0"], "reproduce-seed0.csv", 0, None),
+    (["sharpness", "--seed", "0"], "sharpness-seed0.csv", 0, None),
     (["solve", "--op", "ct_shift", "--set", "ct", "--t", "1.5",
-      "--mode", "practical"], "solve-ct_shift-t1.5-practical.json", 1),
+      "--mode", "practical"], "solve-ct_shift-t1.5-practical.json", 1, None),
     (["solve", "--op", "cyclic", "--set", "ball", "--mode", "proof",
-      "--level", "6"], "solve-cyclic-ball-L6-proof.json", 0),
+      "--level", "6"], "solve-cyclic-ball-L6-proof.json", 0, None),
     (["solve", "--op", "cyclic", "--set", '{"set":"cone_hull","a":0.5}',
       "--mode", "proof", "--level", "6"],
-     "solve-cyclic-cone_hull0.5-L6-proof.json", 0),
+     "solve-cyclic-cone_hull0.5-L6-proof.json", 0, None),
+    (["solve", "--op", "cyclic", "--set", "ball", "--mode", "practical",
+      "--level", "8"], "solve-cyclic-ball-L8-practical.json", 0,
+     "solve-cyclic-ball-L8-practical-trace.csv"),
+    (["solve", "--op", "retraction_compose", "--set",
+      '{"set":"cone_hull","a":0}', "--mode", "practical", "--level", "8"],
+     "solve-retraction_compose-cone_hull0-L8-practical.json", 1,
+     "solve-retraction_compose-cone_hull0-L8-practical-trace.csv"),
 ], ids=["reproduce", "sharpness", "solve-ct_shift", "solve-proof-ball",
-        "solve-proof-cone_hull"])
-def test_outputs_match_golden_bytes(tmp_path, monkeypatch, argv, golden, code):
+        "solve-proof-cone_hull", "solve-practical-ball",
+        "solve-practical-pinned"])
+def test_outputs_match_golden_bytes(tmp_path, monkeypatch, argv, golden, code,
+                                    trace):
     """The files under tests/golden were written by these commands.  The
     ct_shift JSON carries a norm that moves in the last place if the two
-    point types ever share one norm expression."""
+    point types ever share one norm expression.  The two practical grid
+    marches also pin their --trace CSV: the ball march stops on a residual
+    at step 256, the cone hull march on a pinned orbit."""
     monkeypatch.delenv("FPTLAB_SEED", raising=False)
     out = tmp_path / golden
-    assert main(argv + ["--out", str(out)]) == code
+    extra = [] if trace is None else ["--trace", str(tmp_path / trace)]
+    assert main(argv + ["--out", str(out)] + extra) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    if trace is not None:
+        assert ((tmp_path / trace).read_bytes()
+                == (GOLDEN / trace).read_bytes())
 
 
 # ---------------------------------------------------------------------------

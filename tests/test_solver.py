@@ -15,6 +15,7 @@ from fptlab import (
     BumpShift,
     BumpSimplex,
     ConeHull,
+    ConvexBody,
     CoordPoint,
     CyclicShift,
     DensitySimplex,
@@ -22,8 +23,10 @@ from fptlab import (
     DoublingShift,
     ExtendSequenceError,
     GridFunction,
+    AffineOperator,
     IdentityOperator,
     MassOverflowError,
+    NormalizingRetraction,
     RetractionDoubling,
     UnitBall,
     admissible_eps,
@@ -40,7 +43,13 @@ from fptlab import (
     running_means,
     solve,
 )
-from fptlab.solver import _phi_values
+from fptlab.solver import (
+    SolveOutcome,
+    _fill_measure_column,
+    _phi_values,
+    _safe_residual,
+    classify_escape,
+)
 
 FIXED = "fixed_point"
 ESCAPED = "escaped_in_measure"
@@ -365,6 +374,26 @@ def test_proof_step_rejects_target_overshoot(cyclic_means):
                    mean_lip=1.0, t_coeff=1000.0)
 
 
+def test_proof_step_reads_the_radii_it_is_handed():
+    # solve prices each record's radius once and hands the list over; the
+    # step must come out as if it had priced them itself
+    ball = UnitBall(6)
+    T = CyclicShift(ball)
+    x0 = ball.sample(np.random.default_rng(3))
+    recs = [build_afps_record(T, x0, n, extraction_tol=0.05) for n in (64, 512)]
+    radii = [rec.radius_from(x0) for rec in recs]
+    eps = admissible_eps(1.0, 1.0)
+    w, report = proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
+                           rng=np.random.default_rng(0))
+    w2, report2 = proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
+                             rng=np.random.default_rng(0), radii=radii)
+    assert w2.array.tobytes() == w.array.tobytes()
+    assert report2 == report
+    with pytest.raises(ValueError, match="one radius per record"):
+        proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
+                   radii=radii[:1])
+
+
 def test_proof_step_validation(cyclic_means):
     x0, _ = cyclic_means
     ball = UnitBall(6)
@@ -537,3 +566,292 @@ def test_cesaro_solve_bump_overflow_escapes():
     out = cesaro_solve(BumpShift(bump), bump, seed=0, n_max=256)
     assert out.status == ESCAPED
     assert "ran out of tracked slots" in out.diagnostics["stop_reason"]
+
+
+# ---------------------------------------------------------------------------
+# cesaro_solve against the point-object march it streams
+
+
+def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
+                            membership_tol=1e-6, measure_tol=0.02,
+                            trace_points=256):
+    """The march on point objects: every mean, difference and running sum
+    is a validated point.  cesaro_solve must give the same outcome, float
+    for float."""
+    rng = np.random.default_rng(seed)
+    if x0 is None:
+        x0 = T.default_start(rng)
+    problem = C.violation(x0, 1e-7)
+    if problem is not None:
+        raise DomainError(f"starting point outside the body: {problem}")
+    diagnostics = {"applications": 0, "n_max": n_max}
+    trace = []
+    keep_every = max(1, n_max // trace_points)
+
+    def classify(reason):
+        status, limit, diag = classify_escape(
+            T, C, x0, measure_tol=measure_tol, membership_tol=membership_tol)
+        diagnostics["applications"] += diag.pop("applications", 0)
+        diagnostics.update(diag)
+        diagnostics["stop_reason"] = reason
+        residual = None if limit is None else _safe_residual(T, limit)
+        _fill_measure_column(trace, limit)
+        return SolveOutcome(status, limit, residual, trace, diagnostics)
+
+    try:
+        first = T.apply(x0)
+    except MassOverflowError:
+        diagnostics["applications"] = 0
+        return classify("orbit cannot move from the starting point")
+    apps = 1
+    orbit_pt = first
+    total = first
+    best_residual = math.inf
+    s = 1
+    while s <= n_max:
+        z = total * (1.0 / s)
+        try:
+            nxt = T.apply(orbit_pt, check_domain=False)
+        except MassOverflowError:
+            diagnostics["applications"] = apps
+            return classify(f"orbit ran out of tracked slots at step {s + 1}")
+        apps += 1
+        residual = norm(first - nxt) / s
+        best_residual = min(best_residual, residual)
+        if s % keep_every == 0 or residual <= tol or s == n_max:
+            trace.append({"s": s, "residual": residual, "norm": norm(z),
+                          "point": z})
+        if residual <= tol:
+            direct = _safe_residual(T, z)
+            apps += 1
+            diagnostics["applications"] = apps
+            if (direct is not None and direct <= max(tol, residual + 1e-12)
+                    and C.membership(z, membership_tol) and not T.is_saturated(z)):
+                diagnostics["stopped_at"] = s
+                _fill_measure_column(trace, z)
+                return SolveOutcome(FIXED, z, direct, trace, diagnostics)
+            return classify("candidate mean failed verification")
+        if norm(nxt - orbit_pt) == 0.0:
+            pin = nxt
+            gap = norm(first - pin)
+            needed = math.inf if gap == 0.0 else gap / tol
+            diagnostics["orbit_pinned_at"] = s + 1
+            diagnostics["means_needed_for_tol"] = needed
+            diagnostics["applications"] = apps
+            if not T.is_saturated(pin):
+                residual_pin = _safe_residual(T, pin)
+                apps += 1
+                diagnostics["applications"] = apps
+                if (residual_pin is not None and residual_pin <= tol
+                        and C.membership(pin, membership_tol)):
+                    _fill_measure_column(trace, pin)
+                    return SolveOutcome(FIXED, pin, residual_pin, trace,
+                                        diagnostics)
+            return classify("orbit pinned by the mesh floor; later means are "
+                            "artifacts")
+        total = total + nxt
+        orbit_pt = nxt
+        s += 1
+    diagnostics["applications"] = apps
+    diagnostics["best_residual"] = best_residual
+    return classify(f"no mean reached tol within n_max={n_max}")
+
+
+def _assert_same_outcome(got, want, label):
+    assert got.status == want.status, label
+    assert type(got.point) is type(want.point), label
+    if want.point is not None:
+        assert got.point.array.tobytes() == want.point.array.tobytes(), label
+    assert got.residual == want.residual, label
+    assert got.diagnostics == want.diagnostics, label
+    assert got.trace == want.trace, label
+
+
+_CATALOG_PAIRS = {
+    "identity/density_simplex": (IdentityOperator, DensitySimplex),
+    "doubling/density_simplex": (DoublingShift, DensitySimplex),
+    "cyclic/density_simplex": (CyclicShift, DensitySimplex),
+    "cyclic/cone_hull(0.5)": (CyclicShift, lambda level: ConeHull(0.5, level)),
+    "cyclic/ball": (CyclicShift, UnitBall),
+    "retraction/cone_hull(0)": (NormalizingRetraction,
+                                lambda level: ConeHull(0.0, level)),
+    "retraction_compose/cone_hull(0)": (RetractionDoubling,
+                                        lambda level: ConeHull(0.0, level)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_CATALOG_PAIRS))
+def test_streamed_march_matches_the_point_loop(pair):
+    make_op, make_body = _CATALOG_PAIRS[pair]
+    for level in range(3, 9):
+        C = make_body(level)
+        T = make_op(C)
+        for seed in range(5):
+            for n_max in (64, 4096):
+                label = (pair, level, seed, n_max)
+                _assert_same_outcome(cesaro_solve(T, C, seed=seed, n_max=n_max),
+                                     _reference_cesaro_solve(T, C, seed=seed,
+                                                             n_max=n_max),
+                                     label)
+
+
+@pytest.mark.parametrize("t", [1.1, 1.5, 1.9])
+def test_streamed_bump_march_matches_the_point_loop(t):
+    bump = BumpSimplex(t, 64)
+    T = BumpShift(bump)
+    for seed in range(5):
+        for n_max in (64, 4096):
+            _assert_same_outcome(cesaro_solve(T, bump, seed=seed, n_max=n_max),
+                                 _reference_cesaro_solve(T, bump, seed=seed,
+                                                         n_max=n_max),
+                                 (t, seed, n_max))
+
+
+class _Scaling(AffineOperator):
+    """x -> factor * x on the ball: a linear map whose orbit overflows."""
+
+    name = "scaling"
+
+    def __init__(self, domain, factor):
+        self.domain = domain
+        self.factor = factor
+        self.calls = 0
+
+    def _transform(self, x):
+        self.calls += 1
+        return x * self.factor
+
+
+class _DropShift(AffineOperator):
+    """Shift right, dropping the last cell: every orbit stops at zero, a
+    fixed point that is not a mesh artifact."""
+
+    name = "drop_shift"
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def _transform(self, x):
+        out = np.zeros_like(x.values)
+        out[1:] = x.values[:-1]
+        return x.like(out)
+
+
+class _SaturatedFlip(AffineOperator):
+    """x -> -x with every point declared a mesh artifact, so the mean that
+    clears tol fails its verification."""
+
+    name = "saturated_flip"
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def _transform(self, x):
+        return -x
+
+    def is_saturated(self, x):
+        return True
+
+
+def test_streamed_march_matches_the_point_loop_on_every_exit():
+    sub = ConeHull(0.0, 10)
+    ball = UnitBall(4)
+    fine = UnitBall(3)
+    cases = [
+        # seed 33: the composite's orbit never pins, so the march runs to n_max
+        (RetractionDoubling(sub), sub, None, 33, "no mean reached tol"),
+        (_DropShift(ball), ball, None, 0, None),
+        (_SaturatedFlip(ball), ball, None, 0, "candidate mean failed verification"),
+        # halving one cell: the step from 2**-1071 to 2**-1072 has norm
+        # 2**-1075, which rounds to zero, so the orbit pins while it still
+        # moves
+        (_Scaling(fine, 0.5), fine, GridFunction(3, np.eye(8)[0]), 0, None),
+    ]
+    for T, C, x0, seed, reason in cases:
+        for n_max in (64, 4096):
+            got = cesaro_solve(T, C, x0, seed=seed, n_max=n_max)
+            _assert_same_outcome(got, _reference_cesaro_solve(T, C, x0, seed=seed,
+                                                              n_max=n_max),
+                                 (T.name, n_max))
+            if reason is not None:
+                assert got.diagnostics["stop_reason"].startswith(reason)
+            elif n_max == 4096:
+                assert got.status == FIXED and "orbit_pinned_at" in got.diagnostics
+    assert cesaro_solve(cases[-1][0], fine, cases[-1][2]).point.values[0] == 2.0 ** -1072
+
+
+class _AllOfSpace(ConvexBody):
+    """The whole level-1 grid: no constraint, so orbits may grow to the
+    float limit."""
+
+    name = "all"
+
+    def violation(self, x, tol=1e-9):
+        return None
+
+
+class _QuarterTurn(AffineOperator):
+    """(a, b) -> (b, -a) on two cells: from (a, 0) the orbit runs through
+    (0, -a), (-a, 0), (0, a), so T x0 - T**3 x0 = (0, -2a) is the first
+    difference to overflow when a > max/2."""
+
+    name = "quarter_turn"
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.calls = 0
+
+    def _transform(self, x):
+        self.calls += 1
+        return x.like(np.array([x.values[1], -x.values[0]]))
+
+
+def _applications_until_refused(solver, T, C, x0, n_max):
+    with pytest.raises(ValueError, match="must be finite"):
+        solver(T, C, x0, n_max=n_max)
+    return T.calls
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_streamed_march_refuses_an_overflow_at_the_same_step():
+    ball = UnitBall(2)
+    x0 = GridFunction(2, np.array([1.0, -0.5, 0.25, -1.0]))
+
+    def applications(solver, factor, n_max):
+        return _applications_until_refused(solver, _Scaling(ball, factor), ball,
+                                           x0, n_max)
+
+    # doubling: the running sum overflows one step before an orbit point;
+    # n_max puts that add on the last step of the march
+    n_max = 1022
+    calls = applications(_reference_cesaro_solve, 2.0, n_max)
+    assert calls == n_max + 1
+    assert applications(cesaro_solve, 2.0, n_max) == calls
+    # one step fewer and the march ends before the sum overflows
+    _assert_same_outcome(cesaro_solve(_Scaling(ball, 2.0), ball, x0, n_max=n_max - 1),
+                         _reference_cesaro_solve(_Scaling(ball, 2.0), ball, x0,
+                                                 n_max=n_max - 1),
+                         "doubling one step short")
+    # x -> -1.5 x: the step T**(s+1) x0 - T**s x0 overflows first
+    calls = applications(_reference_cesaro_solve, -1.5, 4096)
+    assert calls < 4096
+    assert applications(cesaro_solve, -1.5, 4096) == calls
+    # the residual difference T x0 - T**(s+1) x0 overflows first
+    everything = _AllOfSpace()
+    big = GridFunction(1, np.array([0.6 * np.finfo(float).max, 0.0]))
+    calls = _applications_until_refused(_reference_cesaro_solve,
+                                        _QuarterTurn(everything), everything, big, 64)
+    assert calls == 3
+    assert _applications_until_refused(cesaro_solve, _QuarterTurn(everything),
+                                       everything, big, 64) == calls
+
+
+def test_retraction_is_the_constant_sum_elementwise():
+    rng = np.random.default_rng(11)
+    for level in range(13):
+        sub = ConeHull(0.0, level)
+        R = NormalizingRetraction(sub)
+        for _ in range(4):
+            f = sub.sample(rng)
+            old = f + GridFunction.constant(1.0 - f.integral(), f.level)
+            assert R.apply(f).values.tobytes() == old.values.tobytes(), level
