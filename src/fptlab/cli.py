@@ -302,6 +302,8 @@ def run_sharpness(t_grid, slots: int, seed: int, *, n_max: int = 64,
 def cmd_sharpness(args) -> int:
     seed = _env_seed(args.seed)
     t_grid = [float(v) for v in args.t_grid.split(",") if v]
+    if not t_grid:
+        raise ValueError("the t grid is empty")
     for t in t_grid:
         if not (1.0 < t < 2.0):
             raise ValueError(f"t values must lie in (1, 2), got {t}")

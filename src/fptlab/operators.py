@@ -108,15 +108,17 @@ class DoublingShift(AffineOperator):
         self.domain = domain
         self.level = domain.level
 
-    def _transform(self, f: GridFunction) -> GridFunction:
-        v = f.values
+    @staticmethod
+    def compress_values(v: np.ndarray) -> np.ndarray:
+        """Image cell i collects cells 2i and 2i + 1; the upper half is 0."""
+        if v.size == 1:
+            return v.copy()
         out = np.zeros_like(v)
-        half = v.size // 2
-        if half:
-            out[:half] = v[0::2] + v[1::2]
-        else:
-            out[:] = v
-        return GridFunction(f.level, out)
+        out[:v.size // 2] = v[0::2] + v[1::2]
+        return out
+
+    def _transform(self, f: GridFunction) -> GridFunction:
+        return GridFunction(f.level, self.compress_values(f.values))
 
     def lipschitz_exact(self, n: int) -> float:
         return 1.0
@@ -222,7 +224,9 @@ class RetractionDoubling(AffineOperator):
         self.level = domain.level
 
     def _transform(self, f: GridFunction) -> GridFunction:
-        return self.compress._transform(self.retraction._transform(f))
+        # one point: the retraction's top-up feeds the compression as an array
+        return GridFunction(f.level, self.compress.compress_values(
+            f.values + (1.0 - f.integral())))
 
     def lipschitz_exact(self, n: int) -> float:
         return 2.0

@@ -322,18 +322,18 @@ class ConvexBody:
         raise NotImplementedError
 
     def recenter(self, x, seq, *, rng=None, n_candidates: int = 64,
-                 window_fraction: float = 0.5, tol: float = DEFAULT_TOL) -> RecenterResult:
+                 window_fraction: float = 0.5) -> RecenterResult:
         """Member of the body asymptotically close to ``seq`` given its drift
         point ``x``.  Falls back to sampled search when no closed form applies."""
         if len(seq) == 0:
             raise ValueError("recenter needs a nonempty sequence")
-        closed = self._recenter_witness(x, tol)
+        closed = self._recenter_witness(x)
         if closed is not None and self.membership(closed, tol=1e-7):
             return RecenterResult(closed, "exact")
         return RecenterResult(self._recenter_sampled(x, seq, rng, n_candidates,
                                                      window_fraction), "upper")
 
-    def _recenter_witness(self, x, tol: float):
+    def _recenter_witness(self, x):
         return None
 
     def _recenter_sampled(self, x, seq, rng, n_candidates, window_fraction):
@@ -385,7 +385,7 @@ class DensitySimplex(ConvexBody):
     def zero_point(self) -> GridFunction:
         return GridFunction.zero(self.level)
 
-    def _recenter_witness(self, x, tol: float):
+    def _recenter_witness(self, x):
         if not isinstance(x, GridFunction):
             return None
         if float(x.values.min()) < -1e-7:
@@ -440,7 +440,7 @@ class ConeHull(ConvexBody):
     def zero_point(self) -> GridFunction:
         return GridFunction.zero(self.level)
 
-    def _recenter_witness(self, x, tol: float):
+    def _recenter_witness(self, x):
         if not isinstance(x, GridFunction):
             return None
         a = self.a
@@ -495,7 +495,7 @@ class UnitBall(ConvexBody):
     def zero_point(self) -> GridFunction:
         return GridFunction.zero(self.level)
 
-    def _recenter_witness(self, x, tol: float):
+    def _recenter_witness(self, x):
         if not isinstance(x, GridFunction):
             return None
         nrm = x.norm()
@@ -546,7 +546,7 @@ class BumpSimplex(ConvexBody):
     def zero_point(self) -> CoordPoint:
         return CoordPoint(self.t, np.zeros(self.slots))
 
-    def _recenter_witness(self, x, tol: float):
+    def _recenter_witness(self, x):
         if not isinstance(x, CoordPoint):
             return None
         if abs(x.t - self.t) > DEFAULT_TOL or x.slots != self.slots:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import opial_sum, recentering_bounds
-from .grid import limsup_tail
+from .grid import limsup_tail, window_length
 from .operators import (
     AffineOperator,
     CyclicShift,
@@ -48,6 +48,17 @@ from .sets import (
 STATUS_FIXED = "fixed_point"
 STATUS_ESCAPED = "escaped_in_measure"
 STATUS_BUDGET = "budget_exhausted"
+
+#: Trailing share of a sequence that a radius and ``komlos_extract`` read.
+WINDOW_FRACTION = 0.5
+#: In-measure tolerance of the limits that the solver extracts.
+EXTRACTION_TOL = 0.05
+#: Slack of the measured certificates of a contraction step.
+BRANCH_SLACK = 1e-6
+#: Membership tolerance of a candidate fixed point and of a restart limit.
+MEMBERSHIP_TOL = 1e-6
+#: Largest in-measure spread at which the restart limits agree.
+MEASURE_TOL = 0.02
 
 
 class ExtendSequenceError(RuntimeError):
@@ -89,7 +100,6 @@ class AfpsRecord:
     residuals: tuple
     limit: object | None = None
     limit_quality: float | None = None
-    window_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if not len(self.points):
@@ -98,8 +108,9 @@ class AfpsRecord:
         object.__setattr__(self, "residuals", tuple(float(r) for r in self.residuals))
 
     def radius_from(self, y) -> float:
-        """Trailing limsup of norm distances from ``y`` to the means."""
-        return float(_phi_values([y], self.points, self.window_fraction)[0])
+        """Trailing (``WINDOW_FRACTION``) limsup of norm distances from ``y``
+        to the means."""
+        return float(_phi_values([y], self.points, WINDOW_FRACTION)[0])
 
     def limit_spread(self) -> float | None:
         """Trailing limsup of norm distances from the detected limit."""
@@ -145,23 +156,21 @@ class SolveOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
-def komlos_extract(seq, *, extraction_tol: float = 1e-3, min_cluster: int = 4,
-                   trailing_fraction: float = 0.5, max_candidates: int = 64):
+def komlos_extract(seq, *, extraction_tol: float = 1e-3):
     """Subsequence indices whose terms cluster in measure, and their limit.
 
-    Greedy cluster growth around the last term, over a thinned candidate set
-    from the trailing window (geometric offsets from the end plus an even
+    Greedy cluster growth around the last term, over at most 64 candidates
+    from the trailing ``WINDOW_FRACTION`` of the sequence, the window a
+    record's radius reads (geometric offsets from the end plus an even
     spread).  The returned limit is the cellwise median of the cluster and
     lies within ``extraction_tol`` in measure of every selected term.  When
-    no cluster of ``min_cluster`` terms exists the sequence is declared too
-    short, never silently truncated.
+    no cluster of 4 terms exists the sequence is declared too short, never
+    silently truncated.
     """
     seq = point_rows(seq)
     n = len(seq)
     if n < 8:
         raise ValueError(f"need at least 8 terms, got {n}")
-    if not (0.0 < trailing_fraction <= 1.0):
-        raise ValueError(f"trailing_fraction must be in (0, 1], got {trailing_fraction}")
     rows = seq.rows
     block = max(1, PHI_BLOCK_FLOATS // rows.shape[1])
     top = max(float(seq.space.row_norms(rows[i:i + block]).max())
@@ -169,16 +178,16 @@ def komlos_extract(seq, *, extraction_tol: float = 1e-3, min_cluster: int = 4,
     if not math.isfinite(top) or top > 1e9:
         raise ValueError("sequence is not bounded in norm")
 
-    start = max(0, n - max(min_cluster, math.ceil(trailing_fraction * n)))
+    start = n - window_length(n, WINDOW_FRACTION)
     picks = {n - 1}
     step = 1
     while n - 1 - step >= start:
         picks.add(n - 1 - step)
         step *= 2
-    room = max_candidates - len(picks)
+    room = 64 - len(picks)
     if room > 0:
         picks.update(int(i) for i in np.linspace(start, n - 1, num=min(room, n - start), dtype=int))
-    cand = sorted(picks)[-max_candidates:]
+    cand = sorted(picks)[-64:]
 
     def covered(center, members):
         keep = measure_distances(center, seq.take(members)) <= extraction_tol
@@ -196,19 +205,17 @@ def komlos_extract(seq, *, extraction_tol: float = 1e-3, min_cluster: int = 4,
         center = _median_point(seq.take(cluster))
     # soundness: the final median must cover every member it claims
     cluster = covered(center, cluster)
-    if len(cluster) >= min_cluster:
+    if len(cluster) >= 4:
         center = _median_point(seq.take(cluster))
         cluster = covered(center, cluster)
-    if len(cluster) < min_cluster:
+    if len(cluster) < 4:
         raise ExtendSequenceError(
             f"extend the sequence: only {len(cluster)} trailing terms cluster "
             f"within {extraction_tol:g} in measure")
     return sorted(cluster), center
 
 
-def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
-                      window_fraction: float = 0.5,
-                      extraction_tol: float = 1e-3) -> AfpsRecord:
+def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
     """Record the Cesaro means of the orbit of ``x0`` with their residuals.
 
     Residuals come from the affine identity z_s - T z_s = (T x0 - T**(s+1) x0)/s,
@@ -249,12 +256,11 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int, *,
     quality = None
     if n >= 8:
         try:
-            idx, limit = komlos_extract(means, extraction_tol=extraction_tol)
+            idx, limit = komlos_extract(means, extraction_tol=EXTRACTION_TOL)
             quality = float(measure_distances(limit, means.take(idx)).max())
         except (ExtendSequenceError, ValueError):
             limit = None
-    return AfpsRecord(means, residuals[:n], limit, quality,
-                      window_fraction=window_fraction)
+    return AfpsRecord(means, residuals[:n], limit, quality)
 
 
 def nearest_afps_radius(y, records) -> float:
@@ -286,21 +292,19 @@ def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float
 
 
 def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
-               mean_lip: float, t_coeff: float,
-               rng: np.random.Generator | None = None,
-               window_fraction: float = 0.5, branch_slack: float = 1e-6,
-               extraction_tol: float = 0.05, n_select: int = 24, radii=None):
+               mean_lip: float, t_coeff: float, rng: np.random.Generator,
+               radii):
     """One certified contraction step: returns (w, StepReport).
 
-    Measures the radius r of ``x0`` (``radii``, when given, holds each
-    record's ``radius_from(x0)`` as the caller priced it), forms the
-    contraction target rho = r (1 - eps) / (t_coeff (1 + eps)), and tries
-    two branches: the detected limit of the best record, then the limit of
-    means of a low-score subsequence of the newest means.  Whichever limit
-    sits within rho (trailing limsup in norm) is recentered into the body,
-    and the recenter point must pass two measured certificates: radius
-    contraction by (1 - eps) and the displacement bound
-    (2 + (1 + eps) mean_lip) r.
+    Takes the radius r of ``x0`` as the least of ``radii``, each record's
+    ``radius_from(x0)`` as the caller priced it, forms the contraction
+    target rho = r (1 - eps) / (t_coeff (1 + eps)), and tries two branches:
+    the detected limit of the best record, then the limit of means of a
+    low-score subsequence of at most 24 of the newest means.  Whichever
+    limit sits within rho (trailing limsup in norm) is recentered into the
+    body, and the recenter point must pass two measured certificates:
+    radius contraction by (1 - eps) and the displacement bound
+    (2 + (1 + eps) mean_lip) r, each up to ``BRANCH_SLACK``.
     Certificate failure raises BranchConditionError; nothing is papered over.
     """
     records = list(records)
@@ -308,11 +312,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
         raise ValueError("need at least one afps record")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    rng = np.random.default_rng(0) if rng is None else rng
-
-    if radii is None:
-        radii = [rec.radius_from(x0) for rec in records]
-    elif len(radii) != len(records):
+    if len(radii) != len(records):
         raise ValueError(f"need one radius per record, got {len(radii)} "
                          f"for {len(records)}")
     r0 = min(radii)
@@ -322,50 +322,49 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
         raise BranchConditionError("no record detected an in-measure limit")
     i_best = min(with_limits, key=radii.__getitem__)
     best = records[i_best]
-    near = radii[i_best] <= r0 * (1.0 + eps) + branch_slack
+    near = radii[i_best] <= r0 * (1.0 + eps) + BRANCH_SLACK
     gap_x = best.limit_spread()
 
     gap_z = None
     phi_min = None
     phi_ratio = None
-    if gap_x is not None and gap_x <= rho + branch_slack:
+    if gap_x is not None and gap_x <= rho + BRANCH_SLACK:
         branch = "x_limit"
         result = C.recenter(best.limit, best.points, rng=rng,
-                            window_fraction=window_fraction)
+                            window_fraction=WINDOW_FRACTION)
         r_after = best.radius_from(result.point)
     else:
         # two _phi_values passes and an extraction: run only when needed
         zs = records[-1].points
         if len(zs) >= 16:
-            phi = _phi_values(zs, best.points, window_fraction)
+            phi = _phi_values(zs, best.points, WINDOW_FRACTION)
             phi_min = float(phi.min())
-            k = int(min(n_select, max(8, len(zs) // 4)))
+            k = int(min(24, max(8, len(zs) // 4)))
             chosen = np.sort(np.argsort(phi, kind="stable")[:k])
             zbar = running_means(zs.take(chosen))
             try:
-                _, z_lim = komlos_extract(zbar, extraction_tol=extraction_tol,
-                                          min_cluster=min(4, len(zbar) // 2))
+                _, z_lim = komlos_extract(zbar, extraction_tol=EXTRACTION_TOL)
             except (ExtendSequenceError, ValueError):
                 z_lim = _median_point(zbar[len(zbar) // 2:])
-            gap_z = float(_phi_values([z_lim], zbar, window_fraction)[0])
-            phi_bar = _phi_values(zbar, best.points, window_fraction)
+            gap_z = float(_phi_values([z_lim], zbar, WINDOW_FRACTION)[0])
+            phi_bar = _phi_values(zbar, best.points, WINDOW_FRACTION)
             if phi_min > 1e-12:
-                phi_ratio = float(limsup_tail(phi_bar, window_fraction) / phi_min)
-        if gap_z is None or gap_z > rho + branch_slack:
+                phi_ratio = float(limsup_tail(phi_bar, WINDOW_FRACTION) / phi_min)
+        if gap_z is None or gap_z > rho + BRANCH_SLACK:
             raise BranchConditionError(
                 f"no branch within rho={rho:.4g}: limit gap {gap_x}, "
                 f"means gap {gap_z}")
         branch = "mean_limit"
-        result = C.recenter(z_lim, zbar, rng=rng, window_fraction=window_fraction)
-        r_after = float(_phi_values([result.point], zbar, window_fraction)[0])
+        result = C.recenter(z_lim, zbar, rng=rng, window_fraction=WINDOW_FRACTION)
+        r_after = float(_phi_values([result.point], zbar, WINDOW_FRACTION)[0])
 
     w = result.point
-    if r_after > (1.0 - eps) * r0 + branch_slack:
+    if r_after > (1.0 - eps) * r0 + BRANCH_SLACK:
         raise BranchConditionError(
             f"contraction certificate failed: {r_after:.6g} > "
             f"(1-eps) r0 = {(1.0 - eps) * r0:.6g}")
     displacement = norm(x0 - w)
-    disp_bound = (2.0 + (1.0 + eps) * mean_lip) * r0 + branch_slack
+    disp_bound = (2.0 + (1.0 + eps) * mean_lip) * r0 + BRANCH_SLACK
     if displacement > disp_bound:
         raise BranchConditionError(
             f"displacement certificate failed: {displacement:.6g} > "
@@ -379,19 +378,18 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
     return w, report
 
 
-def classify_escape(T: AffineOperator, C: ConvexBody, x0, *,
-                    measure_tol: float = 0.02, membership_tol: float = 1e-6,
-                    max_span: int = 96):
+def classify_escape(T: AffineOperator, C: ConvexBody, x0):
     """Restart diagnosis: (status, limit, diagnostics).
 
-    Means are recomputed from three staggered orbit offsets.  When the three
-    limits agree in measure, the agreed limit is the orbit's working limit;
+    Means are recomputed from three staggered offsets of an orbit of at most
+    96 steps.  When the three limits agree within ``MEASURE_TOL`` in measure,
+    the agreed limit is the orbit's working limit;
     membership then separates a genuine escape from a budget problem.  The
     limits must agree to count: a single window can lie, three staggered
     ones rarely do.
     """
     faithful = T.max_faithful_steps(x0)
-    span = max_span if faithful is None else min(faithful, max_span)
+    span = 96 if faithful is None else min(faithful, 96)
     pts = [x0]
     overflow = False
     try:
@@ -420,8 +418,8 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0, *,
         "restart_stability": stability,
         "limit_measure_to_zero": measure_distance(limit, zero),
     })
-    if stability <= measure_tol:
-        problem = C.violation(limit, membership_tol)
+    if stability <= MEASURE_TOL:
+        problem = C.violation(limit, MEMBERSHIP_TOL)
         if problem is not None:
             diag["violation"] = problem
             return STATUS_ESCAPED, limit, diag
@@ -441,22 +439,14 @@ def _default_inner(T: AffineOperator, x) -> int:
     return 256
 
 
-def _eps_at(eps_schedule, outer: int, eps0: float) -> float:
-    if eps_schedule is None:
-        return eps0
-    if callable(eps_schedule):
-        return float(eps_schedule(outer))
-    if isinstance(eps_schedule, (int, float)):
-        return float(eps_schedule)
-    seq = list(eps_schedule)
-    return float(seq[min(outer, len(seq) - 1)])
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
-          max_outer: int = 16, eps_schedule=None, n_inner: int | None = None,
-          budget: int = 10 ** 6, seed: int = 0, window_fraction: float = 0.5,
-          measure_tol: float = 0.02, membership_tol: float = 1e-6,
-          extraction_tol: float = 0.05) -> SolveOutcome:
+          max_outer: int = 16, n_inner: int | None = None,
+          budget: int = 10 ** 6, seed: int = 0) -> SolveOutcome:
     """Certified fixed-point search for an affine map of a convex body.
 
     Entry enforces the affinity certificate and domain membership.  When the
@@ -467,6 +457,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     measure (limit left the body) or budget exhaustion.  A point pinned only
     by the mesh floor is never reported as a fixed point.
     """
+    _check_tol(tol)
+    if n_inner is not None and n_inner < 8:
+        raise ValueError(f"n_inner must be >= 8, got {n_inner}")
     rng = np.random.default_rng(seed)
     defect = affinity_defect(T, rng, pairs=8)
     if defect > 1e-7:
@@ -500,8 +493,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
 
     def finish_with_classification(outer: int, r_est: float | None, reason: str | None):
         nonlocal apps
-        status, limit, diag = classify_escape(
-            T, C, x0, measure_tol=measure_tol, membership_tol=membership_tol)
+        status, limit, diag = classify_escape(T, C, x0)
         apps += diag.get("applications", 0)
         if reason is not None:
             diagnostics["branch_failure"] = reason
@@ -515,7 +507,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
             "displacement": None,
             "residual": residual,
             "ky_fan_to_limit": None if limit is None else 0.0,
-            "membership": None if limit is None else C.membership(limit, membership_tol),
+            "membership": None if limit is None else C.membership(limit, MEMBERSHIP_TOL),
         })
         return SolveOutcome(status, limit, residual, trace, diagnostics)
 
@@ -535,7 +527,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     residual_start = _safe_residual(T, x0)
     apps += 1
     if (residual_start is not None and residual_start <= tol
-            and C.membership(x0, membership_tol) and not T.is_saturated(x0)):
+            and C.membership(x0, MEMBERSHIP_TOL) and not T.is_saturated(x0)):
         return accept_fixed(0, x0, residual_start, None)
     if eps0 is None:
         return finish_with_classification(0, None, "growth gate closed: "
@@ -545,17 +537,13 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     pool: list[AfpsRecord] = []
     a = x0
     for outer in range(max_outer):
-        eps = _eps_at(eps_schedule, outer, eps0)
-        if not (0.0 < eps < 1.0) or mean_lip >= (opial / t_coeff) * (1.0 - eps) / (1.0 + eps) ** 2:
-            raise ValueError(f"eps={eps} is not admissible at outer {outer}")
         n_in = n_inner if n_inner is not None else _default_inner(T, a)
         n_in = min(n_in, budget - apps - 8)
         if n_in < 8:
             return finish_with_classification(outer, None, "budget exhausted "
                                               "before the next record")
         try:
-            rec = build_afps_record(T, a, n_in, window_fraction=window_fraction,
-                                    extraction_tol=extraction_tol)
+            rec = build_afps_record(T, a, n_in)
         except ExtendSequenceError as exc:
             return finish_with_classification(outer, None, str(exc))
         apps += n_in + 1
@@ -566,7 +554,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
         residual_a = _safe_residual(T, a)
         apps += 1
         if residual_a is not None and residual_a <= tol:
-            if C.membership(a, membership_tol) and not T.is_saturated(a):
+            if C.membership(a, MEMBERSHIP_TOL) and not T.is_saturated(a):
                 return accept_fixed(outer, a, residual_a, r0)
             return finish_with_classification(outer, r0, "candidate is a mesh "
                                               "artifact or left the body")
@@ -574,10 +562,10 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
             return finish_with_classification(outer, r0, "radius reached tol "
                                               "but the residual did not")
         try:
-            w, report = proof_step(T, C, a, eps, pool, mean_lip=mean_lip,
-                                   t_coeff=t_coeff, rng=rng,
-                                   window_fraction=window_fraction,
-                                   extraction_tol=extraction_tol, radii=radii)
+            # keywords after ``pool``: the benchmark's traced wrapper takes
+            # five positional arguments
+            w, report = proof_step(T, C, a, eps0, pool, mean_lip=mean_lip,
+                                   t_coeff=t_coeff, rng=rng, radii=radii)
         except (BranchConditionError, ExtendSequenceError) as exc:
             return finish_with_classification(outer, r0, str(exc))
         residual_w = _safe_residual(T, w)
@@ -591,28 +579,28 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
             "residual": residual_w,
             "ky_fan_to_limit": None if rec_limit is None
             else measure_distance(w, rec_limit),
-            "membership": C.membership(w, membership_tol),
+            "membership": C.membership(w, MEMBERSHIP_TOL),
         })
         a = w
     residual_a = _safe_residual(T, a)
     apps += 1
     if (residual_a is not None and residual_a <= tol
-            and C.membership(a, membership_tol) and not T.is_saturated(a)):
+            and C.membership(a, MEMBERSHIP_TOL) and not T.is_saturated(a)):
         return accept_fixed(max_outer, a, residual_a, None)
     return finish_with_classification(max_outer, None,
                                       f"no convergence in {max_outer} outer steps")
 
 
 def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
-                 n_max: int = 4096, seed: int = 0, membership_tol: float = 1e-6,
-                 measure_tol: float = 0.02, trace_points: int = 256) -> SolveOutcome:
+                 n_max: int = 4096, seed: int = 0) -> SolveOutcome:
     """Practical solver: march the Cesaro means until a residual clears tol.
 
     One operator application per step prices the residual exactly through
     the affine identity.  Orbits that stop moving are handled analytically:
     a genuinely fixed orbit point is returned at once, a mesh-pinned one is
     rejected as an artifact and handed to restart diagnosis, with the mean
-    horizon that tol would need reported either way.
+    horizon that tol would need reported either way.  The trace keeps
+    about 256 of the ``n_max`` means.
 
     The orbit is streamed on arrays, with the arithmetic of
     ``build_afps_record``: the running sum is one array that each orbit
@@ -631,6 +619,9 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     solver verifies a fixed point while ``solve``, whose growth gate is
     closed there, reports budget_exhausted (ROADMAP item 2).
     """
+    _check_tol(tol)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     rng = np.random.default_rng(seed)
     if x0 is None:
         x0 = T.default_start(rng)
@@ -639,11 +630,10 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         raise DomainError(f"starting point outside the body: {problem}")
     diagnostics = {"applications": 0, "n_max": n_max}
     trace: list[dict] = []
-    keep_every = max(1, n_max // trace_points)
+    keep_every = max(1, n_max // 256)
 
     def classify(reason: str):
-        status, limit, diag = classify_escape(
-            T, C, x0, measure_tol=measure_tol, membership_tol=membership_tol)
+        status, limit, diag = classify_escape(T, C, x0)
         diagnostics["applications"] += diag.pop("applications", 0)
         diagnostics.update(diag)
         diagnostics["stop_reason"] = reason
@@ -694,7 +684,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             apps += 1
             diagnostics["applications"] = apps
             if (direct is not None and direct <= max(tol, residual + 1e-12)
-                    and C.membership(z, membership_tol) and not T.is_saturated(z)):
+                    and C.membership(z, MEMBERSHIP_TOL) and not T.is_saturated(z)):
                 diagnostics["stopped_at"] = s
                 _fill_measure_column(trace, z)
                 return SolveOutcome(STATUS_FIXED, z, direct, trace, diagnostics)
@@ -713,7 +703,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 apps += 1
                 diagnostics["applications"] = apps
                 if (residual_pin is not None and residual_pin <= tol
-                        and C.membership(pin, membership_tol)):
+                        and C.membership(pin, MEMBERSHIP_TOL)):
                     _fill_measure_column(trace, pin)
                     return SolveOutcome(STATUS_FIXED, pin, residual_pin, trace,
                                         diagnostics)

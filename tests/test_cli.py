@@ -247,6 +247,18 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
               "with key 'set'")
     exits_two(["reproduce", "--config", str(tmp_path / "missing.json")])
     exits_two(["sharpness", "--t-grid", "2.5"])
+    exits_two(["sharpness", "--t-grid", ""], "the t grid is empty")
+    # a solver setting that no run could use is refused before the run
+    for flags, message in ((["--n-max", "0"], "n_max must be >= 1"),
+                           (["--n-max", "-3"], "n_max must be >= 1"),
+                           (["--tol", "-1"], "tol must be finite and >= 0"),
+                           (["--tol", "nan"], "tol must be finite and >= 0"),
+                           (["--mode", "proof", "--tol", "-1"], "tol must be"),
+                           (["--mode", "proof", "--tol", "inf"], "tol must be"),
+                           (["--mode", "proof", "--n-inner", "7"],
+                            "n_inner must be >= 8")):
+        exits_two(["solve", "--op", "cyclic", "--set", "ball", "--level", "4"]
+                  + flags, message)
     # malformed values: each is rejected where it is parsed
     for body in ('{"set":"ct","t":null}', '{"set":"ct","M":[3]}',
                  '{"set":"ball","level":1.7}', '{"set":"ball","level":true}',

@@ -63,6 +63,24 @@ def test_retraction_image_of_zero():
     assert f.allclose(GridFunction.constant(1.0, 4))
 
 
+def test_composite_is_the_two_step_composition_bit_for_bit():
+    # the composite builds one point; it must equal retracting and then
+    # compressing with a point in between
+    rng = np.random.default_rng(13)
+    for level in range(13):
+        sub = ConeHull(0.0, level)
+        T = RetractionDoubling(sub)
+        R, D = NormalizingRetraction(sub), DoublingShift(sub)
+        for _ in range(20):
+            # a sample and two orbit points, which carry top-up residue
+            f = sub.sample(rng)
+            for _ in range(3):
+                two_step = D.apply(R.apply(f), check_domain=False)
+                image = T.apply(f, check_domain=False)
+                assert image.values.tobytes() == two_step.values.tobytes(), level
+                f = image
+
+
 def test_bump_shift_moves_vertex():
     T = BumpShift(BumpSimplex(1.5, 8))
     image = T.apply(coord_basis(1.5, 8, 0))

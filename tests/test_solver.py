@@ -44,6 +44,8 @@ from fptlab import (
     solve,
 )
 from fptlab.solver import (
+    MEASURE_TOL,
+    MEMBERSHIP_TOL,
     SolveOutcome,
     _fill_measure_column,
     _phi_values,
@@ -105,12 +107,6 @@ def test_extract_rejects_unbounded_sequence():
         komlos_extract(late)
 
 
-def test_extract_rejects_bad_trailing_fraction():
-    c = GridFunction.constant(1.0, 3)
-    with pytest.raises(ValueError, match="trailing_fraction"):
-        komlos_extract([c] * 16, trailing_fraction=0.0)
-
-
 def test_extract_short_escaping_run_asks_for_more(doubling_means):
     # 12 early means never cluster at the default tolerance: the extractor
     # must say so instead of silently returning a bogus limit.
@@ -147,7 +143,7 @@ def test_extract_cyclic_means_converge_in_norm(cyclic_means):
 def test_record_residuals_obey_diameter_law(cyclic_means):
     x0, _ = cyclic_means
     ball = UnitBall(6)
-    rec = build_afps_record(CyclicShift(ball), x0, 128, extraction_tol=0.05)
+    rec = build_afps_record(CyclicShift(ball), x0, 128)
     assert len(rec.points) == len(rec.residuals) == 128
     for s, r in enumerate(rec.residuals, start=1):
         assert r <= 2.0 / s + 1e-12
@@ -157,8 +153,7 @@ def test_record_residuals_obey_diameter_law(cyclic_means):
 
 def test_record_radius_and_spread_agree(cyclic_means):
     x0, _ = cyclic_means
-    rec = build_afps_record(CyclicShift(UnitBall(6)), x0, 128,
-                            extraction_tol=0.05)
+    rec = build_afps_record(CyclicShift(UnitBall(6)), x0, 128)
     assert rec.radius_from(rec.limit) == rec.limit_spread()
     blind = AfpsRecord(rec.points, rec.residuals, None, None)
     assert blind.limit_spread() is None
@@ -180,10 +175,11 @@ def test_record_radius_is_bit_equal_to_the_norm_loop():
             ys = [space.like(rng.standard_normal(size)) for _ in range(3)]
             rows = np.stack([(ys[0] - p).array for p in means])
             assert space.row_norms(rows).tolist() == [norm(ys[0] - p) for p in means]
+            rec = AfpsRecord(means, [0.0] * n)
             for wf in (0.3, 0.5, 1.0):
-                rec = AfpsRecord(means, [0.0] * n, window_fraction=wf)
                 loops = [limsup_tail([norm(y - p) for p in means], wf) for y in ys]
-                assert [rec.radius_from(y) for y in ys] == loops
+                if wf == 0.5:
+                    assert [rec.radius_from(y) for y in ys] == loops
                 assert _phi_values(ys, means, wf).tolist() == loops
 
 
@@ -217,7 +213,7 @@ def test_streamed_record_is_bit_equal_to_the_orbit_loops():
     cases.append((shift, shift.default_start(rng), 100))
     cases.append((shift, shift.default_start(rng), 30))
     for T, x0, n in cases:
-        rec = build_afps_record(T, x0, n, extraction_tol=0.05)
+        rec = build_afps_record(T, x0, n)
         means, residuals = _orbit_loop_record(T, x0, n)
         assert len(rec.points) == len(means) == len(residuals), T.name
         assert rec.points.rows.tobytes() == np.stack([z.array for z in means]).tobytes()
@@ -297,14 +293,20 @@ def test_admissible_eps_validation():
 # proof_step
 
 
+def _priced_step(T, C, x0, eps, records, **kwargs):
+    """proof_step handed each record's radius from ``x0``, priced as solve
+    prices it, and a seeded generator."""
+    return proof_step(T, C, x0, eps, records, rng=np.random.default_rng(0),
+                      radii=[rec.radius_from(x0) for rec in records], **kwargs)
+
+
 def test_proof_step_contracts_cyclic_radius():
     ball = UnitBall(6)
     T = CyclicShift(ball)
     x0 = ball.sample(np.random.default_rng(3))
-    rec = build_afps_record(T, x0, 512, extraction_tol=0.05)
+    rec = build_afps_record(T, x0, 512)
     eps = admissible_eps(1.0, 1.0)
-    w, report = proof_step(T, ball, x0, eps, [rec], mean_lip=1.0, t_coeff=1.0,
-                           rng=np.random.default_rng(0))
+    w, report = _priced_step(T, ball, x0, eps, [rec], mean_lip=1.0, t_coeff=1.0)
     assert report.branch == "x_limit"
     assert report.r_before == pytest.approx(0.1984312043891967, rel=1e-6)
     assert report.r_after <= (1.0 - eps) * report.r_before + 1e-6
@@ -323,11 +325,9 @@ def test_proof_step_takes_the_mean_branch():
     ball = UnitBall(6)
     T = CyclicShift(ball)
     x0 = ball.sample(np.random.default_rng(3))
-    rec = dataclasses.replace(build_afps_record(T, x0, 512, extraction_tol=0.05),
-                              limit=x0)
+    rec = dataclasses.replace(build_afps_record(T, x0, 512), limit=x0)
     eps = admissible_eps(1.0, 1.0)
-    w, report = proof_step(T, ball, x0, eps, [rec], mean_lip=1.0, t_coeff=1.0,
-                           rng=np.random.default_rng(0))
+    w, report = _priced_step(T, ball, x0, eps, [rec], mean_lip=1.0, t_coeff=1.0)
     assert report.limit_gap_x == report.r_before > report.rho
     assert report.branch == "mean_limit"
     assert report.phi_min is not None and report.phi_ratio is not None
@@ -345,9 +345,9 @@ def test_proof_step_alone_does_not_detect_escape():
     simplex = DensitySimplex(12)
     T = DoublingShift(simplex)
     one = GridFunction.constant(1.0, 12)
-    rec = build_afps_record(T, one, 200, extraction_tol=0.05)
-    w, report = proof_step(T, simplex, one, 0.1, [rec], mean_lip=1.0,
-                           t_coeff=2.0, rng=np.random.default_rng(0))
+    rec = build_afps_record(T, one, 200)
+    w, report = _priced_step(T, simplex, one, 0.1, [rec], mean_lip=1.0,
+                             t_coeff=2.0)
     assert report.r_after <= 0.9 * report.r_before + 1e-6
     assert simplex.membership(w, 1e-7)
 
@@ -355,11 +355,11 @@ def test_proof_step_alone_does_not_detect_escape():
 def test_proof_step_requires_detected_limit(cyclic_means):
     x0, _ = cyclic_means
     ball = UnitBall(6)
-    rec = build_afps_record(CyclicShift(ball), x0, 128, extraction_tol=0.05)
+    rec = build_afps_record(CyclicShift(ball), x0, 128)
     blind = AfpsRecord(rec.points, rec.residuals, None, None)
     with pytest.raises(BranchConditionError, match="no record detected"):
-        proof_step(CyclicShift(ball), ball, x0, 0.1, [blind],
-                   mean_lip=1.0, t_coeff=1.0)
+        _priced_step(CyclicShift(ball), ball, x0, 0.1, [blind],
+                     mean_lip=1.0, t_coeff=1.0)
 
 
 def test_proof_step_rejects_target_overshoot(cyclic_means):
@@ -368,10 +368,10 @@ def test_proof_step_rejects_target_overshoot(cyclic_means):
     # than return an uncertified point.
     x0, _ = cyclic_means
     ball = UnitBall(6)
-    rec = build_afps_record(CyclicShift(ball), x0, 128, extraction_tol=0.05)
+    rec = build_afps_record(CyclicShift(ball), x0, 128)
     with pytest.raises(BranchConditionError, match="no branch within rho"):
-        proof_step(CyclicShift(ball), ball, x0, 0.1, [rec],
-                   mean_lip=1.0, t_coeff=1000.0)
+        _priced_step(CyclicShift(ball), ball, x0, 0.1, [rec],
+                     mean_lip=1.0, t_coeff=1000.0)
 
 
 def test_proof_step_reads_the_radii_it_is_handed():
@@ -380,18 +380,18 @@ def test_proof_step_reads_the_radii_it_is_handed():
     ball = UnitBall(6)
     T = CyclicShift(ball)
     x0 = ball.sample(np.random.default_rng(3))
-    recs = [build_afps_record(T, x0, n, extraction_tol=0.05) for n in (64, 512)]
+    recs = [build_afps_record(T, x0, n) for n in (64, 512)]
     radii = [rec.radius_from(x0) for rec in recs]
     eps = admissible_eps(1.0, 1.0)
-    w, report = proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
-                           rng=np.random.default_rng(0))
+    w, report = _priced_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0)
     w2, report2 = proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
                              rng=np.random.default_rng(0), radii=radii)
     assert w2.array.tobytes() == w.array.tobytes()
     assert report2 == report
+    assert report.r_before == min(radii)
     with pytest.raises(ValueError, match="one radius per record"):
         proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
-                   radii=radii[:1])
+                   rng=np.random.default_rng(0), radii=radii[:1])
 
 
 def test_proof_step_validation(cyclic_means):
@@ -399,11 +399,11 @@ def test_proof_step_validation(cyclic_means):
     ball = UnitBall(6)
     rec = build_afps_record(CyclicShift(ball), x0, 32)
     with pytest.raises(ValueError, match="eps"):
-        proof_step(CyclicShift(ball), ball, x0, 0.0, [rec],
-                   mean_lip=1.0, t_coeff=1.0)
+        _priced_step(CyclicShift(ball), ball, x0, 0.0, [rec],
+                     mean_lip=1.0, t_coeff=1.0)
     with pytest.raises(ValueError, match="at least one afps record"):
-        proof_step(CyclicShift(ball), ball, x0, 0.1, [],
-                   mean_lip=1.0, t_coeff=1.0)
+        _priced_step(CyclicShift(ball), ball, x0, 0.1, [],
+                     mean_lip=1.0, t_coeff=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +505,6 @@ def test_solve_never_reports_mesh_artifact_as_fixed():
     assert outc.status != FIXED
 
 
-def test_solve_eps_schedule_forms():
-    ball = UnitBall(4)
-    for schedule in (0.05, lambda k: 0.1 / (1 + k), [0.1, 0.08, 0.06, 0.05]):
-        out = solve(CyclicShift(ball), ball, seed=0, eps_schedule=schedule)
-        assert out.status == FIXED
-        assert out.residual <= 1e-8
-    with pytest.raises(ValueError, match="not admissible"):
-        solve(CyclicShift(ball), ball, seed=0, eps_schedule=0.9)
-
-
 # ---------------------------------------------------------------------------
 # cesaro_solve: practical mode
 
@@ -577,7 +567,9 @@ def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
                             trace_points=256):
     """The march on point objects: every mean, difference and running sum
     is a validated point.  cesaro_solve must give the same outcome, float
-    for float."""
+    for float.  Its tolerances and trace length are the solver's constants
+    written out, so that a change to one of them shows here."""
+    assert (MEMBERSHIP_TOL, MEASURE_TOL) == (membership_tol, measure_tol)
     rng = np.random.default_rng(seed)
     if x0 is None:
         x0 = T.default_start(rng)
@@ -589,8 +581,7 @@ def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
     keep_every = max(1, n_max // trace_points)
 
     def classify(reason):
-        status, limit, diag = classify_escape(
-            T, C, x0, measure_tol=measure_tol, membership_tol=membership_tol)
+        status, limit, diag = classify_escape(T, C, x0)
         diagnostics["applications"] += diag.pop("applications", 0)
         diagnostics.update(diag)
         diagnostics["stop_reason"] = reason
