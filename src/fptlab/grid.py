@@ -88,6 +88,12 @@ class GridFunction:
         bit-equal to it: each row is summed as one 1-d array is."""
         return np.abs(rows).sum(axis=1) * self.cell_width
 
+    def row_integrals(self, rows: np.ndarray) -> np.ndarray:
+        """Integral of each row of a C-contiguous 2-d array of cell values,
+        or of one 1-d array: the one integral rule, so ``integral`` is its
+        one-row case."""
+        return rows.sum(axis=-1) * self.cell_width
+
     def _compat(self, other: GridFunction) -> None:
         if not isinstance(other, GridFunction):
             raise TypeError("expected GridFunction operands")
@@ -104,7 +110,7 @@ class GridFunction:
 
     def integral(self) -> float:
         """Lebesgue integral over [0, 1]."""
-        return float(self.values.sum() * self.cell_width)
+        return float(self.row_integrals(self.values))
 
     def allclose(self, other: GridFunction, tol: float = DEFAULT_TOL) -> bool:
         self._compat(other)

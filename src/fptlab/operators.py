@@ -34,7 +34,10 @@ class MassOverflowError(RuntimeError):
 
 
 class AffineOperator:
-    """Base class.  Subclasses implement ``_transform`` on domain members."""
+    """Base class.  Subclasses state their map once, on arrays, in
+    ``map_array``; ``_transform``, and so ``apply``, is its one-point case.
+    A subclass may state its map on points instead, by overriding
+    ``_transform``: ``map_array`` then goes through it."""
 
     name: str = "operator"
     domain: ConvexBody
@@ -43,11 +46,26 @@ class AffineOperator:
         if check_domain:
             problem = self.domain.violation(x, tol)
             if problem is not None:
-                raise DomainError(f"{self.name}: point outside domain: {problem}")
+                raise self.domain_error(problem)
         return self._transform(x)
 
+    def domain_error(self, problem: str) -> DomainError:
+        """The error that ``apply`` raises for a point that breaks the
+        domain's constraint ``problem``."""
+        return DomainError(f"{self.name}: point outside domain: {problem}")
+
     def _transform(self, x):
-        raise NotImplementedError
+        v = x.array
+        return x.like(self.map_array(x, v, np.empty_like(v)))
+
+    def map_array(self, space, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the image of the point of ``space``'s space that holds ``v``
+        into ``out`` (an array of v's shape, never v itself) and return it.
+        Neither the domain nor the image's finiteness is checked."""
+        if type(self)._transform is AffineOperator._transform:
+            raise NotImplementedError(f"{type(self).__name__} states no map")
+        out[...] = self._transform(space.like(v)).array
+        return out
 
     def lipschitz_exact(self, n: int) -> float | None:
         """Exact Lipschitz constant of the n-th iterate when known in closed
@@ -82,8 +100,9 @@ class IdentityOperator(AffineOperator):
     def __init__(self, domain: ConvexBody):
         self.domain = domain
 
-    def _transform(self, x):
-        return x
+    def map_array(self, space, v, out):
+        out[...] = v
+        return out
 
     def lipschitz_exact(self, n: int) -> float:
         return 1.0
@@ -109,16 +128,18 @@ class DoublingShift(AffineOperator):
         self.level = domain.level
 
     @staticmethod
-    def compress_values(v: np.ndarray) -> np.ndarray:
+    def compress_values(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Image cell i collects cells 2i and 2i + 1; the upper half is 0."""
         if v.size == 1:
-            return v.copy()
-        out = np.zeros_like(v)
-        out[:v.size // 2] = v[0::2] + v[1::2]
+            out[...] = v
+            return out
+        half = v.size // 2
+        np.add(v[0::2], v[1::2], out=out[:half])
+        out[half:] = 0.0
         return out
 
-    def _transform(self, f: GridFunction) -> GridFunction:
-        return GridFunction(f.level, self.compress_values(f.values))
+    def map_array(self, space, v, out):
+        return self.compress_values(v, out)
 
     def lipschitz_exact(self, n: int) -> float:
         return 1.0
@@ -158,12 +179,10 @@ class CyclicShift(AffineOperator):
         self.domain = domain
         self.level = domain.level
 
-    def _transform(self, f: GridFunction) -> GridFunction:
-        v = f.values
-        out = np.empty_like(v)
+    def map_array(self, space, v, out):
         out[0] = v[-1]
         out[1:] = v[:-1]
-        return GridFunction(f.level, out)
+        return out
 
     def lipschitz_exact(self, n: int) -> float:
         return 1.0
@@ -193,9 +212,14 @@ class NormalizingRetraction(AffineOperator):
         self.domain = domain
         self.level = domain.level
 
-    def _transform(self, f: GridFunction) -> GridFunction:
-        # one point: elementwise the same IEEE sum as f + constant(...)
-        return GridFunction(f.level, f.values + (1.0 - f.integral()))
+    @staticmethod
+    def top_up(space: GridFunction, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """v plus the constant 1 - integral(v): elementwise the same IEEE sum
+        as f + GridFunction.constant(1 - f.integral())."""
+        return np.add(v, 1.0 - float(space.row_integrals(v)), out=out)
+
+    def map_array(self, space, v, out):
+        return self.top_up(space, v, out)
 
     def lipschitz_exact(self, n: int) -> float:
         return 2.0
@@ -223,10 +247,10 @@ class RetractionDoubling(AffineOperator):
         self.domain = domain
         self.level = domain.level
 
-    def _transform(self, f: GridFunction) -> GridFunction:
-        # one point: the retraction's top-up feeds the compression as an array
-        return GridFunction(f.level, self.compress.compress_values(
-            f.values + (1.0 - f.integral())))
+    def map_array(self, space, v, out):
+        # the retraction's top-up feeds the compression as an array
+        return self.compress.compress_values(
+            self.retraction.top_up(space, v, np.empty_like(v)), out)
 
     def lipschitz_exact(self, n: int) -> float:
         return 2.0
@@ -263,15 +287,13 @@ class BumpShift(AffineOperator):
         self.domain = domain
         self.t = domain.t
 
-    def _transform(self, x: CoordPoint) -> CoordPoint:
-        c = x.coeffs
-        if c[-1] != 0.0:
+    def map_array(self, space, v, out):
+        if v[-1] != 0.0:
             raise MassOverflowError(
-                f"{self.name}: last slot holds {c[-1]:.6g}; shifting would lose mass")
-        out = np.empty_like(c)
+                f"{self.name}: last slot holds {v[-1]:.6g}; shifting would lose mass")
         out[0] = 0.0
-        out[1:] = c[:-1]
-        return CoordPoint(x.t, out)
+        out[1:] = v[:-1]
+        return out
 
     def lipschitz_exact(self, n: int) -> float:
         return 2.0 / self.t
@@ -339,6 +361,45 @@ def orbit(T: AffineOperator, x0, n_max: int, *, check_domain: bool = True) -> li
         except DomainError as exc:
             raise DomainError(f"iterate {s}: {exc}") from exc
     return points
+
+
+def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int) -> int:
+    """March an orbit on arrays: step j writes T rows[j] into rows[j + 1],
+    for j < ``count``, where rows[0] holds a point of ``space``'s space.
+
+    Returns the number of steps made: ``count``, or j when the map raised
+    MassOverflowError at step j.  No point is built.  The rows are checked
+    once, after the maps, and the first error is raised that the point loop
+    ``p = T.apply(p)`` would raise, with its type and message: it checks the
+    domain of rows[j], then maps it, then builds rows[j + 1], which must be
+    finite.  So the domain error of row j comes before the finiteness error
+    of row j + 1, an error of the map at step j comes only after row j
+    passed its domain check, and rows[count], which the loop has not mapped
+    yet, is not checked against the domain.  No numpy warning escapes.
+    """
+    stop, failure = count, None
+    with np.errstate(all="ignore"):
+        try:
+            for j in range(count):
+                T.map_array(space, rows[j], rows[j + 1])
+        except Exception as exc:
+            # whatever the map raises comes after the checks of the rows
+            # before it, so it is held until they pass, then raised as is
+            stop, failure = j, exc
+        finite = np.isfinite(rows[1:stop + 1]).all(axis=1)
+        bad_out = stop if finite.all() else int(np.argmin(finite))
+        # rows past the first non-finite one can never fail first
+        problems = T.domain.violations(
+            space, rows[:min(bad_out + 1, stop + (failure is not None))], ORBIT_TOL)
+    for problem in problems:
+        if problem is not None:
+            raise T.domain_error(problem)
+    if bad_out < stop:
+        # the point class refuses the row with its own error
+        space.like(rows[bad_out + 1])
+    if failure is not None and not isinstance(failure, MassOverflowError):
+        raise failure
+    return stop
 
 
 def running_means(points) -> list:

@@ -293,6 +293,18 @@ def export_sequence_csv(path, points, limit=None) -> None:
             writer.writerow([i, f"{norm(p):.12g}", dist])
 
 
+def _row_messages(n: int, *checks) -> list:
+    """Per row of ``n``, the message of the first of ``checks`` that the row
+    fails, else None.  Each check is a boolean array over the rows and a
+    function of a row index giving its message, built only for failing rows."""
+    out = [None] * n
+    # later checks first, so that the first failing check has the last word
+    for failed, message in reversed(checks):
+        for j in failed.nonzero()[0]:
+            out[j] = message(j)
+    return out
+
+
 class RecenterResult(NamedTuple):
     point: object
     bound_type: str  # "exact" for a certified witness, "upper" for sampled
@@ -308,8 +320,16 @@ class ConvexBody:
 
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
         """None if ``x`` belongs to the body, else a description of the
-        constraint that fails."""
+        constraint that fails.  A catalog body checks the type of ``x`` here
+        and states its constraints once, on rows, in ``violations``: this is
+        their one-row case."""
         raise NotImplementedError
+
+    def violations(self, space, rows: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+        """``violation`` of each row of a 2-d array of points of ``space``'s
+        space, which must be one the body checks.  This fallback builds each
+        point, for a body that states its constraints on points only."""
+        return [self.violation(space.like(row), tol) for row in rows]
 
     def membership(self, x, tol: float = DEFAULT_TOL) -> bool:
         return self.violation(x, tol) is None
@@ -365,12 +385,16 @@ class DensitySimplex(ConvexBody):
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
-        if float(x.values.min()) < -tol:
-            return f"negative part: min value {float(x.values.min()):.6g}"
-        integral = x.integral()
-        if abs(integral - 1.0) > tol:
-            return f"integral {integral:.6g} != 1"
-        return None
+        return self.violations(x, x.values[None], tol)[0]
+
+    def violations(self, space, rows, tol=DEFAULT_TOL):
+        lows = rows.min(axis=1)
+        integrals = space.row_integrals(rows)
+        return _row_messages(
+            len(rows),
+            (lows < -tol, lambda j: f"negative part: min value {lows[j]:.6g}"),
+            (np.abs(integrals - 1.0) > tol,
+             lambda j: f"integral {integrals[j]:.6g} != 1"))
 
     def sample(self, rng: np.random.Generator) -> GridFunction:
         cells = 2 ** self.level
@@ -416,21 +440,23 @@ class ConeHull(ConvexBody):
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
+        return self.violations(x, x.values[None], tol)[0]
+
+    def violations(self, space, rows, tol=DEFAULT_TOL):
         a = self.a
-        integral = x.integral()
+        integrals = space.row_integrals(rows)
         if a >= 1.0 - 1e-12:
-            lam = 1.0
+            lam = np.ones_like(integrals)
         else:
-            lam = (integral - a) / (1.0 - a)
-        if lam < -tol:
-            return f"integral {integral:.6g} below vertex level {a:g}"
-        if lam > 1.0 + tol:
-            return f"integral {integral:.6g} exceeds 1"
-        floor = (1.0 - min(max(lam, 0.0), 1.0)) * a
-        if float(x.values.min()) < floor - tol:
-            return (f"min value {float(x.values.min()):.6g} below mixture floor "
-                    f"{floor:.6g}")
-        return None
+            lam = (integrals - a) / (1.0 - a)
+        floors = (1.0 - np.minimum(np.maximum(lam, 0.0), 1.0)) * a
+        lows = rows.min(axis=1)
+        return _row_messages(
+            len(rows),
+            (lam < -tol, lambda j: f"integral {integrals[j]:.6g} below vertex level {a:g}"),
+            (lam > 1.0 + tol, lambda j: f"integral {integrals[j]:.6g} exceeds 1"),
+            (lows < floors - tol, lambda j: f"min value {lows[j]:.6g} below mixture "
+                                            f"floor {floors[j]:.6g}"))
 
     def sample(self, rng: np.random.Generator) -> GridFunction:
         f = DensitySimplex(self.level).sample(rng)
@@ -479,10 +505,12 @@ class UnitBall(ConvexBody):
     def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
-        nrm = x.norm()
-        if nrm > 1.0 + tol:
-            return f"norm {nrm:.6g} exceeds 1"
-        return None
+        return self.violations(x, x.values[None], tol)[0]
+
+    def violations(self, space, rows, tol=DEFAULT_TOL):
+        norms = space.row_norms(rows)
+        return _row_messages(len(rows), (norms > 1.0 + tol,
+                                         lambda j: f"norm {norms[j]:.6g} exceeds 1"))
 
     def sample(self, rng: np.random.Generator) -> GridFunction:
         cells = 2 ** self.level
@@ -530,12 +558,16 @@ class BumpSimplex(ConvexBody):
             return f"expected CoordPoint, got {type(x).__name__}"
         if abs(x.t - self.t) > DEFAULT_TOL or x.slots != self.slots:
             return "coordinate space mismatch"
-        if float(x.coeffs.min()) < -tol:
-            return f"negative coefficient {float(x.coeffs.min()):.6g}"
-        total = float(x.coeffs.sum())
-        if abs(total - 1.0) > tol:
-            return f"coefficient sum {total:.6g} != 1"
-        return None
+        return self.violations(x, x.coeffs[None], tol)[0]
+
+    def violations(self, space, rows, tol=DEFAULT_TOL):
+        lows = rows.min(axis=1)
+        totals = rows.sum(axis=1)
+        return _row_messages(
+            len(rows),
+            (lows < -tol, lambda j: f"negative coefficient {lows[j]:.6g}"),
+            (np.abs(totals - 1.0) > tol,
+             lambda j: f"coefficient sum {totals[j]:.6g} != 1"))
 
     def sample(self, rng: np.random.Generator, support: int | None = None) -> CoordPoint:
         k = self.slots if support is None else min(support, self.slots)

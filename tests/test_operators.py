@@ -2,6 +2,8 @@
 orbits, Cesaro means, and the residual identity."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -362,3 +364,63 @@ def test_operators_map_body_into_itself():
         for _ in range(25):
             x = T.default_start(rng)
             assert T.domain.membership(T.apply(x), tol=1e-7), T.name
+
+
+def _point_image(T, x):
+    """The image of ``x`` as each catalog operator built its point before
+    the maps were stated on arrays, copied: the reference of ``map_array``."""
+    if isinstance(T, IdentityOperator):
+        return x
+    if isinstance(T, BumpShift):
+        if x.coeffs[-1] != 0.0:
+            raise MassOverflowError(
+                f"{T.name}: last slot holds {x.coeffs[-1]:.6g}; shifting would lose mass")
+        out = np.empty_like(x.coeffs)
+        out[0] = 0.0
+        out[1:] = x.coeffs[:-1]
+        return CoordPoint(x.t, out)
+    v = x.values
+    if isinstance(T, CyclicShift):
+        out = np.empty_like(v)
+        out[0] = v[-1]
+        out[1:] = v[:-1]
+        return GridFunction(x.level, out)
+    if isinstance(T, (NormalizingRetraction, RetractionDoubling)):
+        v = v + (1.0 - x.integral())
+    if isinstance(T, (DoublingShift, RetractionDoubling)) and v.size > 1:
+        out = np.zeros_like(v)
+        out[:v.size // 2] = v[0::2] + v[1::2]
+        v = out
+    return GridFunction(x.level, v)
+
+
+def test_array_maps_are_bit_equal_to_the_point_images():
+    # one statement of each map: apply builds its point from map_array, and
+    # map_array writes a block row, both bit-equal to the old point images
+    rng = np.random.default_rng(29)
+    for level in range(13):
+        for T in catalog(level=level, slots=max(4, 2 ** level)):
+            x = T.default_start(rng)
+            for _ in range(3):
+                try:
+                    want = _point_image(T, x)
+                except MassOverflowError as exc:
+                    with pytest.raises(MassOverflowError, match=re.escape(str(exc))):
+                        T.apply(x)
+                    break
+                got = T.apply(x)
+                assert type(got) is type(want)
+                assert got.array.tobytes() == want.array.tobytes(), (T.name, level)
+                rows = np.full((2, x.array.size), np.nan)
+                rows[0] = x.array
+                out = rows[1]
+                assert T.map_array(x, rows[0], out) is out
+                assert rows[1].tobytes() == want.array.tobytes(), (T.name, level)
+                x = got
+    # the bump shift refuses its last slot with the old message
+    shift = BumpShift(BumpSimplex(1.5, 8))
+    last = coord_basis(1.5, 8, 7) * 0.5
+    with pytest.raises(MassOverflowError) as old:
+        _point_image(shift, last)
+    with pytest.raises(MassOverflowError, match=re.escape(str(old.value))):
+        shift.apply(last, check_domain=False)

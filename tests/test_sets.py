@@ -474,3 +474,127 @@ def test_recenter_sampled_returns_the_first_minimizer():
     assert scores[1] == scores[3] == scores[5] == 0.0
     got = body._recenter_sampled(x, seq, None, len(pool), 0.5)
     assert got is pool[1] is min(pool, key=lambda c: scores[pool.index(c)])
+
+
+def _scalar_violation(body, x, tol):
+    """The one-point constraint checks of the catalog bodies as each body
+    stated them before the row check, copied: the reference of
+    ``violations``."""
+    if isinstance(body, BumpSimplex):
+        if float(x.coeffs.min()) < -tol:
+            return f"negative coefficient {float(x.coeffs.min()):.6g}"
+        total = float(x.coeffs.sum())
+        if abs(total - 1.0) > tol:
+            return f"coefficient sum {total:.6g} != 1"
+        return None
+    if isinstance(body, UnitBall):
+        nrm = x.norm()
+        if nrm > 1.0 + tol:
+            return f"norm {nrm:.6g} exceeds 1"
+        return None
+    if isinstance(body, DensitySimplex):
+        if float(x.values.min()) < -tol:
+            return f"negative part: min value {float(x.values.min()):.6g}"
+        integral = x.integral()
+        if abs(integral - 1.0) > tol:
+            return f"integral {integral:.6g} != 1"
+        return None
+    a = body.a
+    integral = x.integral()
+    if a >= 1.0 - 1e-12:
+        lam = 1.0
+    else:
+        lam = (integral - a) / (1.0 - a)
+    if lam < -tol:
+        return f"integral {integral:.6g} below vertex level {a:g}"
+    if lam > 1.0 + tol:
+        return f"integral {integral:.6g} exceeds 1"
+    floor = (1.0 - min(max(lam, 0.0), 1.0)) * a
+    if float(x.values.min()) < floor - tol:
+        return (f"min value {float(x.values.min()):.6g} below mixture floor "
+                f"{floor:.6g}")
+    return None
+
+
+def _nudged(row, cell=None):
+    """``row`` a few ulps either way, for k in -4..4: every slot scaled by
+    1 + k 2**-53, or the slots ``cell`` (an index or a slice) moved k ulps."""
+    out = []
+    for k in range(-4, 5):
+        if cell is None:
+            out.append(row * (1.0 + k * 2.0 ** -53))
+            continue
+        r = row.copy()
+        for _ in range(abs(k)):
+            r[cell] = np.nextafter(r[cell], np.copysign(np.inf, k))
+        out.append(r)
+    return out
+
+
+def _boundary_rows(body, space, tol, rng):
+    """Rows a few ulps either side of each constraint of ``body``, in
+    groups, each with the start of the message of its constraint."""
+    size = space.array.size
+    positive = rng.exponential(size=size)
+    if isinstance(body, BumpSimplex):
+        c = rng.dirichlet(np.ones(size))
+        low = np.r_[-tol, c[1:] * ((1.0 + tol) / c[1:].sum())]
+        return [("coefficient sum", _nudged(c * (1.0 + tol))),
+                ("coefficient sum", _nudged(c * (1.0 - tol))),
+                ("negative coefficient", _nudged(low, 0))]
+    w = space.cell_width
+    density = positive / (positive.sum() * w)
+    if isinstance(body, UnitBall):
+        signed = density * rng.choice([-1.0, 1.0], size=size)
+        return [("norm", _nudged(signed * ((1.0 + tol) / norm(space.like(signed)))))]
+    a = getattr(body, "a", 1.0)
+    if isinstance(body, DensitySimplex):
+        groups = [("integral", _nudged(density * (1.0 + tol))),
+                  ("integral", _nudged(density * (1.0 - tol)))]
+    elif a < 1.0:
+        # mixture weight lam just below 0 and just above 1
+        groups = [("integral", _nudged(np.full(size, a - tol * (1.0 - a)), slice(None))),
+                  ("integral", _nudged(density * (1.0 + tol * (1.0 - a))))]
+    else:
+        # the hull with a = 1 is the simplex without its integral constraint
+        groups = []
+    # weight one half (1 for the simplex): the floor (1 - lam) a, less tol,
+    # in the lowest cell
+    floor = 0.5 * a if a < 1.0 else 0.0
+    mass = 0.5 + 0.5 * a if a < 1.0 else 1.0
+    dip = positive - positive.min()
+    row = dip * ((mass - floor) / max(dip.sum() * w, 1e-300)) + floor
+    cell = int(np.argmin(dip))
+    for _ in range(60):
+        # the lowest cell moves the integral, and so the floor: iterate to
+        # the fixed point, which contracts by at least the cell width 1/2
+        integral = space.like(row).integral()
+        lam = min(max((integral - a) / (1.0 - a), 0.0), 1.0) if a < 1.0 else 1.0
+        row[cell] = (1.0 - lam) * a - tol
+    low = "negative part" if isinstance(body, DensitySimplex) else "min value"
+    groups.append((low, _nudged(row, cell)))
+    return groups
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-7])
+def test_row_constraints_match_the_point_checks(tol):
+    # the row check of every catalog body gives each row the verdict and the
+    # message of the one-point check, on rows a few ulps either side of
+    # every constraint
+    rng = np.random.default_rng(41)
+    bodies = [(body, GridFunction.zero(level)) for level in (0, 1, 5, 12)
+              for body in (UnitBall(level), DensitySimplex(level), ConeHull(0.0, level),
+                           ConeHull(0.5, level), ConeHull(1.0, level))]
+    bodies += [(BumpSimplex(t, m), CoordPoint(t, np.zeros(m)))
+               for t in (1.1, 1.9) for m in (4, 64)]
+    for body, space in bodies:
+        for kind, group in _boundary_rows(body, space, tol, rng):
+            rows = np.stack(group)
+            got = body.violations(space, rows, tol)
+            want = [_scalar_violation(body, space.like(r), tol) for r in rows]
+            assert got == want, (body.name, space.array.size, tol)
+            assert [body.violation(space.like(r), tol) for r in rows] == want
+            if space.array.size > 1:
+                # each group straddles its constraint
+                broken = [m is not None and m.startswith(kind) for m in got]
+                assert any(broken) and not all(broken), (body.name, kind, tol, got)

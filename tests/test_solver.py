@@ -43,11 +43,13 @@ from fptlab import (
     running_means,
     solve,
 )
+from fptlab.sets import PHI_BLOCK_FLOATS, PointRows
 from fptlab.solver import (
     MEASURE_TOL,
     MEMBERSHIP_TOL,
     SolveOutcome,
     _fill_measure_column,
+    _median_point,
     _phi_values,
     _safe_residual,
     classify_escape,
@@ -84,7 +86,7 @@ def cyclic_means():
 
 def test_extract_constant_sequence_returns_it():
     c = GridFunction.constant(0.5, 4)
-    idx, limit = komlos_extract([c] * 16)
+    idx, limit = komlos_extract([c] * 16, extraction_tol=1e-3)
     assert idx == sorted(idx)
     assert len(idx) >= 4
     assert all(i >= 8 for i in idx)
@@ -94,28 +96,28 @@ def test_extract_constant_sequence_returns_it():
 def test_extract_needs_eight_terms():
     c = GridFunction.constant(1.0, 3)
     with pytest.raises(ValueError, match="at least 8 terms"):
-        komlos_extract([c] * 7)
+        komlos_extract([c] * 7, extraction_tol=1e-3)
 
 
 def test_extract_rejects_unbounded_sequence():
     huge = GridFunction.constant(2e9, 3)
     with pytest.raises(ValueError, match="not bounded"):
-        komlos_extract([huge] * 16)
+        komlos_extract([huge] * 16, extraction_tol=1e-3)
     # norms are reduced a few rows at a time at level 12: the last block counts
     late = [GridFunction.zero(12)] * 15 + [GridFunction.constant(2e9, 12)]
     with pytest.raises(ValueError, match="not bounded"):
-        komlos_extract(late)
+        komlos_extract(late, extraction_tol=1e-3)
 
 
 def test_extract_short_escaping_run_asks_for_more(doubling_means):
-    # 12 early means never cluster at the default tolerance: the extractor
+    # 12 early means never cluster at 1e-3 in measure: the extractor
     # must say so instead of silently returning a bogus limit.
     with pytest.raises(ExtendSequenceError, match="extend the sequence"):
-        komlos_extract(doubling_means[:12])
+        komlos_extract(doubling_means[:12], extraction_tol=1e-3)
 
 
 def test_extract_doubling_means_cluster_in_measure(doubling_means):
-    idx, limit = komlos_extract(doubling_means)
+    idx, limit = komlos_extract(doubling_means, extraction_tol=1e-3)
     assert len(idx) >= 4
     quality = max(measure_distance(limit, doubling_means[i]) for i in idx)
     assert quality <= 1e-3
@@ -127,13 +129,40 @@ def test_extract_doubling_means_cluster_in_measure(doubling_means):
 
 def test_extract_cyclic_means_converge_in_norm(cyclic_means):
     x0, means = cyclic_means
-    idx, limit = komlos_extract(means)
+    idx, limit = komlos_extract(means, extraction_tol=1e-3)
     assert len(idx) >= 40
     assert min(idx) >= len(means) // 2 - 1
     # cyclic means converge in norm, so the in-measure limit is the constant
     # at the starting integral
     const = GridFunction.constant(float(np.mean(x0.values)), 6)
     assert norm(limit - const) <= 1e-3
+
+
+def test_median_point_is_bit_equal_to_np_median():
+    # sorted middle rows against np.median, on clusters of every size from
+    # 1 to 64 with repeated rows, ties and signed zeros in the cells
+    rng = np.random.default_rng(19)
+    spaces = [GridFunction.zero(level) for level in range(13)]
+    spaces += [CoordPoint(t, np.zeros(m)) for t in (1.1, 1.5, 1.9) for m in (4, 64, 257)]
+    for space in spaces:
+        size = space.array.size
+        # every cluster size on the small spaces, a few on the large ones
+        for n in range(1, 65) if size <= 512 else (1, 2, 3, 4, 5, 16, 17, 63, 64):
+            rows = rng.standard_normal((n, size)) * 10.0 ** rng.uniform(-3, 3)
+            # repeated rows, then a few cells drawn from a small set with ties
+            rows[rng.integers(0, n, size=n // 3)] = rows[rng.integers(0, n)]
+            ties = rng.random((n, size)) < 0.2
+            rows[ties] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=int(ties.sum()))
+            want = np.median(rows, axis=0).tobytes()
+            got = _median_point(PointRows(space, rows))
+            assert type(got) is type(space)
+            assert got.array.tobytes() == want, (size, n)
+    # a cell of zeros of both signs gives np.median's sign, whichever it is
+    col = np.array([[-0.0], [0.0], [0.0], [-0.0], [0.0]])
+    for n in range(1, 6):
+        rows = np.repeat(col[:n], 4, axis=1)
+        got = _median_point([GridFunction(2, r) for r in rows])
+        assert got.array.tobytes() == np.median(rows, axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +864,140 @@ def test_streamed_march_refuses_an_overflow_at_the_same_step():
     assert calls == 3
     assert _applications_until_refused(cesaro_solve, _QuarterTurn(everything),
                                        everything, big, 64) == calls
+
+
+class _Capped(ConvexBody):
+    """Grid points whose first cell holds at most ``cap``: a constraint
+    that a rotation breaks when a large cell comes round, and that an orbit
+    growing toward the float limit breaks one step before it overflows, or
+    not at all, as ``cap`` is set."""
+
+    name = "capped"
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def violation(self, x, tol=1e-9):
+        head = float(x.values[0])
+        return None if head <= self.cap else f"first cell {head:.17g} above the cap"
+
+
+def _on(T, domain):
+    """``T`` with its domain swapped for ``domain``, past the constructor's
+    checks."""
+    T.domain = domain
+    return T
+
+
+class _NoLastSlot(ConvexBody):
+    """The bump simplex without its last slot: the point that BumpShift
+    refuses to shift breaks this body first."""
+
+    name = "no_last_slot"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def violation(self, x, tol=1e-9):
+        if x.coeffs[-1] != 0.0:
+            return f"last slot holds {x.coeffs[-1]:.6g}"
+        return self.inner.violation(x, tol)
+
+
+def _record_outcome(build, T, x0, n):
+    """What ``build`` gives: the means' bytes and the residuals, or the
+    type and message of what it raised."""
+    try:
+        means, residuals = build(T, x0, n)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return np.stack([p.array for p in means]).tobytes(), tuple(residuals)
+
+
+def _streamed(T, x0, n):
+    rec = build_afps_record(T, x0, n)
+    return rec.points, rec.residuals
+
+
+def _point_loop(T, x0, n):
+    means, residuals = _orbit_loop_record(T, x0, n)
+    if not means:
+        raise ExtendSequenceError("orbit ended before the first residual")
+    return means, residuals
+
+
+def _assert_same_record_outcome(T, x0, n, want=None):
+    got = _record_outcome(_streamed, T, x0, n)
+    assert got == _record_outcome(_point_loop, T, x0, n), (T.name, n)
+    if want is not None:
+        assert got[0] == want, (T.name, n, got)
+    return got
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_record_fails_mid_orbit_as_the_point_loop():
+    # The maps below are stated on points (the _Scaling test maps) or on
+    # arrays (the catalog maps), over catalog bodies, whose constraints are
+    # stated on rows, or test bodies stated on points.
+    rng = np.random.default_rng(31)
+    # maps that leave the domain after a few steps; at level 12 a block is
+    # 4 rows, so the failing row falls at every place in one
+    for level in (3, 12):
+        ball = UnitBall(level)
+        for start in np.linspace(0.55, 0.95, 9):
+            x0 = ball.sample(rng)
+            x0 = x0 * (start / norm(x0))
+            # norm(x0) * 1.1**s passes 1 at s <= 7; the message names it
+            got = _assert_same_record_outcome(_Scaling(ball, 1.1), x0, 40, "DomainError")
+            assert "exceeds 1" in got[1]
+            # T**(n+1) x0 is priced but never mapped, so it may leave the ball
+            for n in range(1, 8):
+                _assert_same_record_outcome(_Scaling(ball, 1.1), x0, n)
+        for step in range(1, 8):
+            # the rotation brings the 2.0 into the first cell at that step
+            x0 = GridFunction(level, np.eye(2 ** level)[-step] * 2.0)
+            got = _assert_same_record_outcome(_on(CyclicShift(ball), _Capped(1.5)),
+                                              x0, 40, "DomainError")
+            assert got[1].endswith("first cell 2 above the cap")
+    # maps whose image overflows: powers of 2**100 from 1, and the doubling
+    # of 2**1021 in every cell, whose third image is 2**1024
+    everything = _AllOfSpace()
+    x0 = GridFunction(1, np.array([1.0, -0.5]))
+    high = GridFunction(3, np.full(8, 2.0 ** 1021))
+    cases = [(lambda body: _Scaling(body, 2.0 ** 100), x0, 2.0 ** 900, 2.0 ** 1000),
+             (lambda body: _on(DoublingShift(DensitySimplex(3)), body), high,
+              2.0 ** 1022, 2.0 ** 1023)]
+    for make, start, before, last in cases:
+        _assert_same_record_outcome(make(everything), start, 40, "ValueError")
+        # the domain error of the last finite row comes before the
+        # finiteness error of the next one
+        for cap, want in ((before / 2, "DomainError"), (before, "DomainError"),
+                          (last, "ValueError"), (np.finfo(float).max, "ValueError")):
+            _assert_same_record_outcome(make(_Capped(cap)), start, 40, want)
+    # a running sum that overflows while every orbit point stays finite
+    big = GridFunction(1, np.array([0.6 * np.finfo(float).max, 0.0]))
+    assert _assert_same_record_outcome(_Scaling(everything, 1.0), big, 40,
+                                       "ValueError")[1] == "values must be finite"
+    # a BumpShift overflow on the first and the last row of a block: the
+    # step that overflows is slots - 1 - (top occupied slot)
+    bumps = BumpSimplex(1.5, 1024)
+    block = max(1, PHI_BLOCK_FLOATS // bumps.slots)
+    for step in (1, 2, block, block + 1, 2 * block, 2 * block + 1, 5 * block):
+        top = bumps.slots - 1 - step
+        x0 = CoordPoint(1.5, np.r_[np.full(top + 1, 1.0 / (top + 1)),
+                                   np.zeros(bumps.slots - top - 1)])
+        for n in (step - 1, step, step + 3):
+            if n < 1:
+                continue
+            got = _assert_same_record_outcome(BumpShift(bumps), x0, n)
+            if step == 1:
+                assert got[0] == "ExtendSequenceError"
+            else:
+                assert len(got[1]) == min(n, step - 1)
+        # the row that would overflow breaks the domain first: no truncation
+        got = _assert_same_record_outcome(_on(BumpShift(bumps), _NoLastSlot(bumps)),
+                                          x0, step + 3, "DomainError")
+        assert "last slot holds" in got[1]
 
 
 def test_retraction_is_the_constant_sum_elementwise():
