@@ -21,11 +21,11 @@ from fptlab import (
     NormalizingRetraction,
     RetractionDoubling,
     UnitBall,
-    cesaro_residual_series,
+    build_afps_record,
     measure_distance,
     mean_lipschitz,
     norm,
-    orbit,
+    orbit_rows,
 )
 
 
@@ -54,7 +54,10 @@ def main() -> None:
     T = DoublingShift(DensitySimplex(level))
     one = GridFunction.constant(1.0, level)
     zero = GridFunction.zero(level)
-    for s, f in enumerate(orbit(T, one, 6)):
+    rows = np.empty((7, one.values.size))
+    rows[0] = one.values
+    orbit_rows(T, one, rows, 6)
+    for s, f in enumerate(map(one.like, rows)):
         print(f"  T^{s}: norm {norm(f):g}, height {f.values.max():6g}, "
               f"measure gap to 0 {measure_distance(f, zero):.6f}")
 
@@ -63,12 +66,12 @@ def main() -> None:
     print("\nresidual decay of cyclic-shift means (level 6):")
     ball = UnitBall(6)
     x0 = ball.sample(np.random.default_rng(3))
-    means, residuals = cesaro_residual_series(CyclicShift(ball), x0, 64)
+    record = build_afps_record(CyclicShift(ball), x0, 64)
     for s in (1, 2, 4, 8, 16, 32, 63, 64):
-        print(f"  s = {s:3d}: residual {residuals[s - 1]:12.6g}")
+        print(f"  s = {s:3d}: residual {record.residuals[s - 1]:12.6g}")
     print("  the full cycle averages to the constant function exactly")
 
-    spread = float(np.ptp(means[-1].values))
+    spread = float(np.ptp(record.points[-1].values))
     print(f"  value spread of the 64-term mean: {spread:.3g}")
 
 

@@ -49,12 +49,10 @@ from .operators import (
     RetractionDoubling,
     affinity_defect,
     afps_residual,
-    cesaro_means,
-    cesaro_residual_series,
     lipschitz_estimate,
     mean_lipschitz,
     operator_from_spec,
-    orbit,
+    orbit_rows,
     running_means,
 )
 from .coefficients import (
@@ -77,7 +75,6 @@ from .solver import (
     build_afps_record,
     cesaro_solve,
     komlos_extract,
-    nearest_afps_radius,
     proof_step,
     solve,
 )

@@ -339,43 +339,78 @@ def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
     Affine maps give 0 up to float noise; anything materially positive
     disqualifies the operator from the solver.  Points come from the
     operator's start hook so that coordinate orbits have room to shift.
+
+    The points are rows: one ``violations`` call checks them, ``map_array``
+    maps them and ``row_norms`` prices the gaps, each value rounding as the
+    point arithmetic does.  The error raised is the first that the point
+    loop, ``T.apply`` on each point in turn, would raise, with its type and
+    message.
     """
+    starts = [T.default_start(rng) for _ in range(2 * pairs)]
+    if not starts:
+        return 0.0
+    space = starts[0]
+    lam = np.asarray(lambdas, dtype=float)[:, None]
+    # per pair: x, y, then each mixture lam x + (1 - lam) y
+    rows = np.empty((pairs, 2 + len(lam), space.array.size))
+    images = np.empty_like(rows[0])
     worst = 0.0
-    for _ in range(pairs):
-        x = T.default_start(rng)
-        y = T.default_start(rng)
-        tx = T.apply(x)
-        ty = T.apply(y)
-        for lam in lambdas:
-            mixed = T.apply(lam * x + (1.0 - lam) * y)
-            worst = max(worst, norm(mixed - (lam * tx + (1.0 - lam) * ty)))
+    with np.errstate(all="ignore"):
+        for row, x, y in zip(rows, starts[0::2], starts[1::2]):
+            row[0], row[1] = x.array, y.array
+            np.multiply(row[0], lam, out=row[2:])
+            row[2:] += row[1] * (1.0 - lam)
+        flat = rows.reshape(-1, rows.shape[2])
+        # the loop builds each point, checks it, maps it, then builds its
+        # image and its gap; no row past the first to fail is reached
+        built = np.isfinite(flat).all(axis=1)
+        stop = len(flat) if built.all() else int(np.argmin(built))
+        problems = T.domain.violations(space, flat[:stop], ORBIT_TOL)
+        stop = next((i for i, p in enumerate(problems) if p is not None), stop)
+        # images and gaps are taken one pair at a time, in arrays one pair long
+        for pair, row in enumerate(rows):
+            reach, failure = min(len(row), stop - pair * len(row)), None
+            for k in range(reach):
+                try:
+                    T.map_array(space, row[k], images[k])
+                except Exception as exc:
+                    reach, failure = k, exc
+                    break
+            gaps = images[2:] - (images[:1] * lam + images[1:2] * (1.0 - lam))
+            # each row's image is built before its gap
+            ok = np.ones((len(row), 2), dtype=bool)
+            ok[:, 0] = np.isfinite(images).all(axis=1)
+            ok[2:, 1] = np.isfinite(gaps).all(axis=1)
+            ok = ok[:reach].ravel()
+            if not ok.all():
+                j = int(np.argmin(ok))
+                space.like(gaps[j // 2 - 2] if j % 2 else images[j // 2])
+            if failure is not None:
+                raise failure
+            if reach < len(row):
+                if stop < len(problems):
+                    raise T.domain_error(problems[stop])
+                space.like(flat[stop])
+            worst = max(worst, float(space.row_norms(gaps).max(initial=0.0)))
     return worst
 
 
-def orbit(T: AffineOperator, x0, n_max: int, *, check_domain: bool = True) -> list:
-    """[x0, T x0, ..., T**n_max x0].  Raises with the failing iterate index."""
-    points = [x0]
-    for s in range(1, n_max + 1):
-        try:
-            points.append(T.apply(points[-1], check_domain=check_domain))
-        except DomainError as exc:
-            raise DomainError(f"iterate {s}: {exc}") from exc
-    return points
-
-
-def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int) -> int:
-    """March an orbit on arrays: step j writes T rows[j] into rows[j + 1],
-    for j < ``count``, where rows[0] holds a point of ``space``'s space.
+def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int, *,
+               check_domain: bool = True) -> int:
+    """March an orbit on arrays, the package's one orbit loop: step j writes
+    T rows[j] into rows[j + 1], for j < ``count``, where rows[0] holds a
+    point of ``space``'s space.
 
     Returns the number of steps made: ``count``, or j when the map raised
     MassOverflowError at step j.  No point is built.  The rows are checked
     once, after the maps, and the first error is raised that the point loop
-    ``p = T.apply(p)`` would raise, with its type and message: it checks the
-    domain of rows[j], then maps it, then builds rows[j + 1], which must be
-    finite.  So the domain error of row j comes before the finiteness error
-    of row j + 1, an error of the map at step j comes only after row j
-    passed its domain check, and rows[count], which the loop has not mapped
-    yet, is not checked against the domain.  No numpy warning escapes.
+    ``p = T.apply(p, check_domain=check_domain)`` would raise, with its type
+    and message: it checks the domain of rows[j], then maps it, then builds
+    rows[j + 1], which must be finite.  So the domain error of row j comes
+    before the finiteness error of row j + 1, an error of the map at step j
+    comes only after row j passed its domain check, and rows[count], which
+    the loop has not mapped yet, is not checked against the domain.  No
+    numpy warning escapes.
     """
     stop, failure = count, None
     with np.errstate(all="ignore"):
@@ -389,8 +424,8 @@ def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int) -> int:
         finite = np.isfinite(rows[1:stop + 1]).all(axis=1)
         bad_out = stop if finite.all() else int(np.argmin(finite))
         # rows past the first non-finite one can never fail first
-        problems = T.domain.violations(
-            space, rows[:min(bad_out + 1, stop + (failure is not None))], ORBIT_TOL)
+        checked = rows[:min(bad_out + 1, stop + (failure is not None))]
+        problems = T.domain.violations(space, checked, ORBIT_TOL) if check_domain else ()
     for problem in problems:
         if problem is not None:
             raise T.domain_error(problem)
@@ -402,44 +437,31 @@ def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int) -> int:
     return stop
 
 
-def running_means(points) -> list:
-    """Running means (p_1 + ... + p_s) / s for s = 1..len(points).
+def running_means(rows: np.ndarray, *, carry: np.ndarray | None = None,
+                  start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Running means of ``rows`` after ``start`` earlier terms: row j of the
+    result is (c + rows[0] + ... + rows[j]) / (start + j + 1), where c, the
+    sum of the earlier terms, is read from ``carry`` when start > 0.
 
-    The one mean kernel of the package: a sequential sum scaled by 1/s, so
-    every caller gets the same float rounding.
+    The one mean kernel of the package: a sequential sum, one add per row,
+    scaled by 1/s, so every caller gets the same float rounding.  A given
+    ``carry`` is left holding the sum through the last row.  The means go
+    to ``out`` when given, else to a new array; none is checked finite.
     """
-    means = []
-    total = None
-    for s, p in enumerate(points, start=1):
-        total = p if total is None else total + p
-        means.append(total * (1.0 / s))
-    return means
-
-
-def cesaro_means(T: AffineOperator, x0, n_max: int, *,
-                 check_domain: bool = True) -> list:
-    """Running means z_s = (T x0 + ... + T**s x0) / s for s = 1..n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return running_means(orbit(T, x0, n_max, check_domain=check_domain)[1:])
+    out = np.empty_like(rows) if out is None else out
+    out[...] = rows
+    if start:
+        out[:1] += carry
+    np.cumsum(out, axis=0, out=out)
+    if carry is not None and len(rows):
+        carry[...] = out[-1]
+    out *= (1.0 / np.arange(start + 1, start + len(rows) + 1))[:, None]
+    return out
 
 
 def afps_residual(T: AffineOperator, x) -> float:
     """Displacement norm(x - T x): zero exactly at fixed points."""
     return norm(x - T.apply(x, check_domain=False))
-
-
-def cesaro_residual_series(T: AffineOperator, x0, n_max: int, *,
-                           check_domain: bool = True) -> tuple[list, list[float]]:
-    """Means z_1..z_n and their residuals via the affine two-point identity.
-
-    For affine T the mean telescopes: z_s - T z_s = (T x0 - T**(s+1) x0) / s.
-    One orbit pass therefore prices every residual without re-applying T to
-    any mean.
-    """
-    orb = orbit(T, x0, n_max + 1, check_domain=check_domain)
-    residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, n_max + 1)]
-    return running_means(orb[1:n_max + 1]), residuals
 
 
 def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
@@ -448,7 +470,8 @@ def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
 
     Ratios norm(T**n x - T**n y) / norm(x - y) over random domain pairs plus
     the operator's closed-form witness pairs.  A lower bound by construction;
-    exact constants, when known, live on the operator itself.
+    exact constants, when known, live on the operator itself.  A pair whose
+    orbit runs out of tracked slots within n steps is skipped.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -460,16 +483,16 @@ def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
             if T.domain.membership(x, tol=1e-7) and T.domain.membership(y, tol=1e-7):
                 candidates.append((x, y))
     best = None
+    # the orbits of x and y, n steps each, in one buffer for every pair
+    rows = np.empty((2, n + 1, candidates[0][0].array.size)) if candidates else None
     for x, y in candidates:
         gap = norm(x - y)
         if gap <= 1e-12:
             continue
-        try:
-            tx = orbit(T, x, n, check_domain=False)[-1]
-            ty = orbit(T, y, n, check_domain=False)[-1]
-        except MassOverflowError:
-            continue
-        best = max(best or 0.0, norm(tx - ty) / gap)
+        rows[:, 0] = x.array, y.array
+        # the orbit of y is not marched when the orbit of x overflows
+        if all(orbit_rows(T, x, r, n, check_domain=False) == n for r in rows):
+            best = max(best or 0.0, norm(x.like(rows[0, n] - rows[1, n])) / gap)
     if best is None:
         raise ValueError("all sampled pairs were degenerate or unusable")
     return best

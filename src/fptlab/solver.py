@@ -238,16 +238,14 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
     """Record the Cesaro means of the orbit of ``x0`` with their residuals.
 
     Residuals come from the affine identity z_s - T z_s = (T x0 - T**(s+1) x0)/s,
-    so the whole record costs one orbit pass.  The orbit is streamed on
-    arrays (see ``orbit_rows``), a block of ``PHI_BLOCK_FLOATS`` floats at a
-    time: per block the rows are checked once, the residuals are priced by
-    one ``row_norms`` call, and the running sums are sequential in-place row
-    adds, each then scaled by 1/s, the rounding of ``running_means``;
-    ``cesaro_solve`` marches its means with the same arithmetic.  Only
-    ``T x0`` is built as a point, and errors come at the step, with the
-    type and message, of the point loop ``p = T.apply(p)``.  Coordinate
-    orbits that run out of tracked slots are truncated at the last
-    computable mean.
+    so the whole record costs one orbit pass.  The orbit is marched by
+    ``orbit_rows``, a block of ``PHI_BLOCK_FLOATS`` floats at a time: per
+    block the rows are checked once, the residuals are priced by one
+    ``row_norms`` call, and ``running_means`` writes the block's means,
+    carrying the running sum to the next block.  Only ``T x0`` is built as
+    a point, and errors come at the step, with the type and message, of the
+    point loop ``p = T.apply(p)``.  Coordinate orbits that run out of
+    tracked slots are truncated at the last computable mean.
     """
     if n_inner < 1:
         raise ValueError(f"n_inner must be >= 1, got {n_inner}")
@@ -258,6 +256,7 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
     slots = first.size
     means = np.empty((n_inner, slots))
     residuals = np.empty(n_inner)
+    total = np.empty(slots)
     # row 0 holds T**(n+1) x0, the orbit point that the next block maps
     orbit = np.empty((max(1, PHI_BLOCK_FLOATS // slots) + 1, slots))
     orbit[0] = first
@@ -268,16 +267,8 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
             k = orbit_rows(T, x0, orbit, want)
             s = np.arange(n + 1, n + k + 1)
             residuals[n:n + k] = x0.row_norms(first - orbit[1:k + 1]) / s
-            sums = means[n:n + k]
-            for j in range(k):
-                # T x0 + ... + T**s x0 for s = n + j + 1, one add per row
-                if n + j == 0:
-                    sums[0] = first
-                else:
-                    np.add(sums[j - 1] if j else total, orbit[j], out=sums[j])
-            if k:
-                total = sums[k - 1].copy()
-            sums *= (1.0 / s)[:, None]
+            # T x0 + ... + T**s x0 for s = n + 1, ..., n + k, scaled
+            running_means(orbit[:k], carry=total, start=n, out=means[n:n + k])
             n += k
             if k < want:
                 break
@@ -287,7 +278,7 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
     # a sum that overflows stays non-finite, so the last one vouches for
     # every mean
     if not np.all(np.isfinite(total)):
-        raise ValueError("values must be finite")
+        x0.like(total)
     means = PointRows(x0, means[:n])
     limit = None
     quality = None
@@ -298,18 +289,6 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
         except (ExtendSequenceError, ValueError):
             limit = None
     return AfpsRecord(means, residuals[:n], limit, quality)
-
-
-def nearest_afps_radius(y, records) -> float:
-    """Smallest trailing radius of ``y`` against the recorded sequences.
-
-    This is the working surrogate for the infimum over all approximate
-    fixed-point sequences: records only ever overestimate it.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one record")
-    return min(rec.radius_from(y) for rec in records)
 
 
 def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float | None:
@@ -378,7 +357,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
             phi_min = float(phi.min())
             k = int(min(24, max(8, len(zs) // 4)))
             chosen = np.sort(np.argsort(phi, kind="stable")[:k])
-            zbar = running_means(zs.take(chosen))
+            zbar = PointRows(zs.space, running_means(zs.rows[chosen]))
             try:
                 _, z_lim = komlos_extract(zbar, extraction_tol=EXTRACTION_TOL)
             except (ExtendSequenceError, ValueError):
@@ -427,15 +406,10 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0):
     """
     faithful = T.max_faithful_steps(x0)
     span = 96 if faithful is None else min(faithful, 96)
-    pts = [x0]
-    overflow = False
-    try:
-        for _ in range(span):
-            pts.append(T.apply(pts[-1], check_domain=False))
-    except MassOverflowError:
-        overflow = True
-    n = len(pts) - 1
-    diag = {"applications": n, "faithful_steps": faithful, "overflow": overflow}
+    rows = np.empty((span + 1, x0.array.size))
+    rows[0] = x0.array
+    n = orbit_rows(T, x0, rows, span, check_domain=False)
+    diag = {"applications": n, "faithful_steps": faithful, "overflow": n < span}
     if n < 8:
         diag["note"] = f"orbit usable for only {n} steps; no restart window fits"
         return STATUS_BUDGET, None, diag
@@ -444,8 +418,13 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0):
     step = max(1, n // 8)
     offsets = [min(base + i * step, n - 3) for i in range(3)]
     seg_len = min(5, n - offsets[-1])
-    limits = [_median_point(running_means(pts[off + 1:off + seg_len + 1]))
-              for off in offsets]
+    with np.errstate(all="ignore"):
+        segments = [running_means(rows[off + 1:off + seg_len + 1]) for off in offsets]
+    for means in segments:
+        # a sum that overflows stays non-finite: the last mean vouches for it
+        if not np.all(np.isfinite(means[-1])):
+            x0.like(means[-1])
+    limits = [_median_point(PointRows(x0, means)) for means in segments]
     stability = max(measure_distance(a, b) for a in limits for b in limits)
     limit = limits[-1]
     zero = 0.0 * x0
@@ -639,22 +618,21 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     horizon that tol would need reported either way.  The trace keeps
     about 256 of the ``n_max`` means.
 
-    The orbit is streamed on arrays, with the arithmetic of
-    ``build_afps_record``: the running sum is one array that each orbit
-    point is added to in place, the sequential sum of ``running_means``,
-    and a mean point ``total * (1/s)`` is built only for a kept trace row or
-    a residual that clears tol.  The two differences of a step, T x0 minus
-    the new orbit point (the residual numerator) and the step itself (the
-    pin test), share one buffer and one ``row_norms`` call, bit-equal to
-    ``norm``.  So ``T.apply`` builds the one point object of a step, and
-    every verdict, residual and trace row rounds as the point arithmetic
-    would.  The sum and both differences are checked to be finite at the
-    step where a point object would have refused them.
+    The orbit is marched on a pair of rows by ``orbit_rows``, one step per
+    call, so that no step is mapped that the march does not count; only the
+    first checks the domain.  The running sum is one array that each orbit
+    row is added to, the one-row case of ``running_means``, and a point is
+    built only for a kept trace row, a mean that clears tol, or the pin.
+    The residual numerator T x0 - T**(s+1) x0 and the step
+    T**(s+1) x0 - T**s x0 share one ``row_norms`` call, bit-equal to
+    ``norm``.  So every verdict, residual and trace row rounds as the point
+    arithmetic would, and each array is checked finite at the step where a
+    point would have refused it.
 
     Statuses do not always agree with the certified ``solve``: on ``cyclic``
     over ``density_simplex`` and ``retraction`` over ``cone_hull(0)`` this
     solver verifies a fixed point while ``solve``, whose growth gate is
-    closed there, reports budget_exhausted (ROADMAP item 2).
+    closed there, reports budget_exhausted (ROADMAP item 3).
     """
     _check_tol(tol)
     if n_max < 1:
@@ -684,28 +662,29 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         if not np.all(np.isfinite(values)):
             x0.like(values)
 
-    try:
-        first = T.apply(x0)
-    except MassOverflowError:
+    # row 0: T**s x0, row 1: T**(s+1) x0
+    pair = np.empty((2, x0.array.size))
+    pair[0] = x0.array
+    if not orbit_rows(T, x0, pair, 1):
         diagnostics["applications"] = 0
         return classify("orbit cannot move from the starting point")
     apps = 1
-    orbit_pt = first
-    total = first.array.copy()
+    first = pair[1].copy()
+    total = first.copy()
+    pair[0] = first
+    nxt = pair[1]
     # row 0: T x0 - T**(s+1) x0, row 1: T**(s+1) x0 - T**s x0
-    diffs = np.empty((2, total.size))
+    diffs = np.empty_like(pair)
     best_residual = math.inf
     s = 1
     while s <= n_max:
-        try:
-            nxt = T.apply(orbit_pt, check_domain=False)
-        except MassOverflowError:
+        if not orbit_rows(T, x0, pair, 1, check_domain=False):
             diagnostics["applications"] = apps
             return classify(f"orbit ran out of tracked slots at step {s + 1}")
         apps += 1
-        np.subtract(first.array, nxt.array, out=diffs[0])
-        np.subtract(nxt.array, orbit_pt.array, out=diffs[1])
-        gap, step = first.row_norms(diffs).tolist()
+        np.subtract(first, nxt, out=diffs[0])
+        np.subtract(nxt, pair[0], out=diffs[1])
+        gap, step = x0.row_norms(diffs).tolist()
         # a norm is finite whenever its row is, so the rows are looked at
         # only when one is not
         if not math.isfinite(gap):
@@ -730,7 +709,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             check_finite(diffs[1])
         if step == 0.0:
             # orbit stopped moving: every later mean is a closed form
-            pin = nxt
+            pin = x0.like(nxt)
             needed = math.inf if gap == 0.0 else gap / tol
             diagnostics["orbit_pinned_at"] = s + 1
             diagnostics["means_needed_for_tol"] = needed
@@ -746,9 +725,9 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                                         diagnostics)
             return classify("orbit pinned by the mesh floor; later means are "
                             "artifacts")
-        total += nxt.array
+        total += nxt
         check_finite(total)
-        orbit_pt = nxt
+        pair[0] = nxt
         s += 1
     diagnostics["applications"] = apps
     diagnostics["best_residual"] = best_residual

@@ -24,14 +24,13 @@ from fptlab import (
     UnitBall,
     affinity_defect,
     afps_residual,
-    cesaro_means,
-    cesaro_residual_series,
+    build_afps_record,
     coord_basis,
     lipschitz_estimate,
     mean_lipschitz,
     norm,
     operator_from_spec,
-    orbit,
+    orbit_rows,
     peak_sequence,
     running_means,
 )
@@ -95,16 +94,31 @@ def test_apply_rejects_points_outside_domain():
         T.apply(GridFunction.constant(2.0, 4))
 
 
+def _orbit(T, x0, count, *, check_domain=True):
+    """Rows x0, T x0, ..., T**count x0 and the steps ``orbit_rows`` made."""
+    rows = np.empty((count + 1, x0.array.size))
+    rows[0] = x0.array
+    return rows, orbit_rows(T, x0, rows, count, check_domain=check_domain)
+
+
 def test_orbit_error_names_the_iterate():
     # start two slots from the end: the second application would push mass
-    # off the final slot
+    # off the final slot, so the march stops after the first
     body = BumpSimplex(1.5, 6)
     T = BumpShift(body)
     start = coord_basis(1.5, 6, 4)
+    rows, steps = _orbit(T, start, 3)
+    assert steps == 1
+    assert np.array_equal(rows[1], np.eye(6)[5])
     with pytest.raises(MassOverflowError):
-        orbit(T, start, 3)
-    with pytest.raises(DomainError, match="iterate 1"):
-        orbit(IdentityOperator(DensitySimplex(3)), GridFunction.zero(3), 2)
+        T.apply(start.like(rows[1]))
+    # the start breaks the domain: the march is refused before any step,
+    # with the error of T.apply, unless the domain goes unchecked
+    zero = GridFunction.zero(3)
+    identity = IdentityOperator(DensitySimplex(3))
+    with pytest.raises(DomainError, match="integral 0 != 1"):
+        _orbit(identity, zero, 2)
+    assert _orbit(identity, zero, 2, check_domain=False)[1] == 2
 
 
 def test_affinity_certificate_all_operators():
@@ -117,28 +131,36 @@ def test_cesaro_means_identity():
     body = DensitySimplex(5)
     T = IdentityOperator(body)
     x0 = body.sample(np.random.default_rng(15))
-    for z in cesaro_means(T, x0, 8):
+    for z in build_afps_record(T, x0, 8).points:
         assert norm(z - x0) <= 1e-12
 
 
 def test_running_means_match_the_reference_loop():
+    # the cumulative sum after the carry, against one add per point, at
+    # every split of the rows into a first run and a carried second one
     rng = np.random.default_rng(22)
-    grids = [GridFunction(5, rng.normal(size=32)) for _ in range(17)]
-    coords = [CoordPoint(1.5, rng.normal(size=8)) for _ in range(17)]
-    for points in (grids, coords, grids[:1], coords[:1]):
-        means = running_means(points)
-        assert len(means) == len(points)
-        total = None
-        for s, (p, z) in enumerate(zip(points, means), start=1):
-            total = p.array if total is None else total + p.array
-            assert type(z) is type(p)
-            assert np.array_equal(z.array, total * (1.0 / s))
+    for slots in (2, 8, 32, 4096):
+        rows = rng.normal(size=(17, slots)) * 10.0 ** rng.uniform(-3, 3, size=(17, 1))
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        for split in (0, 1, 2, 9, 16, 17):
+            carry = np.empty(slots)
+            means = np.concatenate([
+                running_means(rows[:split], carry=carry),
+                running_means(rows[split:], carry=carry, start=split)])
+            assert means.shape == rows.shape
+            total = None
+            for s, (p, z) in enumerate(zip(rows, means), start=1):
+                total = p if total is None else total + p
+                assert type(z) is type(p)
+                assert z.tobytes() == (total * (1.0 / s)).tobytes(), (slots, split, s)
+            assert carry.tobytes() == total.tobytes()
+        assert running_means(rows[:1]).tobytes() == rows[0].tobytes()
 
 
 def test_cesaro_mean_doubling_hand_computed():
     T = DoublingShift(DensitySimplex(3))
     one = GridFunction.constant(1.0, 3)
-    z2 = cesaro_means(T, one, 2)[1]
+    z2 = build_afps_record(T, one, 2).points[1]
     assert list(z2.values) == [3.0, 3.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     assert norm(z2) == 1.0
     assert np.all(z2.values[4:] == 0.0)
@@ -148,8 +170,8 @@ def test_residual_identity_exact():
     rng = np.random.default_rng(16)
     for T in catalog(level=7, slots=96):
         x0 = T.default_start(rng)
-        means, residuals = cesaro_residual_series(T, x0, 30)
-        for s, (z, r) in enumerate(zip(means, residuals), start=1):
+        record = build_afps_record(T, x0, 30)
+        for s, (z, r) in enumerate(zip(record.points, record.residuals), start=1):
             direct = afps_residual(T, z)
             assert abs(direct - r) <= 1e-9, (T.name, s)
 
@@ -158,8 +180,7 @@ def test_residual_is_order_one_over_s():
     body = DensitySimplex(8)
     T = DoublingShift(body)
     x0 = GridFunction.constant(1.0, 8)
-    means, residuals = cesaro_residual_series(T, x0, 8)
-    for s, r in enumerate(residuals, start=1):
+    for s, r in enumerate(build_afps_record(T, x0, 8).residuals, start=1):
         assert r <= body.diameter / s + 1e-12
 
 
@@ -183,7 +204,7 @@ def test_cyclic_means_close_after_full_cycle():
     S = CyclicShift(ball)
     x0 = ball.sample(np.random.default_rng(17))
     cycle = S.cycle_length()
-    z = cesaro_means(S, x0, cycle)[-1]
+    z = build_afps_record(S, x0, cycle).points[-1]
     target = GridFunction.constant(x0.integral(), 4)
     assert norm(z - target) <= 1e-12
     assert afps_residual(S, z) <= 1e-15

@@ -30,17 +30,17 @@ from fptlab import (
     RetractionDoubling,
     UnitBall,
     admissible_eps,
+    affinity_defect,
     build_afps_record,
-    cesaro_means,
     cesaro_solve,
+    coord_basis,
     komlos_extract,
     limsup_tail,
+    lipschitz_estimate,
     measure_distance,
-    nearest_afps_radius,
     norm,
     peak_sequence,
     proof_step,
-    running_means,
     solve,
 )
 from fptlab.sets import PHI_BLOCK_FLOATS, PointRows
@@ -69,7 +69,7 @@ def doubling_means():
     of this exact construction.
     """
     T = DoublingShift(DensitySimplex(14))
-    return cesaro_means(T, GridFunction.constant(1.0, 14), 200)[1:]
+    return build_afps_record(T, GridFunction.constant(1.0, 14), 200).points[1:]
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def cyclic_means():
     """Cesaro means of a cyclic orbit at level 6 from a seeded ball point."""
     ball = UnitBall(6)
     x0 = ball.sample(np.random.default_rng(3))
-    return x0, cesaro_means(CyclicShift(ball), x0, 1024)[1:]
+    return x0, build_afps_record(CyclicShift(ball), x0, 1024).points[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_median_point_is_bit_equal_to_np_median():
 
 
 # ---------------------------------------------------------------------------
-# build_afps_record and nearest_afps_radius
+# build_afps_record
 
 
 def test_record_residuals_obey_diameter_law(cyclic_means):
@@ -212,9 +212,19 @@ def test_record_radius_is_bit_equal_to_the_norm_loop():
                 assert _phi_values(ys, means, wf).tolist() == loops
 
 
+def _point_means(points):
+    """Running means of points, one point add per term, each sum scaled by
+    1/s: the arithmetic that ``running_means`` must reproduce on rows."""
+    means, total = [], None
+    for s, p in enumerate(points, start=1):
+        total = p if total is None else total + p
+        means.append(total * (1.0 / s))
+    return means
+
+
 def _orbit_loop_record(T, x0, n):
     """Means and residuals of build_afps_record from the whole orbit list:
-    running_means of orbit[1:m+1] and norm(orbit[1] - orbit[s+1]) / s."""
+    the running means of orbit[1:m+1] and norm(orbit[1] - orbit[s+1]) / s."""
     orb = [x0]
     try:
         for _ in range(n + 1):
@@ -223,7 +233,7 @@ def _orbit_loop_record(T, x0, n):
         pass
     m = len(orb) - 2
     residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, m + 1)]
-    return running_means(orb[1:m + 1]), residuals
+    return _point_means(orb[1:m + 1]), residuals
 
 
 def test_streamed_record_is_bit_equal_to_the_orbit_loops():
@@ -272,16 +282,6 @@ def test_record_validation():
         build_afps_record(T, GridFunction.constant(1.0, 3), 0)
     with pytest.raises(ValueError, match="at least one mean"):
         AfpsRecord((), ())
-
-
-def test_nearest_radius_default_and_error(cyclic_means):
-    x0, _ = cyclic_means
-    with pytest.raises(ValueError, match="at least one record"):
-        nearest_afps_radius(x0, [])
-    rec_a = build_afps_record(CyclicShift(UnitBall(6)), x0, 32)
-    rec_b = build_afps_record(CyclicShift(UnitBall(6)), x0, 64)
-    got = nearest_afps_radius(x0, [rec_a, rec_b])
-    assert got == min(rec_a.radius_from(x0), rec_b.radius_from(x0))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +503,10 @@ def test_solve_bump_shift_escapes():
 
 def test_solve_rejects_non_affine_map():
     class SquareMap(IdentityOperator):
-        def apply(self, x, *, check_domain=True, tol=1e-7):
-            y = x.values ** 2
-            return GridFunction(x.level, y / float(y.mean()))
+        def map_array(self, space, v, out):
+            y = v ** 2
+            out[...] = y / float(y.mean())
+            return out
 
     simplex = DensitySimplex(5)
     with pytest.raises(ValueError, match="affinity certificate"):
@@ -998,6 +999,409 @@ def test_record_fails_mid_orbit_as_the_point_loop():
         got = _assert_same_record_outcome(_on(BumpShift(bumps), _NoLastSlot(bumps)),
                                           x0, step + 3, "DomainError")
         assert "last slot holds" in got[1]
+
+
+# ---------------------------------------------------------------------------
+# the orbit loops moved onto orbit_rows, against the point loops they replace
+
+
+def _point_orbit(T, x0, count):
+    """[x0, T x0, ..., T**count x0] by T.apply without domain checks."""
+    pts = [x0]
+    for _ in range(count):
+        pts.append(T.apply(pts[-1], check_domain=False))
+    return pts
+
+
+def _reference_affinity_defect(T, rng, *, pairs=100,
+                               lambdas=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    """affinity_defect on point objects: T.apply on each start and mixture."""
+    worst = 0.0
+    for _ in range(pairs):
+        x = T.default_start(rng)
+        y = T.default_start(rng)
+        tx = T.apply(x)
+        ty = T.apply(y)
+        for lam in lambdas:
+            mixed = T.apply(lam * x + (1.0 - lam) * y)
+            worst = max(worst, norm(mixed - (lam * tx + (1.0 - lam) * ty)))
+    return worst
+
+
+def _reference_classify_escape(T, C, x0, *, membership_tol=1e-6, measure_tol=0.02):
+    """classify_escape on point objects: the orbit by T.apply, the restart
+    means by one point add per term.  Its tolerances are the solver's
+    constants written out."""
+    assert (MEMBERSHIP_TOL, MEASURE_TOL) == (membership_tol, measure_tol)
+    faithful = T.max_faithful_steps(x0)
+    span = 96 if faithful is None else min(faithful, 96)
+    pts = [x0]
+    overflow = False
+    try:
+        for _ in range(span):
+            pts.append(T.apply(pts[-1], check_domain=False))
+    except MassOverflowError:
+        overflow = True
+    n = len(pts) - 1
+    diag = {"applications": n, "faithful_steps": faithful, "overflow": overflow}
+    if n < 8:
+        diag["note"] = f"orbit usable for only {n} steps; no restart window fits"
+        return BUDGET, None, diag
+    base = n // 2
+    step = max(1, n // 8)
+    offsets = [min(base + i * step, n - 3) for i in range(3)]
+    seg_len = min(5, n - offsets[-1])
+    limits = [_median_point(_point_means(pts[off + 1:off + seg_len + 1]))
+              for off in offsets]
+    stability = max(measure_distance(a, b) for a in limits for b in limits)
+    limit = limits[-1]
+    zero = 0.0 * x0
+    diag.update({
+        "offsets": offsets,
+        "segment_length": seg_len,
+        "restart_stability": stability,
+        "limit_measure_to_zero": measure_distance(limit, zero),
+    })
+    if stability <= measure_tol:
+        problem = C.violation(limit, membership_tol)
+        if problem is not None:
+            diag["violation"] = problem
+            return ESCAPED, limit, diag
+        diag["note"] = ("restart limits agree and stay in the body; "
+                        "residuals simply did not reach tol in budget")
+        return BUDGET, limit, diag
+    diag["note"] = "restart limits disagree in measure; no stable limit detected"
+    return BUDGET, None, diag
+
+
+def _reference_lipschitz_estimate(T, n, rng, *, pairs=64, include_witnesses=True):
+    """lipschitz_estimate on point objects: each orbit by T.apply."""
+    candidates = []
+    for _ in range(pairs):
+        candidates.append((T.domain.sample(rng), T.domain.sample(rng)))
+    if include_witnesses:
+        for x, y in T.witness_pairs():
+            if T.domain.membership(x, tol=1e-7) and T.domain.membership(y, tol=1e-7):
+                candidates.append((x, y))
+    best = None
+    for x, y in candidates:
+        gap = norm(x - y)
+        if gap <= 1e-12:
+            continue
+        try:
+            tx = _point_orbit(T, x, n)[-1]
+            ty = _point_orbit(T, y, n)[-1]
+        except MassOverflowError:
+            continue
+        best = max(best or 0.0, norm(tx - ty) / gap)
+    if best is None:
+        raise ValueError("all sampled pairs were degenerate or unusable")
+    return best
+
+
+def _outcome(run, T):
+    """What ``run()`` gives, with the maps a counting operator made, or the
+    type and message of what it raised.  Points are compared by bytes."""
+    T.calls = 0
+    try:
+        got = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc), T.calls
+    if isinstance(got, tuple):
+        status, limit, diag = got
+        got = (status, type(limit), None if limit is None else limit.array.tobytes(),
+               diag)
+    return got, T.calls
+
+
+def _assert_same_outcome_as(reference, streamed, T, *args, seed=None, want=None,
+                            **kwargs):
+    """``streamed`` and its point-loop ``reference`` on the same arguments,
+    followed, when ``seed`` is given, by an rng of that seed for each;
+    returns the streamed outcome."""
+    def run(fn):
+        rng = () if seed is None else (np.random.default_rng(seed),)
+        return _outcome(lambda: fn(T, *args, *rng, **kwargs), T)
+
+    got = run(streamed)
+    assert got == run(reference), (T.name, got)
+    if want is not None:
+        assert got[0] == want, (T.name, got)
+    return got
+
+
+def _drawing(body, points):
+    """``body`` whose sampler draws from ``points``, by the rng."""
+    body.sample = lambda rng, **kw: points[int(rng.integers(len(points)))]
+    return body
+
+
+class _Shell(ConvexBody):
+    """Grid points of norm at least ``r``, sampled on the unit sphere: not
+    convex, so a mixture of two samples can leave it."""
+
+    name = "shell"
+
+    def __init__(self, level, r):
+        self.level = level
+        self.r = r
+
+    def sample(self, rng):
+        x = UnitBall(self.level).sample(rng)
+        return x * (1.0 / norm(x))
+
+    def violation(self, x, tol=1e-9):
+        return None if norm(x) >= self.r - tol else f"norm {norm(x):.17g} below {self.r}"
+
+
+class _DoubleOrRefuse(AffineOperator):
+    """x -> 2 x on two cells, refusing a point whose last cell is not 0 as
+    BumpShift does: the refusal and an image that overflows fall on
+    different points of one affinity check."""
+
+    name = "double_or_refuse"
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def map_array(self, space, v, out):
+        if v[-1] != 0.0:
+            raise MassOverflowError(f"{self.name}: last cell holds {v[-1]:.6g}")
+        return np.multiply(v, 2.0, out=out)
+
+
+class _FlipAtZero(AffineOperator):
+    """x -> -x where the first cell is 0, else x: not affine, and the gap
+    of a mixture that lands on 0 doubles its size."""
+
+    name = "flip_at_zero"
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def map_array(self, space, v, out):
+        np.multiply(v, -1.0 if v[0] == 0.0 else 1.0, out=out)
+        return out
+
+
+def test_affinity_defect_is_bit_equal_to_the_point_loop():
+    cases = [(make_op, make_body, level)
+             for make_op, make_body in _CATALOG_PAIRS.values() for level in range(3, 9)]
+    for make_op, make_body, level in cases:
+        T = make_op(make_body(level))
+        for seed in range(3):
+            got = _assert_same_outcome_as(_reference_affinity_defect, affinity_defect,
+                                          T, seed=seed, pairs=8)
+            assert got[0] <= 1e-9, (T.name, level)
+    for t in (1.1, 1.5, 1.9):
+        T = BumpShift(BumpSimplex(t, 64))
+        for seed in range(3):
+            _assert_same_outcome_as(_reference_affinity_defect, affinity_defect,
+                                    T, seed=seed, pairs=8)
+    # the rng is left where the point loop leaves it
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    T = CyclicShift(UnitBall(5))
+    assert affinity_defect(T, a, pairs=3) == _reference_affinity_defect(T, b, pairs=3)
+    assert a.random() == b.random()
+    assert affinity_defect(T, a, pairs=0) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_affinity_defect_fails_as_the_point_loop():
+    # The maps are stated on arrays (catalog maps, _FlipAtZero) or on points
+    # (_Scaling), over catalog bodies, whose constraints are stated on rows,
+    # or test bodies stated on points.  Each case runs over several seeds,
+    # so the failing point falls at different places among the pairs.
+    level = 4
+    rng = np.random.default_rng(41)
+    ball = UnitBall(level)
+    inside = [ball.sample(rng) for _ in range(5)]
+    outside = [p * (1.5 / norm(p)) for p in inside[:2]]
+    top = np.finfo(float).max
+    high = [GridFunction(1, np.array([2.0 ** e, 2.0 ** e])) for e in (1021, 1022, 1023)]
+    near = [GridFunction(1, np.array([1.0, -0.9 * top])),
+            GridFunction(1, np.array([-1.0, -0.9 * top]))]
+    mixed = [GridFunction(1, np.array(v)) for v in ([2.0 ** 1023, 0.0], [1.0, 1.0])]
+    full = [CoordPoint(1.5, np.full(16, 1.0 / 16)), coord_basis(1.5, 16, 3)]
+    cases = [
+        # a start outside the ball, on the rows of a catalog body and on the
+        # points of a test body
+        (CyclicShift(_drawing(UnitBall(level), inside + outside)), {}, "DomainError"),
+        (_on(CyclicShift(ball), _drawing(_Capped(1.5), inside + outside)), {}, None),
+        # a mixture that leaves a body which is not convex
+        (_on(CyclicShift(ball), _Shell(level, 0.9)), {}, "DomainError"),
+        # the map refuses a start with mass in the last slot
+        (BumpShift(_drawing(BumpSimplex(1.5, 16), full)), {}, "MassOverflowError"),
+        # an image that overflows, from an array map and from a point map
+        (_on(DoublingShift(DensitySimplex(1)), _drawing(_AllOfSpace(), high)), {},
+         "ValueError"),
+        (_Scaling(_drawing(_AllOfSpace(), high), 4.0), {}, "ValueError"),
+        # a mixture that overflows before it is checked
+        (IdentityOperator(_drawing(_AllOfSpace(), high)), {"lambdas": (0.5, 2.0)},
+         "ValueError"),
+        # a gap that overflows while every image is finite
+        (_FlipAtZero(_drawing(_AllOfSpace(), near)), {}, "ValueError"),
+        # an image that overflows against a refusal of the map, either first
+        (_DoubleOrRefuse(_drawing(_AllOfSpace(), mixed)), {}, None),
+    ]
+    # the domain error of a row against the overflow of an image, either first
+    for cap in (2.0 ** 1021, 2.0 ** 1022, 2.0 ** 1023):
+        cases.append((_on(DoublingShift(DensitySimplex(1)), _drawing(_Capped(cap), high)),
+                      {}, None))
+    for T, kwargs, want in cases:
+        raised = {_assert_same_outcome_as(_reference_affinity_defect, affinity_defect, T,
+                                          seed=seed, pairs=4, want=want, **kwargs)[0]
+                  for seed in range(12)}
+        if T.name == "double_or_refuse":
+            assert raised == {"ValueError", "MassOverflowError"}
+
+
+class _BlindShift(BumpShift):
+    """BumpShift without a faithful horizon: its orbits run until the mass
+    reaches the last slot."""
+
+    name = "blind_shift"
+
+    def max_faithful_steps(self, x):
+        return None
+
+
+def test_restart_diagnosis_is_bit_equal_to_the_point_loop():
+    for pair in sorted(_CATALOG_PAIRS):
+        make_op, make_body = _CATALOG_PAIRS[pair]
+        for level in range(3, 9):
+            C = make_body(level)
+            T = make_op(C)
+            rng = np.random.default_rng(level)
+            for x0 in [T.default_start(rng) for _ in range(3)] + [C.zero_point()]:
+                if C.violation(x0, 1e-7) is None:
+                    _assert_same_outcome_as(_reference_classify_escape, classify_escape,
+                                            T, C, x0)
+    # BumpShift orbits that stop short of their overflow, and ones that
+    # overflow at steps from 0 to past 96, with no faithful horizon to stop
+    # them; then the doubling orbit from its constant density
+    for t in (1.1, 1.5, 1.9):
+        bump = BumpSimplex(t, 128)
+        for top in (0, 3, 10, 40, 90, 110, 120, 126, 127):
+            x0 = CoordPoint(t, np.r_[np.full(top + 1, 1.0 / (top + 1)),
+                                     np.zeros(127 - top)])
+            for T in (BumpShift(bump), _BlindShift(bump)):
+                got = _assert_same_outcome_as(_reference_classify_escape,
+                                              classify_escape, T, bump, x0)
+                diag = got[0][3]
+                assert diag["overflow"] == (T.name == "blind_shift" and 127 - top < 96)
+                assert diag["applications"] == min(127 - top, 96)
+    simplex = DensitySimplex(10)
+    _assert_same_outcome_as(_reference_classify_escape, classify_escape,
+                            DoublingShift(simplex), simplex, GridFunction.constant(1.0, 10))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_restart_diagnosis_fails_as_the_point_loop():
+    ball = UnitBall(3)
+    x0 = GridFunction(3, np.linspace(-1.0, 1.0, 8) / 4.0)
+    huge = x0 * (0.9 * np.finfo(float).max)
+    refused = []
+    for factor in (2.0 ** 100, -(2.0 ** 20), 1.0, -1.0):
+        for start in (x0, huge):
+            got = _assert_same_outcome_as(_reference_classify_escape, classify_escape,
+                                          _Scaling(_AllOfSpace(), factor), ball, start)
+            if got[0] == "ValueError":
+                assert got[1] == "values must be finite"
+                refused.append((factor, start is huge, got[2]))
+    # orbit points that overflow at steps 11 and 52, or at the first step
+    # from the huge start, and a constant orbit whose restart sum overflows
+    # once all 96 steps are made
+    assert refused == [(2.0 ** 100, False, 11), (2.0 ** 100, True, 1),
+                       (-(2.0 ** 20), False, 52), (-(2.0 ** 20), True, 1),
+                       (1.0, True, 96)]
+
+
+def test_lipschitz_estimate_is_bit_equal_to_the_point_loop():
+    for make_op, make_body in _CATALOG_PAIRS.values():
+        for level in (3, 6, 8):
+            T = make_op(make_body(level))
+            for n in (1, 2, 5, 8):
+                _assert_same_outcome_as(_reference_lipschitz_estimate, lipschitz_estimate,
+                                        T, n, seed=n, pairs=6)
+    # short bump spaces: many sampled pairs overflow and are skipped
+    for slots in (4, 16, 64):
+        T = BumpShift(BumpSimplex(1.5, slots))
+        for n in (1, 3, 8, 20):
+            _assert_same_outcome_as(_reference_lipschitz_estimate, lipschitz_estimate,
+                                    T, n, seed=slots + n, pairs=16)
+    # every pair overflows
+    got = _assert_same_outcome_as(_reference_lipschitz_estimate, lipschitz_estimate,
+                                  BumpShift(BumpSimplex(1.5, 4)), 4, seed=0, pairs=4)
+    assert got[0] == "ValueError"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lipschitz_estimate_fails_as_the_point_loop():
+    ball = UnitBall(3)
+    outcomes = []
+    for factor, n in ((2.0 ** 100, 12), (2.0 ** 100, 9), (-(2.0 ** 300), 4)):
+        outcomes.append(_assert_same_outcome_as(
+            _reference_lipschitz_estimate, lipschitz_estimate, _Scaling(ball, factor), n,
+            seed=n, pairs=3))
+    # an orbit overflows at step 11 of the first pair, none of them in 9
+    # steps, and one at step 4 under the larger factor
+    assert outcomes[0] == ("ValueError", "values must be finite", 11)
+    assert isinstance(outcomes[1][0], float) and outcomes[1][1] == 54
+    assert outcomes[2] == ("ValueError", "values must be finite", 4)
+    # a pair is skipped when the orbit of x runs out of slots, before the
+    # orbit of y, which overflows, is marched
+    body = _drawing(_AllOfSpace(), [GridFunction(1, np.array(v))
+                                    for v in ([1.0, 1.0], [2.0 ** 1023, 0.0])])
+    messages = {_assert_same_outcome_as(_reference_lipschitz_estimate, lipschitz_estimate,
+                                        _DoubleOrRefuse(body), 2, seed=seed, pairs=1)[1]
+                for seed in range(12)}
+    assert messages == {"values must be finite",
+                        "all sampled pairs were degenerate or unusable"}
+
+
+def test_practical_march_and_restarts_build_no_orbit_points(monkeypatch):
+    # The orbit loops run on rows: T.apply is left to the start and to the
+    # direct residual of a point that the solver reports.
+    calls = []
+    apply = AffineOperator.apply
+
+    def counted(self, x, **kwargs):
+        calls.append(self.name)
+        return apply(self, x, **kwargs)
+
+    monkeypatch.setattr(AffineOperator, "apply", counted)
+    for level in (6, 7, 8):
+        ball = UnitBall(level)
+        calls.clear()
+        out = cesaro_solve(CyclicShift(ball), ball, seed=0)
+        assert out.status == FIXED
+        assert out.diagnostics["stopped_at"] == 2 ** level
+        assert out.diagnostics["applications"] == 2 ** level + 2
+        # the direct residual of the mean that cleared tol
+        assert calls == ["cyclic"], level
+    for make_op, make_body in _CATALOG_PAIRS.values():
+        C = make_body(8)
+        T = make_op(C)
+        rng = np.random.default_rng(0)
+        calls.clear()
+        classify_escape(T, C, T.default_start(rng))
+        affinity_defect(T, rng, pairs=8)
+        assert calls == [], T.name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_record_refuses_an_overflowing_sum_with_the_point_class_error():
+    # the running sum of a constant orbit overflows: the point loop's sum
+    # of coordinate points is refused by CoordPoint, with its own message
+    top = 0.6 * np.finfo(float).max
+    for start, message in ((GridFunction(1, np.array([top, 0.0])), "values"),
+                           (CoordPoint(1.5, np.array([top, 0.0])), "coeffs")):
+        got = _assert_same_record_outcome(_Scaling(_AllOfSpace(), 1.0), start, 40,
+                                          "ValueError")
+        assert got[1] == f"{message} must be finite"
 
 
 def test_retraction_is_the_constant_sum_elementwise():
