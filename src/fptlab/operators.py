@@ -354,6 +354,7 @@ def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
     # per pair: x, y, then each mixture lam x + (1 - lam) y
     rows = np.empty((pairs, 2 + len(lam), space.array.size))
     images = np.empty_like(rows[0])
+    gaps = images[2:].copy()
     worst = 0.0
     with np.errstate(all="ignore"):
         for row, x, y in zip(rows, starts[0::2], starts[1::2]):
@@ -361,37 +362,30 @@ def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
             np.multiply(row[0], lam, out=row[2:])
             row[2:] += row[1] * (1.0 - lam)
         flat = rows.reshape(-1, rows.shape[2])
-        # the loop builds each point, checks it, maps it, then builds its
-        # image and its gap; no row past the first to fail is reached
+        # no row past the first that cannot be built is checked
         built = np.isfinite(flat).all(axis=1)
         stop = len(flat) if built.all() else int(np.argmin(built))
         problems = T.domain.violations(space, flat[:stop], ORBIT_TOL)
-        stop = next((i for i, p in enumerate(problems) if p is not None), stop)
-        # images and gaps are taken one pair at a time, in arrays one pair long
-        for pair, row in enumerate(rows):
-            reach, failure = min(len(row), stop - pair * len(row)), None
-            for k in range(reach):
-                try:
-                    T.map_array(space, row[k], images[k])
-                except Exception as exc:
-                    reach, failure = k, exc
-                    break
-            gaps = images[2:] - (images[:1] * lam + images[1:2] * (1.0 - lam))
-            # each row's image is built before its gap
-            ok = np.ones((len(row), 2), dtype=bool)
-            ok[:, 0] = np.isfinite(images).all(axis=1)
-            ok[2:, 1] = np.isfinite(gaps).all(axis=1)
-            ok = ok[:reach].ravel()
-            if not ok.all():
-                j = int(np.argmin(ok))
-                space.like(gaps[j // 2 - 2] if j % 2 else images[j // 2])
-            if failure is not None:
-                raise failure
-            if reach < len(row):
-                if stop < len(problems):
-                    raise T.domain_error(problems[stop])
-                space.like(flat[stop])
-            worst = max(worst, float(space.row_norms(gaps).max(initial=0.0)))
+        # the point loop: build each row, check it, map it, then build its
+        # image and its gap
+        for i, point in enumerate(flat):
+            k = i % len(images)
+            if i == stop:
+                space.like(point)
+            if problems[i] is not None:
+                raise T.domain_error(problems[i])
+            T.map_array(space, point, images[k])
+            # the point class refuses a non-finite image or gap
+            if not np.isfinite(images[k]).all():
+                space.like(images[k])
+            if k >= 2:
+                gap = gaps[k - 2]
+                np.subtract(images[k], images[0] * lam[k - 2]
+                            + images[1] * (1.0 - lam[k - 2]), out=gap)
+                if not np.isfinite(gap).all():
+                    space.like(gap)
+            if k == len(images) - 1:
+                worst = max(worst, float(space.row_norms(gaps).max(initial=0.0)))
     return worst
 
 
@@ -449,10 +443,15 @@ def running_means(rows: np.ndarray, *, carry: np.ndarray | None = None,
     to ``out`` when given, else to a new array; none is checked finite.
     """
     out = np.empty_like(rows) if out is None else out
-    out[...] = rows
-    if start:
-        out[:1] += carry
-    np.cumsum(out, axis=0, out=out)
+    # one add per row, not np.cumsum(axis=0): on a block of few rows and
+    # many slots that walks every column on its own and is slower
+    for j, row in enumerate(rows):
+        if j:
+            np.add(out[j - 1], row, out=out[j])
+        elif start:
+            np.add(carry, row, out=out[0])
+        else:
+            out[0] = row
     if carry is not None and len(rows):
         carry[...] = out[-1]
     out *= (1.0 / np.arange(start + 1, start + len(rows) + 1))[:, None]
