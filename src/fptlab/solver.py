@@ -70,28 +70,40 @@ class BranchConditionError(RuntimeError):
     """Neither contraction branch passed its measured certificate."""
 
 
-def _median_point(points):
-    """Cellwise median: the robust center of a cluster of points (a
-    PointRows or a sequence of points).
+def _median_columns(cols) -> tuple[np.ndarray, bool]:
+    """Cellwise median of the members held as the columns of ``cols``, a
+    (cells, members) array, and whether it is free of the members' order.
 
-    The rows are sorted along axis 0 and the middle row taken, or
-    (lo + hi) / 2 of the two middle rows: the arithmetic of
-    ``np.median(rows, axis=0)``, so bit-equal to it on finite rows, and
-    several times faster on a cluster.  Only -0.0 and 0.0 compare equal
-    and differ in bits, so a cell whose median is zero and whose column
-    holds a -0.0 is taken from ``np.median`` itself.
+    Each cell's row is copied contiguous and sorted, and its middle value
+    taken, or (lo + hi) / 2 of the two middle values: the arithmetic of
+    ``np.median(cols, axis=1)``, so bit-equal to it on finite values.  Only
+    -0.0 and 0.0 compare equal and differ in bits, so a cell whose median is
+    zero and whose row holds a -0.0 is taken from ``np.median`` itself,
+    whose pick among the zeros depends on the order of the members: the
+    flag is False when a cell was.
     """
-    points = point_rows(points)
-    rows = np.sort(points.rows, axis=0)
-    half = len(rows) // 2
-    mid = rows[half] if len(rows) % 2 else (rows[half - 1] + rows[half]) / 2
+    rows = np.array(cols, order="C")
+    rows.sort(axis=1)
+    k = rows.shape[1]
+    half = k // 2
+    mid = rows[:, half].copy() if k % 2 else (rows[:, half - 1] + rows[:, half]) / 2
     zero = np.flatnonzero(mid == 0.0)
     if zero.size:
-        cols = rows[:, zero]
-        signed = zero[(np.signbit(cols) & (cols == 0.0)).any(axis=0)]
+        vals = rows[zero]
+        signed = zero[(np.signbit(vals) & (vals == 0.0)).any(axis=1)]
         if signed.size:
-            mid[signed] = np.median(points.rows[:, signed], axis=0)
-    return points.space.like(mid)
+            mid[signed] = np.median(cols[signed], axis=1)
+            return mid, False
+    return mid, True
+
+
+def _median_point(points):
+    """Cellwise median: the robust center of a cluster of points (a
+    PointRows or a sequence of points), bit-equal to
+    ``np.median(rows, axis=0)``; the rows are transposed once and taken by
+    ``_median_columns``."""
+    points = point_rows(points)
+    return points.space.like(_median_columns(points.rows.T)[0])
 
 
 def _safe_residual(T: AffineOperator, x) -> float | None:
@@ -175,24 +187,58 @@ class SolveOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _hull_within(C: np.ndarray, space, tol: float) -> bool:
+    """Whether every point of the cellwise hull [lo, hi] of the rows of
+    ``C`` lies within ``tol`` in measure of every row, as
+    ``measure_distances`` prices it.
+
+    Row i is bounded by sum(min(w * max(hi - C_i, C_i - lo), widths)).  For
+    a center c with lo <= c <= hi cellwise, the float |C_i - c| is at most
+    the float max(hi - C_i, C_i - lo), since a float difference is monotone
+    in each operand; scaling by the weights, the min with the widths and a
+    row sum in ``measure_distances``' order are monotone too.  So the bound
+    is at least the float distance from any such center to row i.
+    """
+    lo = C.min(axis=0)
+    hi = C.max(axis=0)
+    bound = np.maximum(hi - C, C - lo)
+    bound *= space.weights
+    np.minimum(bound, space.widths, out=bound)
+    return bool(bound.sum(axis=1).max() <= tol)
+
+
 def komlos_extract(seq, *, extraction_tol: float):
     """Subsequence indices whose terms cluster in measure, and their limit.
 
     Greedy cluster growth around the last term, over at most 64 candidates
     from the trailing ``WINDOW_FRACTION`` of the sequence, the window a
     record's radius reads (geometric offsets from the end plus an even
-    spread).  The returned limit is the cellwise median of the cluster and
-    lies within ``extraction_tol`` in measure of every selected term.  When
-    no cluster of 4 terms exists the sequence is declared too short, never
+    spread): the nearest candidate in measure joins, ties to the earliest,
+    while it lies within ``extraction_tol`` of the cluster's cellwise
+    median.  The returned limit is the median of the cluster and lies
+    within ``extraction_tol`` in measure of every selected term.  When no
+    cluster of 4 terms exists the sequence is declared too short, never
     silently truncated.
+
+    Certified shortcut: every center the loop can form lies cellwise
+    between the least and the greatest candidate value, since a median of
+    members is a member's value or the float (a + b) / 2 of two, and
+    ``np.median``'s signed-zero pick is one too.  When ``_hull_within``
+    bounds the distance from any such center to every candidate by
+    ``extraction_tol``, the loop would admit every candidate, so the
+    cluster is all of them and the limit their median, taken without the
+    loop.  Only when that median takes ``np.median``'s signed-zero
+    fallback, which reads the order in which the loop adds members, does
+    the loop run.
     """
     seq = point_rows(seq)
     n = len(seq)
     if n < 8:
         raise ValueError(f"need at least 8 terms, got {n}")
     rows = seq.rows
+    space = seq.space
     block = max(1, PHI_BLOCK_FLOATS // rows.shape[1])
-    top = max(float(seq.space.row_norms(rows[i:i + block]).max())
+    top = max(float(space.row_norms(rows[i:i + block]).max())
               for i in range(0, n, block))
     if not math.isfinite(top) or top > 1e9:
         raise ValueError("sequence is not bounded in norm")
@@ -207,31 +253,65 @@ def komlos_extract(seq, *, extraction_tol: float):
     if room > 0:
         picks.update(int(i) for i in np.linspace(start, n - 1, num=min(room, n - start), dtype=int))
     cand = sorted(picks)[-64:]
+    C = rows[cand]
 
-    def covered(center, members):
-        keep = measure_distances(center, seq.take(members)) <= extraction_tol
-        return [i for i, k in zip(members, keep) if k]
-
-    cluster = [n - 1]
-    center = seq.space.like(rows[n - 1])
-    pool = [i for i in cand if i != n - 1]
-    while pool:
-        dists = measure_distances(center, seq.take(pool))
-        j = int(np.argmin(dists))
-        if dists[j] > extraction_tol:
-            break
-        cluster.append(pool.pop(j))
-        center = _median_point(seq.take(cluster))
-    # soundness: the final median must cover every member it claims
-    cluster = covered(center, cluster)
-    if len(cluster) >= 4:
-        center = _median_point(seq.take(cluster))
-        cluster = covered(center, cluster)
+    cluster = None
+    if _hull_within(C, space, extraction_tol):
+        center, order_free = _median_columns(C.T)
+        if order_free:
+            cluster = list(range(len(C)))
+    if cluster is None:
+        cluster, center = _greedy_cluster(C, space, extraction_tol)
     if len(cluster) < 4:
         raise ExtendSequenceError(
             f"extend the sequence: only {len(cluster)} trailing terms cluster "
             f"within {extraction_tol:g} in measure")
-    return sorted(cluster), center
+    return sorted(cand[j] for j in cluster), space.like(center)
+
+
+def _greedy_cluster(C: np.ndarray, space, tol: float):
+    """``komlos_extract``'s greedy loop over the candidate rows ``C``, the
+    last one first: (members in the order they joined, their median).
+
+    Distances are priced into one buffer as ``measure_distances`` prices
+    them, bit-equal to it; joined rows are masked out of the argmin, which
+    keeps the earliest of tied candidates.  The cluster is held as the
+    columns of one array, in the order of joining, for ``_median_columns``.
+    """
+    m = len(C)
+    weights, widths = space.weights, space.widths
+    buf = np.empty_like(C)
+    dist = np.empty(m)
+
+    def distances(center):
+        np.subtract(C, center, out=buf)
+        np.abs(buf, out=buf)
+        np.multiply(buf, weights, out=buf)
+        np.minimum(buf, widths, out=buf)
+        return buf.sum(axis=1, out=dist)
+
+    cols = np.empty((C.shape[1], m))
+    cols[:, 0] = C[-1]
+    cluster = [m - 1]
+    joined = np.zeros(m, dtype=bool)
+    joined[-1] = True
+    center = C[-1]
+    while len(cluster) < m:
+        d = distances(center)
+        d[joined] = np.inf
+        j = int(np.argmin(d))
+        if d[j] > tol:
+            break
+        joined[j] = True
+        cols[:, len(cluster)] = C[j]
+        cluster.append(j)
+        center = _median_columns(cols[:, :len(cluster)])[0]
+    # soundness: the final median must cover every member it claims
+    keep = distances(center)[cluster] <= tol
+    if keep.sum() >= 4:
+        center = _median_columns(cols[:, :len(cluster)][:, keep])[0]
+        keep &= distances(center)[cluster] <= tol
+    return [j for j, kept in zip(cluster, keep) if kept], center
 
 
 def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,9 @@ from fptlab import (
     proof_step,
     solve,
 )
-from fptlab.sets import PHI_BLOCK_FLOATS, PointRows
+from fptlab import solver as solver_module
+from fptlab.grid import window_length
+from fptlab.sets import PHI_BLOCK_FLOATS, PointRows, measure_distances, point_rows
 from fptlab.solver import (
     MEASURE_TOL,
     MEMBERSHIP_TOL,
@@ -163,6 +167,188 @@ def test_median_point_is_bit_equal_to_np_median():
         rows = np.repeat(col[:n], 4, axis=1)
         got = _median_point([GridFunction(2, r) for r in rows])
         assert got.array.tobytes() == np.median(rows, axis=0).tobytes()
+
+
+def _reference_komlos_extract(seq, *, extraction_tol):
+    """komlos_extract as one greedy loop on point rows: each addition
+    re-measures the remaining candidates and takes the cluster's median by
+    ``np.median``, and ties go to the earliest candidate by ``pool.pop``."""
+    seq = point_rows(seq)
+    n = len(seq)
+    if n < 8:
+        raise ValueError(f"need at least 8 terms, got {n}")
+    rows = seq.rows
+    block = max(1, PHI_BLOCK_FLOATS // rows.shape[1])
+    top = max(float(seq.space.row_norms(rows[i:i + block]).max())
+              for i in range(0, n, block))
+    if not math.isfinite(top) or top > 1e9:
+        raise ValueError("sequence is not bounded in norm")
+    start = n - window_length(n, 0.5)
+    picks = {n - 1}
+    step = 1
+    while n - 1 - step >= start:
+        picks.add(n - 1 - step)
+        step *= 2
+    room = 64 - len(picks)
+    if room > 0:
+        picks.update(int(i) for i in np.linspace(start, n - 1, num=min(room, n - start),
+                                                 dtype=int))
+    cand = sorted(picks)[-64:]
+
+    def median(members):
+        return seq.space.like(np.median(seq.take(members).rows, axis=0))
+
+    def covered(center, members):
+        keep = measure_distances(center, seq.take(members)) <= extraction_tol
+        return [i for i, k in zip(members, keep) if k]
+
+    cluster = [n - 1]
+    center = seq.space.like(rows[n - 1])
+    pool = [i for i in cand if i != n - 1]
+    while pool:
+        dists = measure_distances(center, seq.take(pool))
+        j = int(np.argmin(dists))
+        if dists[j] > extraction_tol:
+            break
+        cluster.append(pool.pop(j))
+        center = median(cluster)
+    cluster = covered(center, cluster)
+    if len(cluster) >= 4:
+        center = median(cluster)
+        cluster = covered(center, cluster)
+    if len(cluster) < 4:
+        raise ExtendSequenceError(
+            f"extend the sequence: only {len(cluster)} trailing terms cluster "
+            f"within {extraction_tol:g} in measure")
+    return sorted(cluster), center
+
+
+def _extraction(fn, seq, tol):
+    """Indices, limit type and limit bytes of ``fn``, or the type and
+    message of what it raised."""
+    try:
+        idx, limit = fn(seq, extraction_tol=tol)
+    except (ValueError, ExtendSequenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return idx, type(limit), limit.array.tobytes()
+
+
+class _ExtractionPaths:
+    """Which path each komlos_extract call took: "certified" (the hull
+    bound held and the loop did not run), "looped" (the bound failed),
+    "signed_zero" (the bound held, but the median read the order of
+    joining, so the loop ran) or "refused" (raised before either)."""
+
+    def __init__(self, monkeypatch):
+        hull, greedy = solver_module._hull_within, solver_module._greedy_cluster
+        self.calls = []
+
+        def spy_hull(*args):
+            self.calls.append(hull(*args))
+            return self.calls[-1]
+
+        def spy_greedy(*args):
+            self.calls.append("loop")
+            return greedy(*args)
+
+        monkeypatch.setattr(solver_module, "_hull_within", spy_hull)
+        monkeypatch.setattr(solver_module, "_greedy_cluster", spy_greedy)
+
+    def path(self, seq, tol):
+        """The extraction of ``seq`` at ``tol``, checked bit-equal to the
+        reference loop, and the path it took."""
+        self.calls = []
+        got = _extraction(komlos_extract, seq, tol)
+        assert got == _extraction(_reference_komlos_extract, seq, tol), (len(seq), tol)
+        return {(): "refused", (True,): "certified", (False, "loop"): "looped",
+                (True, "loop"): "signed_zero"}[tuple(self.calls)]
+
+
+def _clustered_rows(rng, space, n):
+    """n terms around one point of ``space``, with repeated rows, ties
+    among a few values, and cells that hold only zeros of both signs."""
+    size = space.array.size
+    center = rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 0)
+    rows = center + rng.standard_normal((n, size)) * 10.0 ** rng.uniform(-4, -0.5)
+    rows[rng.integers(0, n, size=n // 4)] = rows[rng.integers(0, n)]
+    ties = rng.random((n, size)) < 0.1
+    rows[ties] = rng.choice([-0.5, 0.5, 0.0], size=int(ties.sum()))
+    zeros = rng.random(size) < 0.25
+    rows[:, zeros] = rng.choice([-0.0, 0.0], size=(n, int(zeros.sum())))
+    return PointRows(space, rows)
+
+
+def _proof_cyclic_sequences(tmp_path):
+    """The sequences that the benchmark's proof_cyclic solves hand to
+    komlos_extract at seeds 0-2: every record's means and every mean
+    branch's means of means."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    seqs = []
+    extract = solver_module.komlos_extract
+
+    def spy(seq, *, extraction_tol):
+        seqs.append(seq)
+        return extract(seq, extraction_tol=extraction_tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "komlos_extract", spy)
+        for seed in range(3):
+            for op in workloads.proof_cyclic(seed, tmp_path).ops:
+                op.run()
+    return seqs
+
+
+def test_extract_is_bit_equal_to_the_greedy_loop(monkeypatch, tmp_path,
+                                                 doubling_means, cyclic_means):
+    paths = _ExtractionPaths(monkeypatch)
+    tols = (1e-3, 0.05, 0.3, 2.0)
+    seen = []
+    records = _proof_cyclic_sequences(tmp_path)
+    assert len(records) >= 60
+    # the certificate carries every record of the benchmark's solves
+    assert {paths.path(seq, 0.05) for seq in records} == {"certified"}
+    for seq in records[::4]:
+        seen += [paths.path(seq, tol) for tol in tols]
+    # the doubling means hold 16384 cells: the reference loop takes about
+    # 0.8 s there at any tol that admits most candidates
+    seen += [paths.path(doubling_means, tol) for tol in tols[:2]]
+    seen += [paths.path(cyclic_means[1], tol) for tol in tols]
+    rng = np.random.default_rng(12)
+    spaces = [GridFunction.zero(level) for level in range(2, 9)]
+    spaces += [CoordPoint(t, np.zeros(m)) for t in (1.1, 1.5, 1.9) for m in (4, 64)]
+    for space in spaces:
+        # 4 candidates at n = 8, 62 at n = 300 (the 1023 cyclic means give 63)
+        for n in (8, 13, 40, int(rng.integers(100, 300)), 300):
+            seq = _clustered_rows(rng, space, n)
+            seen += [paths.path(seq, tol) for tol in tols]
+    assert paths.path([GridFunction.zero(3)] * 7, 0.05) == "refused"
+    counts = {path: seen.count(path) for path in set(seen)}
+    assert set(counts) == {"certified", "looped", "signed_zero"}, counts
+
+
+def test_extract_ties_join_in_index_order():
+    # the last of 24 terms is 0, and the first two candidates, terms 12 and
+    # 13, lie at -u and +u, as far from it as each other: the earlier one
+    # joins first and draws the median to its side, where three more terms
+    # wait, on the sequence and on its mirror image alike
+    u = 2.0 ** -7
+    values = np.array([0.5] * 12 + [-u, u] + [-1.5 * u, 1.5 * u] * 3 + [0.5] * 3 + [0.0])
+    for sign in (1.0, -1.0):
+        seq = [GridFunction(0, [v]) for v in sign * values]
+        got = _extraction(komlos_extract, seq, u)
+        assert got == _extraction(_reference_komlos_extract, seq, u)
+        assert got[0] == [12, 14, 16, 18]
+        assert np.frombuffer(got[2]).tolist() == [-1.5 * u * sign]
+
+
+def test_extract_certificate_admits_a_bound_equal_to_tol(monkeypatch):
+    # one cell of width 1 holding 0 or 0.25: every bound is exactly 0.25
+    seq = [GridFunction(0, [0.25 * (i % 2)]) for i in range(16)]
+    paths = _ExtractionPaths(monkeypatch)
+    assert paths.path(seq, 0.25) == "certified"
+    assert paths.path(seq, np.nextafter(0.25, 0.0)) == "looped"
 
 
 # ---------------------------------------------------------------------------
