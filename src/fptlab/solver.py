@@ -227,18 +227,17 @@ def komlos_extract(seq, *, extraction_tol: float):
     bounds the distance from any such center to every candidate by
     ``extraction_tol``, the loop would admit every candidate, so the
     cluster is all of them and the limit their median, taken without the
-    loop.  Only when that median takes ``np.median``'s signed-zero
-    fallback, which reads the order in which the loop adds members, does
-    the loop run.
+    loop.  The loop still runs when the bound fails, and when that median
+    takes ``np.median``'s signed-zero fallback, which reads the order in
+    which the loop adds members.
     """
     seq = point_rows(seq)
     n = len(seq)
     if n < 8:
         raise ValueError(f"need at least 8 terms, got {n}")
     rows = seq.rows
-    space = seq.space
     block = max(1, PHI_BLOCK_FLOATS // rows.shape[1])
-    top = max(float(space.row_norms(rows[i:i + block]).max())
+    top = max(float(seq.space.row_norms(rows[i:i + block]).max())
               for i in range(0, n, block))
     if not math.isfinite(top) or top > 1e9:
         raise ValueError("sequence is not bounded in norm")
@@ -253,65 +252,37 @@ def komlos_extract(seq, *, extraction_tol: float):
     if room > 0:
         picks.update(int(i) for i in np.linspace(start, n - 1, num=min(room, n - start), dtype=int))
     cand = sorted(picks)[-64:]
-    C = rows[cand]
 
-    cluster = None
-    if _hull_within(C, space, extraction_tol):
-        center, order_free = _median_columns(C.T)
+    C = rows[cand]
+    if _hull_within(C, seq.space, extraction_tol):
+        mid, order_free = _median_columns(C.T)
         if order_free:
-            cluster = list(range(len(C)))
-    if cluster is None:
-        cluster, center = _greedy_cluster(C, space, extraction_tol)
+            return cand, seq.space.like(mid)
+
+    def covered(center, members):
+        keep = measure_distances(center, seq.take(members)) <= extraction_tol
+        return [i for i, k in zip(members, keep) if k]
+
+    cluster = [n - 1]
+    center = seq.space.like(rows[n - 1])
+    pool = [i for i in cand if i != n - 1]
+    while pool:
+        dists = measure_distances(center, seq.take(pool))
+        j = int(np.argmin(dists))
+        if dists[j] > extraction_tol:
+            break
+        cluster.append(pool.pop(j))
+        center = _median_point(seq.take(cluster))
+    # soundness: the final median must cover every member it claims
+    cluster = covered(center, cluster)
+    if len(cluster) >= 4:
+        center = _median_point(seq.take(cluster))
+        cluster = covered(center, cluster)
     if len(cluster) < 4:
         raise ExtendSequenceError(
             f"extend the sequence: only {len(cluster)} trailing terms cluster "
             f"within {extraction_tol:g} in measure")
-    return sorted(cand[j] for j in cluster), space.like(center)
-
-
-def _greedy_cluster(C: np.ndarray, space, tol: float):
-    """``komlos_extract``'s greedy loop over the candidate rows ``C``, the
-    last one first: (members in the order they joined, their median).
-
-    Distances are priced into one buffer as ``measure_distances`` prices
-    them, bit-equal to it; joined rows are masked out of the argmin, which
-    keeps the earliest of tied candidates.  The cluster is held as the
-    columns of one array, in the order of joining, for ``_median_columns``.
-    """
-    m = len(C)
-    weights, widths = space.weights, space.widths
-    buf = np.empty_like(C)
-    dist = np.empty(m)
-
-    def distances(center):
-        np.subtract(C, center, out=buf)
-        np.abs(buf, out=buf)
-        np.multiply(buf, weights, out=buf)
-        np.minimum(buf, widths, out=buf)
-        return buf.sum(axis=1, out=dist)
-
-    cols = np.empty((C.shape[1], m))
-    cols[:, 0] = C[-1]
-    cluster = [m - 1]
-    joined = np.zeros(m, dtype=bool)
-    joined[-1] = True
-    center = C[-1]
-    while len(cluster) < m:
-        d = distances(center)
-        d[joined] = np.inf
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            break
-        joined[j] = True
-        cols[:, len(cluster)] = C[j]
-        cluster.append(j)
-        center = _median_columns(cols[:, :len(cluster)])[0]
-    # soundness: the final median must cover every member it claims
-    keep = distances(center)[cluster] <= tol
-    if keep.sum() >= 4:
-        center = _median_columns(cols[:, :len(cluster)][:, keep])[0]
-        keep &= distances(center)[cluster] <= tol
-    return [j for j, kept in zip(cluster, keep) if kept], center
+    return sorted(cluster), center
 
 
 def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:

@@ -240,19 +240,21 @@ class _ExtractionPaths:
     joining, so the loop ran) or "refused" (raised before either)."""
 
     def __init__(self, monkeypatch):
-        hull, greedy = solver_module._hull_within, solver_module._greedy_cluster
+        hull, measure = solver_module._hull_within, solver_module.measure_distances
         self.calls = []
 
         def spy_hull(*args):
             self.calls.append(hull(*args))
             return self.calls[-1]
 
-        def spy_greedy(*args):
-            self.calls.append("loop")
-            return greedy(*args)
+        def spy_measure(*args):
+            # only the loop measures distances; mark it once per call
+            if "loop" not in self.calls:
+                self.calls.append("loop")
+            return measure(*args)
 
         monkeypatch.setattr(solver_module, "_hull_within", spy_hull)
-        monkeypatch.setattr(solver_module, "_greedy_cluster", spy_greedy)
+        monkeypatch.setattr(solver_module, "measure_distances", spy_measure)
 
     def path(self, seq, tol):
         """The extraction of ``seq`` at ``tol``, checked bit-equal to the
@@ -282,9 +284,7 @@ def _proof_cyclic_sequences(tmp_path):
     """The sequences that the benchmark's proof_cyclic solves hand to
     komlos_extract at seeds 0-2: every record's means and every mean
     branch's means of means."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    import workloads
-
+    bench = Path(__file__).resolve().parents[1] / "bench"
     seqs = []
     extract = solver_module.komlos_extract
 
@@ -292,11 +292,20 @@ def _proof_cyclic_sequences(tmp_path):
         seqs.append(seq)
         return extract(seq, extraction_tol=extraction_tol)
 
+    loaded = set(sys.modules)
     with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(bench))
+        import workloads
+
         mp.setattr(solver_module, "komlos_extract", spy)
         for seed in range(3):
             for op in workloads.proof_cyclic(seed, tmp_path).ops:
                 op.run()
+    # bench/ leaves sys.path above; its modules leave the import cache here,
+    # so no later import of the same name finds them
+    for name in set(sys.modules) - loaded:
+        if Path(getattr(sys.modules[name], "__file__", None) or "").parent == bench:
+            del sys.modules[name]
     return seqs
 
 
