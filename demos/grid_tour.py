@@ -38,8 +38,8 @@ def main() -> None:
         print(f"  {2 ** k:4d}   {norm(p):12.6f}   {measure_distance(p, zero):15.6f}")
 
     peaks = [peak_sequence(2 ** k, level) for k in range(1, level + 1)]
-    drift = limsup_tail([norm(p) for p in peaks], 0.5)
-    fade = limsup_tail([measure_distance(p, zero) for p in peaks], 0.5)
+    drift = limsup_tail([norm(p) for p in peaks])
+    fade = limsup_tail([measure_distance(p, zero) for p in peaks])
     print(f"\ntrailing limsup of norms:     {drift:g}  (stays on the sphere)")
     print(f"trailing limsup in measure:   {fade:g}  (vanishes)")
 

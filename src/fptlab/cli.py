@@ -40,6 +40,13 @@ from .sets import (
 )
 from .solver import STATUS_FIXED, cesaro_solve, solve
 
+#: Relative tolerance of the reproduce table's bracket rows.
+TOL_REL = 0.02
+#: Means that the sharpness scan's practical solve may take, and how far
+#: below equality its second gate probe sits.
+SHARPNESS_N_MAX = 64
+PROBE_GAP = 0.01
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,8 +55,6 @@ class ExperimentConfig:
 
     level: int = 12
     seed: int = 0
-    window_fraction: float = 0.5
-    tol_rel: float = 0.02
     a_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
     t_grid: tuple = (1.1, 1.25, 1.5, 1.75, 1.9)
     orlicz_p: tuple = (1.0, 2.0, 4.0)
@@ -144,7 +149,6 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
     """Benchmark table rows and the overall verdict."""
     rng = np.random.default_rng(cfg.seed)
     level = cfg.level
-    wf = cfg.window_fraction
     rows = []
     all_pass = True
 
@@ -158,18 +162,18 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
     peaks = peak_family(level, k_min=max(1, level - 8), k_max=level)
     for a in cfg.a_grid:
         body = ConeHull(a, level)
-        rep = recentering_bounds(body, [peaks], rng=rng, window_fraction=wf)
+        rep = recentering_bounds(body, [peaks], rng=rng)
         add(f"recentering(cone_hull,a={a:g})", "bracket", 1.0 + a,
-            rep.estimate_low, rep.estimate_high, cfg.tol_rel)
+            rep.estimate_low, rep.estimate_high, TOL_REL)
 
-    rep = recentering_bounds(UnitBall(level), [peaks], rng=rng, window_fraction=wf)
+    rep = recentering_bounds(UnitBall(level), [peaks], rng=rng)
     add("recentering(ball)", "bracket", 1.0, rep.estimate_low,
-        rep.estimate_high, cfg.tol_rel)
+        rep.estimate_high, TOL_REL)
 
     for t in cfg.t_grid:
         body = BumpSimplex(t, cfg.slots)
         fam = bump_tail_family(t, cfg.slots)
-        rep = recentering_bounds(body, [fam], rng=rng, window_fraction=wf)
+        rep = recentering_bounds(body, [fam], rng=rng)
         add(f"recentering(bump,t={t:g})", "abs", t,
             rep.estimate_low, rep.estimate_high, 1e-9)
         op = operator_from_spec({"op": "ct_shift"}, body)
@@ -182,20 +186,20 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
     add("growth(retraction_compose)", "abs", 2.0, growth, growth, 1e-9)
     sampled = mean_lipschitz(op, 8, rng=rng, use_exact=False, pairs=32)
     add("growth(retraction_compose,sampled)", "bracket", 2.0,
-        sampled, 2.0, cfg.tol_rel)
+        sampled, 2.0, TOL_REL)
 
     add("opial_sum", "bracket", 2.0, opial_cross_check(1.0, min(level + 2, 14)),
-        opial_sum(), cfg.tol_rel)
+        opial_sum(), TOL_REL)
 
-    drift = float(_phi_values([peaks.limit], peaks.points, wf)[0])
+    drift = float(_phi_values([peaks.limit], peaks.points)[0])
     add("drift_radius(density_simplex)", "upper", 1.0, drift, drift, 1e-6)
     fam = bump_tail_family(1.5, cfg.slots)
-    drift = float(_phi_values([fam.limit], fam.points, wf)[0])
+    drift = float(_phi_values([fam.limit], fam.points)[0])
     add("drift_radius(bump,t=1.5)", "upper", 1.0, drift, drift, 1e-6)
 
     z = GridFunction(level, np.where(np.arange(2 ** level) >= 2 ** (level - 1),
                                      1.0, 0.0))
-    defect = disjoint_additivity_defect(peaks, z, window_fraction=wf)
+    defect = disjoint_additivity_defect(peaks, z)
     add("additivity_defect", "abs", 0.0, defect, defect, 2.0 ** -level)
 
     for p in cfg.orlicz_p:
@@ -276,8 +280,7 @@ _SHARP_HEADER = ["t", "growth", "recenter_low", "recenter_high",
                  "status"]
 
 
-def run_sharpness(t_grid, slots: int, seed: int, *, n_max: int = 64,
-                  probe_gap: float = 0.01) -> tuple[list[list], bool]:
+def run_sharpness(t_grid, slots: int, seed: int) -> tuple[list[list], bool]:
     """Boundary scan: at growth exactly 2/t the gate must stay shut and the
     shift must stay fixed-point-free; just below it must open."""
     rows = []
@@ -289,8 +292,8 @@ def run_sharpness(t_grid, slots: int, seed: int, *, n_max: int = 64,
         growth = mean_lipschitz(op, 8)
         rep = recentering_bounds(body, [bump_tail_family(t, slots)], rng=rng)
         gate_eq = fixed_point_gate(growth, rep.estimate_high)
-        gate_below = fixed_point_gate(growth - probe_gap, rep.estimate_high)
-        outcome = cesaro_solve(op, body, tol=1e-8, n_max=n_max, seed=seed)
+        gate_below = fixed_point_gate(growth - PROBE_GAP, rep.estimate_high)
+        outcome = cesaro_solve(op, body, tol=1e-8, n_max=SHARPNESS_N_MAX, seed=seed)
         ok = (not gate_eq) and gate_below and outcome.status != STATUS_FIXED
         all_pass = all_pass and ok
         rows.append([t, growth, rep.estimate_low, rep.estimate_high,

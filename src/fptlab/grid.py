@@ -20,6 +20,10 @@ DEFAULT_TOL = 1e-9
 #: Largest supported grid level (2**24 cells is far beyond desk scale).
 MAX_LEVEL = 24
 
+#: Trailing share of a finite run that stands in for its tail: every limsup
+#: and liminf of the package is the max or min over this one window.
+WINDOW_FRACTION = 0.5
+
 
 def check_level(level) -> int:
     """``level`` as an int: an integer, not a bool, in [0, MAX_LEVEL]."""
@@ -182,34 +186,31 @@ def rademacher(n: int, level: int) -> GridFunction:
     return GridFunction(level, np.tile(pattern, 2 ** (n - 1)))
 
 
-def _trailing_window(terms, window_fraction: float) -> tuple[float, ...]:
-    """The trailing ``window_fraction`` of a finite real sequence.
+def _trailing_window(terms) -> tuple[float, ...]:
+    """The trailing window of a finite real sequence (see WINDOW_FRACTION).
 
     On a finite run the limit superior of a sequence is approximated by the
-    maximum over this window and the limit inferior by the minimum.  The
-    window must be declared, not implied.
+    maximum over this window and the limit inferior by the minimum.
     """
     terms = tuple(float(t) for t in terms)
     if not terms:
         raise ValueError("empty sequence")
     if not all(math.isfinite(t) for t in terms):
         raise ValueError("terms must be finite")
-    return terms[len(terms) - window_length(len(terms), window_fraction):]
+    return terms[len(terms) - window_length(len(terms)):]
 
 
-def window_length(n: int, window_fraction: float) -> int:
-    """Number of trailing terms that a run of ``n`` terms declares as its
-    window: at least one."""
-    if not (0.0 < window_fraction <= 1.0):
-        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
-    return max(1, math.ceil(window_fraction * n))
+def window_length(n: int) -> int:
+    """Number of trailing terms in the window of a run of ``n`` terms: the
+    ``WINDOW_FRACTION`` share, rounded up, and at least one."""
+    return max(1, math.ceil(WINDOW_FRACTION * n))
 
 
-def limsup_tail(terms, window_fraction: float = 0.5) -> float:
+def limsup_tail(terms) -> float:
     """Max over the trailing window: the finite-run stand-in for limsup."""
-    return max(_trailing_window(terms, window_fraction))
+    return max(_trailing_window(terms))
 
 
-def liminf_tail(terms, window_fraction: float = 0.5) -> float:
+def liminf_tail(terms) -> float:
     """Min over the trailing window: the finite-run stand-in for liminf."""
-    return min(_trailing_window(terms, window_fraction))
+    return min(_trailing_window(terms))

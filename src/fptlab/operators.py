@@ -21,8 +21,13 @@ from .sets import (
     norm,
 )
 
-#: Default membership tolerance while iterating (float drift accumulates).
+#: Membership tolerance while iterating (float drift accumulates).
 ORBIT_TOL = 1e-7
+
+#: Sampled start pairs of the affinity certificate, and the mixing weights
+#: tried on each pair.
+AFFINITY_PAIRS = 8
+AFFINITY_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class DomainError(ValueError):
@@ -42,9 +47,9 @@ class AffineOperator:
     name: str = "operator"
     domain: ConvexBody
 
-    def apply(self, x, *, check_domain: bool = True, tol: float = ORBIT_TOL):
+    def apply(self, x, *, check_domain: bool = True):
         if check_domain:
-            problem = self.domain.violation(x, tol)
+            problem = self.domain.violation(x, ORBIT_TOL)
             if problem is not None:
                 raise self.domain_error(problem)
         return self._transform(x)
@@ -331,10 +336,9 @@ def operator_from_spec(spec: dict, body: ConvexBody, **fill) -> AffineOperator:
     return build_from_spec(spec, "op", OPERATOR_KINDS, "operator", body, **fill)
 
 
-def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
-                    pairs: int = 100,
-                    lambdas: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)) -> float:
-    """Largest norm gap between T(mix) and mix(T) over sampled pairs.
+def affinity_defect(T: AffineOperator, rng: np.random.Generator) -> float:
+    """Largest norm gap between T(mix) and mix(T) over ``AFFINITY_PAIRS``
+    sampled pairs, mixed at each of ``AFFINITY_LAMBDAS``.
 
     Affine maps give 0 up to float noise; anything materially positive
     disqualifies the operator from the solver.  Points come from the
@@ -346,13 +350,11 @@ def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
     loop, ``T.apply`` on each point in turn, would raise, with its type and
     message.
     """
-    starts = [T.default_start(rng) for _ in range(2 * pairs)]
-    if not starts:
-        return 0.0
+    starts = [T.default_start(rng) for _ in range(2 * AFFINITY_PAIRS)]
     space = starts[0]
-    lam = np.asarray(lambdas, dtype=float)[:, None]
+    lam = np.asarray(AFFINITY_LAMBDAS, dtype=float)[:, None]
     # per pair: x, y, then each mixture lam x + (1 - lam) y
-    rows = np.empty((pairs, 2 + len(lam), space.array.size))
+    rows = np.empty((AFFINITY_PAIRS, 2 + len(lam), space.array.size))
     images = np.empty_like(rows[0])
     gaps = images[2:].copy()
     worst = 0.0
@@ -362,16 +364,13 @@ def affinity_defect(T: AffineOperator, rng: np.random.Generator, *,
             np.multiply(row[0], lam, out=row[2:])
             row[2:] += row[1] * (1.0 - lam)
         flat = rows.reshape(-1, rows.shape[2])
-        # no row past the first that cannot be built is checked
-        built = np.isfinite(flat).all(axis=1)
-        stop = len(flat) if built.all() else int(np.argmin(built))
-        problems = T.domain.violations(space, flat[:stop], ORBIT_TOL)
-        # the point loop: build each row, check it, map it, then build its
-        # image and its gap
+        # a mixture of finite rows at a weight of AFFINITY_LAMBDAS rounds to
+        # at most the largest float, so every row is a point to check
+        problems = T.domain.violations(space, flat, ORBIT_TOL)
+        # the point loop: check each row, map it, then build its image and
+        # its gap
         for i, point in enumerate(flat):
             k = i % len(images)
-            if i == stop:
-                space.like(point)
             if problems[i] is not None:
                 raise T.domain_error(problems[i])
             T.map_array(space, point, images[k])
@@ -464,7 +463,7 @@ def afps_residual(T: AffineOperator, x) -> float:
 
 
 def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
-                       pairs: int = 64, include_witnesses: bool = True) -> float:
+                       pairs: int = 64) -> float:
     """Sampled lower estimate of the Lipschitz constant of T**n.
 
     Ratios norm(T**n x - T**n y) / norm(x - y) over random domain pairs plus
@@ -477,10 +476,9 @@ def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
     candidates = []
     for _ in range(pairs):
         candidates.append((T.domain.sample(rng), T.domain.sample(rng)))
-    if include_witnesses:
-        for x, y in T.witness_pairs():
-            if T.domain.membership(x, tol=1e-7) and T.domain.membership(y, tol=1e-7):
-                candidates.append((x, y))
+    for x, y in T.witness_pairs():
+        if T.domain.membership(x, tol=1e-7) and T.domain.membership(y, tol=1e-7):
+            candidates.append((x, y))
     best = None
     # the orbits of x and y, n steps each, in one buffer for every pair
     rows = np.empty((2, n + 1, candidates[0][0].array.size)) if candidates else None
@@ -499,7 +497,7 @@ def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
 
 def mean_lipschitz(T: AffineOperator, n_max: int, *,
                    rng: np.random.Generator | None = None, pairs: int = 64,
-                   use_exact: bool = True, return_series: bool = False):
+                   use_exact: bool = True) -> float:
     """Sublinear growth rate: smallest prefix average of iterate constants.
 
     The true quantity is the liminf of (|T| + ... + |T**n|) / n; on a finite
@@ -517,8 +515,4 @@ def mean_lipschitz(T: AffineOperator, n_max: int, *,
                 raise ValueError(f"no exact constant for n={k} and no rng given")
             exact = lipschitz_estimate(T, k, rng, pairs=pairs)
         constants.append(float(exact))
-    averages = list(np.cumsum(constants) / np.arange(1, n_max + 1))
-    value = float(min(averages))
-    if return_series:
-        return value, constants, averages
-    return value
+    return float(min(np.cumsum(constants) / np.arange(1, n_max + 1)))

@@ -38,6 +38,9 @@ BYTE_BUDGET = 2 ** 30
 #: against a larger window is still one block.
 PHI_BLOCK_FLOATS = 1 << 14
 
+#: Sampled members that a sampled recentering or distance search scores.
+SAMPLED_CANDIDATES = 64
+
 
 @dataclass(frozen=True, eq=False)
 class CoordPoint:
@@ -225,9 +228,9 @@ def point_rows(points) -> PointRows:
     return PointRows(space, np.stack([p.array for p in points]))
 
 
-def _phi_values(points, means, window_fraction: float) -> np.ndarray:
+def _phi_values(points, means) -> np.ndarray:
     """Trailing limsup of norm distances from each point to ``means``: the
-    one trailing-radius kernel.
+    one trailing-radius kernel, over the window of ``grid.window_length``.
 
     Both arguments are PointRows or sequences of points of one space, as
     they must be to subtract (see point_rows).  The trailing window of the
@@ -238,7 +241,7 @@ def _phi_values(points, means, window_fraction: float) -> np.ndarray:
     are checked finite: the points are finite, so only a difference that
     overflows can fail.
     """
-    window = point_rows(means[len(means) - window_length(len(means), window_fraction):])
+    window = point_rows(means[len(means) - window_length(len(means)):])
     space, W = window.space, window.rows
     out = np.empty(len(points))
     block = max(1, PHI_BLOCK_FLOATS // W.size)
@@ -341,28 +344,26 @@ class ConvexBody:
         """Origin of the ambient space (not necessarily a member)."""
         raise NotImplementedError
 
-    def recenter(self, x, seq, *, rng=None, n_candidates: int = 64,
-                 window_fraction: float = 0.5) -> RecenterResult:
+    def recenter(self, x, seq, *, rng: np.random.Generator) -> RecenterResult:
         """Member of the body asymptotically close to ``seq`` given its drift
-        point ``x``.  Falls back to sampled search when no closed form applies."""
+        point ``x``.  Falls back to a search over ``SAMPLED_CANDIDATES``
+        members drawn from ``rng`` when no closed form applies."""
         if len(seq) == 0:
             raise ValueError("recenter needs a nonempty sequence")
         closed = self._recenter_witness(x)
         if closed is not None and self.membership(closed, tol=1e-7):
             return RecenterResult(closed, "exact")
-        return RecenterResult(self._recenter_sampled(x, seq, rng, n_candidates,
-                                                     window_fraction), "upper")
+        return RecenterResult(self._recenter_sampled(x, seq, rng), "upper")
 
     def _recenter_witness(self, x):
         return None
 
-    def _recenter_sampled(self, x, seq, rng, n_candidates, window_fraction):
-        rng = np.random.default_rng(0) if rng is None else rng
-        candidates = [self.sample(rng) for _ in range(n_candidates)]
+    def _recenter_sampled(self, x, seq, rng):
+        candidates = [self.sample(rng) for _ in range(SAMPLED_CANDIDATES)]
         if self.membership(x, tol=1e-7):
             candidates.append(x)
         # argmin picks the first of equal scores, as min(key=) does
-        return candidates[int(np.argmin(_phi_values(candidates, seq, window_fraction)))]
+        return candidates[int(np.argmin(_phi_values(candidates, seq)))]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -593,20 +594,20 @@ class BumpSimplex(ConvexBody):
         return CoordPoint(self.t, c)
 
 
-def distance_to_set(body: ConvexBody, x, *, rng: np.random.Generator | None = None,
-                    n_samples: int = 64) -> tuple[float, str]:
+def distance_to_set(body: ConvexBody, x, *,
+                    rng: np.random.Generator) -> tuple[float, str]:
     """Distance from ``x`` to the body: (value, bound_type).
 
-    Uses the recenter witness plus sampled candidates, so the value is exact
-    when the witness is the true projection and an upper bound otherwise.
+    Uses the recenter witness plus ``SAMPLED_CANDIDATES`` members drawn from
+    ``rng``, so the value is exact when the witness is the true projection
+    and an upper bound otherwise.
     """
     if body.membership(x):
         return 0.0, "exact"
-    result = body.recenter(x, (x,), rng=rng, n_candidates=n_samples)
+    result = body.recenter(x, (x,), rng=rng)
     best = norm(x - result.point)
-    if rng is not None:
-        for _ in range(n_samples):
-            best = min(best, norm(x - body.sample(rng)))
+    for _ in range(SAMPLED_CANDIDATES):
+        best = min(best, norm(x - body.sample(rng)))
     return best, result.bound_type
 
 
@@ -628,9 +629,9 @@ class SequenceFamily:
             raise ValueError("need at least 2 points")
         object.__setattr__(self, "points", tuple(self.points))
 
-    def drift_defect(self, window_fraction: float = 0.5) -> float:
+    def drift_defect(self) -> float:
         """Largest trailing in-measure distance to the declared limit."""
-        return limsup_tail(measure_distances(self.limit, self.points), window_fraction)
+        return limsup_tail(measure_distances(self.limit, self.points))
 
 
 def peak_family(level: int, k_min: int = 1, k_max: int | None = None) -> SequenceFamily:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import opial_sum, recentering_bounds
-from .grid import limsup_tail, window_length
+from .grid import window_length
 from .operators import (
     AffineOperator,
     CyclicShift,
@@ -50,8 +50,6 @@ STATUS_FIXED = "fixed_point"
 STATUS_ESCAPED = "escaped_in_measure"
 STATUS_BUDGET = "budget_exhausted"
 
-#: Trailing share of a sequence that a radius and ``komlos_extract`` read.
-WINDOW_FRACTION = 0.5
 #: In-measure tolerance of the limits that the solver extracts.
 EXTRACTION_TOL = 0.05
 #: Slack of the measured certificates of a contraction step.
@@ -120,8 +118,7 @@ class AfpsRecord:
     The means form an approximate fixed-point sequence whenever the orbit
     stays bounded: the residual of the s-th mean decays like 1/s by the
     affine two-point identity.  ``limit`` is the in-measure cluster point of
-    the trailing means when one exists, with ``limit_quality`` the largest
-    in-measure distance from the limit to a selected term.  ``points`` may
+    the trailing means when one exists (see komlos_extract).  ``points`` may
     be given as any sequence of points and is kept as one PointRows, an
     (n, slots) array of the means.
     """
@@ -129,7 +126,6 @@ class AfpsRecord:
     points: PointRows
     residuals: tuple
     limit: object | None = None
-    limit_quality: float | None = None
 
     def __post_init__(self) -> None:
         if not len(self.points):
@@ -139,9 +135,9 @@ class AfpsRecord:
                            tuple(np.asarray(self.residuals, dtype=float).tolist()))
 
     def radius_from(self, y) -> float:
-        """Trailing (``WINDOW_FRACTION``) limsup of norm distances from ``y``
-        to the means."""
-        return float(_phi_values([y], self.points, WINDOW_FRACTION)[0])
+        """Trailing limsup of norm distances from ``y`` to the means, over
+        the window of ``grid.window_length``."""
+        return float(_phi_values([y], self.points)[0])
 
     def limit_spread(self) -> float | None:
         """Trailing limsup of norm distances from the detected limit."""
@@ -165,8 +161,6 @@ class StepReport:
     recenter_bound: str
     near_achieving: bool
     phi_min: float | None = None
-    phi_ratio: float | None = None
-    extraction_quality: float | None = None
 
 
 @dataclass
@@ -211,9 +205,9 @@ def komlos_extract(seq, *, extraction_tol: float):
     """Subsequence indices whose terms cluster in measure, and their limit.
 
     Greedy cluster growth around the last term, over at most 64 candidates
-    from the trailing ``WINDOW_FRACTION`` of the sequence, the window a
-    record's radius reads (geometric offsets from the end plus an even
-    spread): the nearest candidate in measure joins, ties to the earliest,
+    from the trailing window of the sequence (``grid.WINDOW_FRACTION``), the
+    window a record's radius reads (geometric offsets from the end plus an
+    even spread): the nearest candidate in measure joins, ties to the earliest,
     while it lies within ``extraction_tol`` of the cluster's cellwise
     median.  The returned limit is the median of the cluster and lies
     within ``extraction_tol`` in measure of every selected term.  When no
@@ -242,7 +236,7 @@ def komlos_extract(seq, *, extraction_tol: float):
     if not math.isfinite(top) or top > 1e9:
         raise ValueError("sequence is not bounded in norm")
 
-    start = n - window_length(n, WINDOW_FRACTION)
+    start = n - window_length(n)
     picks = {n - 1}
     step = 1
     while n - 1 - step >= start:
@@ -332,14 +326,12 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
         x0.like(total)
     means = PointRows(x0, means[:n])
     limit = None
-    quality = None
     if n >= 8:
         try:
-            idx, limit = komlos_extract(means, extraction_tol=EXTRACTION_TOL)
-            quality = float(measure_distances(limit, means.take(idx)).max())
+            limit = komlos_extract(means, extraction_tol=EXTRACTION_TOL)[1]
         except (ExtendSequenceError, ValueError):
-            limit = None
-    return AfpsRecord(means, residuals[:n], limit, quality)
+            pass
+    return AfpsRecord(means, residuals[:n], limit)
 
 
 def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float | None:
@@ -394,17 +386,15 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
 
     gap_z = None
     phi_min = None
-    phi_ratio = None
     if gap_x is not None and gap_x <= rho + BRANCH_SLACK:
         branch = "x_limit"
-        result = C.recenter(best.limit, best.points, rng=rng,
-                            window_fraction=WINDOW_FRACTION)
+        result = C.recenter(best.limit, best.points, rng=rng)
         r_after = best.radius_from(result.point)
     else:
         # two _phi_values passes and an extraction: run only when needed
         zs = records[-1].points
         if len(zs) >= 16:
-            phi = _phi_values(zs, best.points, WINDOW_FRACTION)
+            phi = _phi_values(zs, best.points)
             phi_min = float(phi.min())
             k = int(min(24, max(8, len(zs) // 4)))
             chosen = np.sort(np.argsort(phi, kind="stable")[:k])
@@ -413,17 +403,14 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
                 _, z_lim = komlos_extract(zbar, extraction_tol=EXTRACTION_TOL)
             except (ExtendSequenceError, ValueError):
                 z_lim = _median_point(zbar[len(zbar) // 2:])
-            gap_z = float(_phi_values([z_lim], zbar, WINDOW_FRACTION)[0])
-            phi_bar = _phi_values(zbar, best.points, WINDOW_FRACTION)
-            if phi_min > 1e-12:
-                phi_ratio = float(limsup_tail(phi_bar, WINDOW_FRACTION) / phi_min)
+            gap_z = float(_phi_values([z_lim], zbar)[0])
         if gap_z is None or gap_z > rho + BRANCH_SLACK:
             raise BranchConditionError(
                 f"no branch within rho={rho:.4g}: limit gap {gap_x}, "
                 f"means gap {gap_z}")
         branch = "mean_limit"
-        result = C.recenter(z_lim, zbar, rng=rng, window_fraction=WINDOW_FRACTION)
-        r_after = float(_phi_values([result.point], zbar, WINDOW_FRACTION)[0])
+        result = C.recenter(z_lim, zbar, rng=rng)
+        r_after = float(_phi_values([result.point], zbar)[0])
 
     w = result.point
     if r_after > (1.0 - eps) * r0 + BRANCH_SLACK:
@@ -440,8 +427,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
                         limit_gap_x=gap_x, limit_gap_means=gap_z,
                         displacement=displacement, displacement_bound=disp_bound,
                         recenter_bound=result.bound_type, near_achieving=near,
-                        phi_min=phi_min, phi_ratio=phi_ratio,
-                        extraction_quality=records[-1].limit_quality)
+                        phi_min=phi_min)
     return w, report
 
 
@@ -506,6 +492,14 @@ def _default_inner(T: AffineOperator, x) -> int:
     return 256
 
 
+def _verified(T: AffineOperator, C: ConvexBody, point, residual: float | None,
+              tol: float) -> bool:
+    """``solve``'s acceptance test: the residual is known and at most
+    ``tol``, the point is a member, and the mesh floor does not pin it."""
+    return (residual is not None and residual <= tol
+            and C.membership(point, MEMBERSHIP_TOL) and not T.is_saturated(point))
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -528,7 +522,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     if n_inner is not None and n_inner < 8:
         raise ValueError(f"n_inner must be >= 8, got {n_inner}")
     rng = np.random.default_rng(seed)
-    defect = affinity_defect(T, rng, pairs=8)
+    defect = affinity_defect(T, rng)
     if defect > 1e-7:
         raise ValueError(f"affinity certificate failed: defect {defect:.3g}")
     if x0 is None:
@@ -593,8 +587,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
 
     residual_start = _safe_residual(T, x0)
     apps += 1
-    if (residual_start is not None and residual_start <= tol
-            and C.membership(x0, MEMBERSHIP_TOL) and not T.is_saturated(x0)):
+    if _verified(T, C, x0, residual_start, tol):
         return accept_fixed(0, x0, residual_start, None)
     if eps0 is None:
         return finish_with_classification(0, None, "growth gate closed: "
@@ -620,9 +613,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
         r0 = min(radii)
         residual_a = _safe_residual(T, a)
         apps += 1
+        if _verified(T, C, a, residual_a, tol):
+            return accept_fixed(outer, a, residual_a, r0)
         if residual_a is not None and residual_a <= tol:
-            if C.membership(a, MEMBERSHIP_TOL) and not T.is_saturated(a):
-                return accept_fixed(outer, a, residual_a, r0)
             return finish_with_classification(outer, r0, "candidate is a mesh "
                                               "artifact or left the body")
         if r0 <= tol:
@@ -651,8 +644,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
         a = w
     residual_a = _safe_residual(T, a)
     apps += 1
-    if (residual_a is not None and residual_a <= tol
-            and C.membership(a, MEMBERSHIP_TOL) and not T.is_saturated(a)):
+    if _verified(T, C, a, residual_a, tol):
         return accept_fixed(max_outer, a, residual_a, None)
     return finish_with_classification(max_outer, None,
                                       f"no convergence in {max_outer} outer steps")

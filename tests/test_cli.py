@@ -98,17 +98,17 @@ def test_reproduce_runs_are_byte_identical(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-@pytest.mark.parametrize("level, wf, slots, seed",
-                         [(11, 0.5, 32, 1), (12, 0.4, 100, 2), (12, 0.5, 64, 0)])
-def test_reproduce_drift_radii_match_the_norm_loop(level, wf, slots, seed):
-    cfg = ExperimentConfig(level=level, window_fraction=wf, slots=slots, seed=seed,
+@pytest.mark.parametrize("level, slots, seed",
+                         [(11, 32, 1), (12, 100, 2), (12, 64, 0)])
+def test_reproduce_drift_radii_match_the_norm_loop(level, slots, seed):
+    cfg = ExperimentConfig(level=level, slots=slots, seed=seed,
                            a_grid=(0.5,), t_grid=(1.5,), orlicz_p=(2.0,))
     rows = {row[0]: row for row in run_reproduce(cfg)[0]}
     peaks = peak_family(level, k_min=max(1, level - 8), k_max=level)
     bumps = bump_tail_family(1.5, slots)
     for quantity, fam in (("drift_radius(density_simplex)", peaks),
                           ("drift_radius(bump,t=1.5)", bumps)):
-        loop = limsup_tail([norm(p) for p in fam.points], wf)
+        loop = limsup_tail([norm(p) for p in fam.points])
         assert rows[quantity][2] == rows[quantity][3] == loop, quantity
 
 
@@ -286,6 +286,18 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
     for command in (["reproduce"], ["sharpness"],
                     ["solve", "--op", "cyclic", "--set", "ball"]):
         exits_two(command, "FPTLAB_SEED must be an integer, got 'abc'")
+
+
+def test_reproduce_config_refuses_window_and_tolerance_keys(tmp_path, capsys):
+    # the trailing window and the bracket tolerance are constants, not keys
+    for key, value in (("window_fraction", 0.5), ("tol_rel", 0.02)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"level": 9, key: value}))
+        assert main(["reproduce", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unknown config keys ['{key}']" in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 # ---------------------------------------------------------------------------

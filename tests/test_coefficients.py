@@ -31,6 +31,8 @@ from fptlab import (
     rademacher_family,
     recentering_bounds,
 )
+from fptlab import coefficients
+from fptlab.sets import SequenceFamily
 
 
 def test_recentering_ball_brackets_one():
@@ -62,12 +64,12 @@ def test_recentering_bump_exact():
 def test_recentering_rejects_non_drifting_family():
     body = DensitySimplex(8)
     with pytest.raises(ValueError, match="does not drift"):
-        recentering_bounds(body, [rademacher_family(8)])
+        recentering_bounds(body, [rademacher_family(8)], rng=np.random.default_rng(0))
 
 
 def test_recentering_needs_a_family():
     with pytest.raises(ValueError):
-        recentering_bounds(DensitySimplex(6), [])
+        recentering_bounds(DensitySimplex(6), [], rng=np.random.default_rng(0))
 
 
 def test_coefficient_report_serialization():
@@ -86,14 +88,15 @@ def test_additivity_defect_zero_z():
 
 def test_additivity_defect_disjoint_z_is_exactly_zero():
     # peaks live near 0 and z on the right half, and both are nonnegative,
-    # so additivity is exact at every window size
+    # so additivity is exact at every window size; from k = 9 on, the
+    # peaks in the window vanish within VANISH_TOL
     level = 12
     z = GridFunction(level, np.where(np.arange(2 ** level) >= 2 ** (level - 1),
                                      1.0, 0.0))
     last = None
-    for k in range(5, level + 1):
+    for k in range(9, level + 1):
         fam = peak_family(level, k_min=4, k_max=k)
-        defect = disjoint_additivity_defect(fam, z, drift_tol=0.1)
+        defect = disjoint_additivity_defect(fam, z)
         assert defect <= 2.0 ** -4 + 1e-12
         if last is not None:
             assert defect <= last + 1e-12
@@ -104,24 +107,26 @@ def test_additivity_defect_disjoint_z_is_exactly_zero():
 def test_additivity_defect_cancelling_z_law():
     # a z that is negative where the peaks live cancels 2**(1-j) of the mass
     # of peak j, so the trailing-window defect is exactly 2**(1-k) when the
-    # family stops at peak k
-    level = 10
+    # family stops at peak k; the window of peaks k - 1 and k vanishes
+    # within VANISH_TOL from k = 8 on
+    level = 12
     z = GridFunction(level, np.where(np.arange(2 ** level) < 2 ** (level - 1),
                                      -1.0, 0.0))
-    for k in range(4, 10):
-        fam = peak_family(level, k_min=3, k_max=k)
-        defect = disjoint_additivity_defect(fam, z, drift_tol=0.1)
+    for k in range(8, level + 1):
+        fam = peak_family(level, k_min=k - 2, k_max=k)
+        defect = disjoint_additivity_defect(fam, z)
         assert abs(defect - 2.0 ** (1 - k)) <= 1e-12
 
 
-def test_additivity_defect_matches_the_norm_loops():
+def test_additivity_defect_matches_the_norm_loops(monkeypatch):
     # the kernel prices |p + z| as |(-z) - p| and |p| as |0 - p|: both are
-    # exact, so the defect equals the one from the per-point loops
+    # exact, so the defect equals the one from the per-point loops, on every
+    # trailing run of the families, so that each window length is read
     rng = np.random.default_rng(21)
 
-    def loops(points, z, wf):
-        with_z = limsup_tail([norm(p + z) for p in points], wf)
-        alone = limsup_tail([norm(p) for p in points], wf)
+    def loops(points, z):
+        with_z = limsup_tail([norm(p + z) for p in points])
+        alone = limsup_tail([norm(p) for p in points])
         return abs(with_z - alone - norm(z))
 
     cases = []
@@ -135,16 +140,19 @@ def test_additivity_defect_matches_the_norm_loops():
         cases += [(fam, CoordPoint(t, rng.standard_normal(slots))) for _ in range(4)]
     for fam, z in cases:
         zero = 0.0 * fam.points[0]
-        for wf in (0.3, 0.5, 1.0):
-            got = disjoint_additivity_defect(fam, z, window_fraction=wf, drift_tol=1.0)
-            assert type(got) is float
-            assert got == loops(fam.points, z, wf), (fam.name, wf)
+        for n in range(2, min(40, len(fam.points)) + 1):
+            points = fam.points[-n:]
+            sub = SequenceFamily(fam.name, points, fam.limit)
             # the vanishing check compares the per-point loop's defect
-            vanish = limsup_tail([measure_distance(p, zero) for p in fam.points], wf)
-            disjoint_additivity_defect(fam, z, window_fraction=wf, drift_tol=vanish)
+            vanish = limsup_tail([measure_distance(p, zero) for p in points])
+            monkeypatch.setattr(coefficients, "VANISH_TOL", vanish)
+            got = disjoint_additivity_defect(sub, z)
+            assert type(got) is float
+            assert got == loops(points, z), (fam.name, n)
+            monkeypatch.setattr(coefficients, "VANISH_TOL",
+                                float(np.nextafter(vanish, -1.0)))
             with pytest.raises(ValueError, match="does not vanish"):
-                disjoint_additivity_defect(fam, z, window_fraction=wf,
-                                           drift_tol=float(np.nextafter(vanish, -1.0)))
+                disjoint_additivity_defect(sub, z)
 
 
 def test_additivity_rejects_oscillating_sequence():
@@ -191,10 +199,9 @@ def test_gate_margin_and_validation():
         fixed_point_gate(1.0, 0.0)
     with pytest.raises(ValueError):
         fixed_point_gate(1.0, 1.0, -2.0)
-    with pytest.raises(ValueError):
-        fixed_point_gate(1.0, 1.0, margin=-1e-9)
-    # literal float comparison is available on request
-    assert fixed_point_gate(1.0 - 1e-12, 1.0, 1.0, margin=0.0) is True
+    # a product within the relative margin of the bound keeps the gate shut
+    assert fixed_point_gate(1.0 - 1e-12, 1.0, 1.0) is False
+    assert fixed_point_gate(1.0 - 1e-8, 1.0, 1.0) is True
 
 
 def test_orlicz_identity_gauge():
@@ -209,11 +216,6 @@ def test_orlicz_power_gauges():
         assert abs(value - 2.0 ** (1.0 / p)) <= 1e-6
 
 
-def test_orlicz_custom_grid():
-    value = orlicz_coefficient(lambda u: u, 0.5, t_grid=np.array([1.0, 2.0, 4.0]))
-    assert abs(value - 2.0) <= 1e-12
-
-
 def test_orlicz_validation():
     with pytest.raises(ValueError):
         orlicz_coefficient(lambda u: u, 0.0)
@@ -223,5 +225,3 @@ def test_orlicz_validation():
         orlicz_coefficient(lambda u: -u, 0.5)
     with pytest.raises(ValueError):
         orlicz_coefficient(lambda u: 1.0 / u, 0.5)
-    with pytest.raises(ValueError):
-        orlicz_coefficient(lambda u: u, 0.5, t_grid=np.array([1.0]))

@@ -18,6 +18,7 @@ from fptlab import (
     peak_sequence,
     rademacher,
 )
+from fptlab.grid import WINDOW_FRACTION, window_length
 
 
 def test_l1_norm_unit_constant():
@@ -150,14 +151,20 @@ def test_rademacher_rejects_coarse_level():
 
 
 def test_limsup_tail_constant():
-    assert limsup_tail([1.0] * 17, 0.5) == 1.0
-    assert limsup_tail([1.0] * 17, 1.0) == 1.0
+    # every run length from 1 to 40: the window is the last half, rounded
+    # up, so the least term inside it of 0, 1, ..., n - 1 is n // 2
+    assert WINDOW_FRACTION == 0.5
+    for n in range(1, 41):
+        assert window_length(n) == (n + 1) // 2
+        assert limsup_tail([1.0] * n) == liminf_tail([1.0] * n) == 1.0
+        assert limsup_tail(range(n)) == n - 1
+        assert liminf_tail(range(n)) == n // 2
 
 
 def test_limsup_tail_harmonic_window():
     terms = [1.0 / k for k in range(1, 101)]
-    assert limsup_tail(terms, 0.5) == 1.0 / 51.0
-    assert liminf_tail(terms, 0.5) == 1.0 / 100.0
+    assert limsup_tail(terms) == 1.0 / 51.0
+    assert liminf_tail(terms) == 1.0 / 100.0
 
 
 def test_limsup_tail_norm_vs_measure_gap():
@@ -166,33 +173,24 @@ def test_limsup_tail_norm_vs_measure_gap():
     peaks = [peak_sequence(2 ** k, level) for k in range(1, level + 1)]
     norms = [norm(p) for p in peaks]
     gaps = [measure_distance(p, zero) for p in peaks]
-    assert limsup_tail(norms, 0.5) == 1.0
-    assert limsup_tail(gaps, 0.5) <= 2.0 ** -(level // 2) + 1e-15
+    assert limsup_tail(norms) == 1.0
+    assert limsup_tail(gaps) <= 2.0 ** -(level // 2) + 1e-15
 
 
 def test_limsup_tail_rejects_empty():
     with pytest.raises(ValueError):
-        limsup_tail([], 0.5)
+        limsup_tail([])
 
 
 def test_real_sequence_window_object():
     terms = (3.0, 2.0, 1.0, 5.0)
-    assert limsup_tail(terms, 0.5) == 5.0
-    assert liminf_tail(terms, 0.5) == 1.0
-    assert limsup_tail(iter(terms), 1.0) == 5.0
-    assert liminf_tail(terms, 1.0) == 1.0
+    assert limsup_tail(terms) == 5.0
+    assert liminf_tail(terms) == 1.0
+    assert limsup_tail(iter(terms)) == 5.0
     with pytest.raises(ValueError, match="finite"):
-        limsup_tail([1.0, float("nan")], 0.5)
+        limsup_tail([1.0, float("nan")])
     with pytest.raises(ValueError, match="empty"):
-        liminf_tail([], 0.5)
-
-
-def test_real_sequence_window_rejects_bad_fraction():
-    for fraction in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="window_fraction"):
-            limsup_tail((1.0,), fraction)
-        with pytest.raises(ValueError, match="window_fraction"):
-            liminf_tail((1.0,), fraction)
+        liminf_tail([])
 
 
 def test_grid_function_validation():

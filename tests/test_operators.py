@@ -124,7 +124,7 @@ def test_orbit_error_names_the_iterate():
 def test_affinity_certificate_all_operators():
     rng = np.random.default_rng(14)
     for T in catalog():
-        assert affinity_defect(T, rng, pairs=100) <= 1e-9, T.name
+        assert affinity_defect(T, rng) <= 1e-9, T.name
 
 
 def test_cesaro_means_identity():
@@ -289,9 +289,10 @@ def test_lipschitz_estimate_rejects_degenerate_sampler():
             return GridFunction.constant(1.0, 4)
 
     T.domain = FixedBody()
+    # the identity states no witness pairs, so every pair is degenerate
+    assert T.witness_pairs() == []
     with pytest.raises(ValueError):
-        lipschitz_estimate(T, 1, np.random.default_rng(0), pairs=8,
-                           include_witnesses=False)
+        lipschitz_estimate(T, 1, np.random.default_rng(0), pairs=8)
 
 
 def test_mean_lipschitz_exact_values():
@@ -319,11 +320,20 @@ def test_mean_lipschitz_sampled_composition():
 
 
 def test_mean_lipschitz_series_is_prefix_min():
-    T = BumpShift(BumpSimplex(1.5, 16))
-    value, constants, averages = mean_lipschitz(T, 6, return_series=True)
-    assert value == min(averages)
-    assert len(constants) == len(averages) == 6
-    assert all(c == 2.0 / 1.5 for c in constants)
+    T = RetractionDoubling(ConeHull(0.0, 6))
+    # the least prefix average of the iterate constants, exact or sampled
+    for use_exact in (True, False):
+        for n_max in (1, 3, 6):
+            constants = []
+            ref = np.random.default_rng(n_max)
+            for k in range(1, n_max + 1):
+                exact = T.lipschitz_exact(k) if use_exact else None
+                constants.append(exact if exact is not None
+                                 else lipschitz_estimate(T, k, ref, pairs=4))
+            averages = np.cumsum(constants) / np.arange(1, n_max + 1)
+            got = mean_lipschitz(T, n_max, rng=np.random.default_rng(n_max),
+                                 pairs=4, use_exact=use_exact)
+            assert got == min(averages), (use_exact, n_max)
 
 
 def test_bump_shift_mass_overflow():

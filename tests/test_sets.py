@@ -28,7 +28,14 @@ from fptlab import (
 )
 from fptlab import sets
 from fptlab.grid import MAX_LEVEL
-from fptlab.sets import PHI_BLOCK_FLOATS, _phi_values, measure_distances, point_rows
+from fptlab.sets import (
+    PHI_BLOCK_FLOATS,
+    SAMPLED_CANDIDATES,
+    SequenceFamily,
+    _phi_values,
+    measure_distances,
+    point_rows,
+)
 
 LEVEL = 7
 
@@ -129,7 +136,7 @@ def test_recenter_ball_returns_interior_point():
     rng = np.random.default_rng(7)
     x = 0.5 * body.sample(rng)
     seq = [body.sample(rng) for _ in range(8)]
-    res = body.recenter(x, seq)
+    res = body.recenter(x, seq, rng=rng)
     assert res.bound_type == "exact"
     assert norm(res.point - x) <= 1e-12
 
@@ -141,10 +148,11 @@ def test_recenter_cone_hull_vertex_witness():
     fam = peak_family(level, k_min=4)
     for a in (0.0, 0.25, 0.5, 0.75):
         body = ConeHull(a, level)
-        res = body.recenter(GridFunction.zero(level), fam.points)
+        res = body.recenter(GridFunction.zero(level), fam.points,
+                            rng=np.random.default_rng(0))
         assert res.bound_type == "exact"
         assert res.point.allclose(GridFunction.constant(a, level))
-        ratio = limsup_tail([norm(res.point - p) for p in fam.points], 0.5)
+        ratio = limsup_tail([norm(res.point - p) for p in fam.points])
         assert abs(ratio - (1.0 + a)) <= 0.02 * (1.0 + a)
 
 
@@ -152,7 +160,7 @@ def test_recenter_witness_for_member_is_identity():
     rng = np.random.default_rng(8)
     for body in catalog():
         x = body.sample(rng)
-        res = body.recenter(x, (x,))
+        res = body.recenter(x, (x,), rng=rng)
         assert res.bound_type == "exact"
         assert norm(res.point - x) <= 1e-9, body.name
 
@@ -162,11 +170,12 @@ def test_recenter_bump_tail_ratio_exact():
     for t in (1.25, 1.5, 1.75):
         body = BumpSimplex(t, slots)
         fam = bump_tail_family(t, slots, k_min=2)
-        res = body.recenter(body.zero_point(), fam.points)
+        res = body.recenter(body.zero_point(), fam.points,
+                            rng=np.random.default_rng(0))
         assert res.bound_type == "exact"
         # witness is the shrunken first vertex, norm t - 1
         assert abs(norm(res.point) - (t - 1.0)) <= 1e-12
-        ratio = limsup_tail([norm(res.point - p) for p in fam.points], 0.5)
+        ratio = limsup_tail([norm(res.point - p) for p in fam.points])
         assert abs(ratio - t) <= 1e-9
 
 
@@ -182,14 +191,14 @@ def test_recenter_output_always_member():
 def test_recenter_rejects_empty_sequence():
     body = DensitySimplex(4)
     with pytest.raises(ValueError):
-        body.recenter(GridFunction.zero(4), ())
+        body.recenter(GridFunction.zero(4), (), rng=np.random.default_rng(0))
 
 
 def test_distance_to_set_member_is_zero():
     rng = np.random.default_rng(10)
     for body in catalog():
         x = body.sample(rng)
-        value, _ = distance_to_set(body, x)
+        value, _ = distance_to_set(body, x, rng=rng)
         assert value == 0.0
 
 
@@ -204,7 +213,8 @@ def test_distance_to_set_zero_to_simplex():
 def test_distance_to_set_zero_to_bump():
     for t in (1.1, 1.5, 1.9):
         body = BumpSimplex(t, 16)
-        value, bound = distance_to_set(body, body.zero_point())
+        value, bound = distance_to_set(body, body.zero_point(),
+                                       rng=np.random.default_rng(12))
         assert bound == "exact"
         assert abs(value - (t - 1.0)) <= 1e-12
 
@@ -282,10 +292,12 @@ def test_families_drift_verdicts():
     # sign blocks oscillate: the declared limit 0 is wrong in measure
     rad = rademacher_family(8)
     assert rad.drift_defect() >= 0.99
+    # every prefix of 2 to 31 terms, so that each window length is read
     for fam in (peaks, bumps, rad):
-        for wf in (0.3, 0.5, 1.0):
-            loop = limsup_tail([measure_distance(p, fam.limit) for p in fam.points], wf)
-            assert fam.drift_defect(wf) == loop, (fam.name, wf)
+        for n in range(2, len(fam.points) + 1):
+            sub = SequenceFamily(fam.name, fam.points[:n], fam.limit)
+            loop = limsup_tail([measure_distance(p, fam.limit) for p in sub.points])
+            assert sub.drift_defect() == loop, (fam.name, n)
 
 
 def test_family_needs_two_points():
@@ -386,13 +398,15 @@ def test_bump_tail_family_respects_the_byte_budget(monkeypatch):
 # the trailing-radius kernel
 
 
-def _norm_loops(points, means, wf):
-    return [limsup_tail([norm(y - p) for p in means], wf) for y in points]
+def _norm_loops(points, means):
+    return [limsup_tail([norm(y - p) for p in means]) for y in points]
 
 
 def test_phi_values_many_points_match_the_norm_loop():
     # the table-path shapes: 65 candidates against a 9-term grid family and
-    # against the 63-term bump family, every value == the per-norm loop
+    # against the 63-term bump family, every value == the per-norm loop;
+    # then against every trailing run of 1 to 40 of those terms, so that
+    # each window length is read
     rng = np.random.default_rng(11)
     level = 12
     peaks = peak_family(level, k_min=level - 8, k_max=level)
@@ -403,9 +417,11 @@ def test_phi_values_many_points_match_the_norm_loop():
     coord_points = [simplex.sample(rng) for _ in range(64)] + [bumps.limit]
     for points, fam in ((grid_points, peaks), (coord_points, bumps)):
         assert len(points) == 65
-        for wf in (0.3, 0.5, 1.0):
-            got = _phi_values(points, fam.points, wf)
-            assert got.tolist() == _norm_loops(points, fam.points, wf)
+        got = _phi_values(points, fam.points)
+        assert got.tolist() == _norm_loops(points, fam.points)
+        for n in range(1, min(40, len(fam.points)) + 1):
+            means = fam.points[-n:]
+            assert _phi_values(points, means).tolist() == _norm_loops(points, means), n
 
 
 def test_phi_values_blocks_match_the_norm_loop():
@@ -420,16 +436,16 @@ def test_phi_values_blocks_match_the_norm_loop():
         assert block > 1
         for n in (block - 1, block, block + 1, 2 * block + 1):
             points = [space.like(rng.standard_normal(size)) for _ in range(n)]
-            got = _phi_values(points, means, 0.5)
-            assert got.tolist() == _norm_loops(points, means, 0.5), (space.kind, n)
+            got = _phi_values(points, means)
+            assert got.tolist() == _norm_loops(points, means), (space.kind, n)
 
 
 def test_phi_values_rejects_mixed_spaces():
     with pytest.raises(ValueError, match="mixed coordinate spaces"):
         _phi_values([CoordPoint(1.5, np.zeros(8))],
-                    [CoordPoint(1.9, np.ones(8))] * 2, 0.5)
+                    [CoordPoint(1.9, np.ones(8))] * 2)
     with pytest.raises(ValueError, match="mixed grid levels"):
-        _phi_values([GridFunction.zero(4)], [GridFunction.zero(5)] * 2, 0.5)
+        _phi_values([GridFunction.zero(4)], [GridFunction.zero(5)] * 2)
 
 
 def test_measure_distances_are_bit_equal_to_measure_distance():
@@ -460,20 +476,23 @@ def test_measure_distances_reject_mixed_points():
 
 
 def test_recenter_sampled_returns_the_first_minimizer():
-    # three copies of the sequence's own point tie at radius 0; the first
-    # one wins, as it did with min(key=)
+    # copies of the sequence's own point tie at radius 0 among the sampled
+    # candidates; the first one wins, as it did with min(key=)
     rng = np.random.default_rng(13)
     body = ConeHull(0.25, 6)
     drawn = [body.sample(rng) for _ in range(5)]
-    pool = [drawn[i].like(drawn[i].values) for i in (3, 1, 4, 1, 0, 1, 2)]
+    picks = [3, 4, 0, 2] * (SAMPLED_CANDIDATES // 4)
+    for i in (7, 20, 41):
+        picks[i] = 1
+    pool = [drawn[i].like(drawn[i].values) for i in picks]
     feed = iter(pool)
     body.sample = lambda _rng: next(feed)
     seq = [drawn[1], drawn[1]]
     x = GridFunction.constant(3.0, 6)  # not a member, so never a candidate
-    scores = _norm_loops(pool, seq, 0.5)
-    assert scores[1] == scores[3] == scores[5] == 0.0
-    got = body._recenter_sampled(x, seq, None, len(pool), 0.5)
-    assert got is pool[1] is min(pool, key=lambda c: scores[pool.index(c)])
+    scores = _norm_loops(pool, seq)
+    assert [i for i, v in enumerate(scores) if v == 0.0] == [7, 20, 41]
+    got = body._recenter_sampled(x, seq, rng)
+    assert got is pool[7] is min(pool, key=lambda c: scores[pool.index(c)])
 
 
 def _scalar_violation(body, x, tol):
