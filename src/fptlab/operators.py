@@ -46,6 +46,10 @@ class AffineOperator:
 
     name: str = "operator"
     domain: ConvexBody
+    #: ``map_powers(space, rows)``, stated by an operator whose powers come
+    #: in one pass: it writes T**j rows[0] into rows[j] for every j >= 1,
+    #: bit-equal to that many ``map_array`` calls, and ``orbit_rows`` uses it
+    map_powers = None
 
     def apply(self, x, *, check_domain: bool = True):
         if check_domain:
@@ -188,6 +192,21 @@ class CyclicShift(AffineOperator):
         out[0] = v[-1]
         out[1:] = v[:-1]
         return out
+
+    def map_powers(self, space, rows):
+        # T**j v is v rotated by j cells.  wrapped[k] is v[(k - count) mod
+        # n], so its window of n cells from count - j holds T**j v.  The
+        # windows, read backwards, are one view of wrapped with strides of
+        # -1 and +1 cells, which numpy checks against its bounds, and fill
+        # the block in one copy of values.  (sliding_window_view builds the
+        # same view but costs about 20 us a call, more than the per-row loop
+        # on the few rows of a level-10 to level-12 block.)
+        count, n = len(rows) - 1, rows.shape[1]
+        v = rows[0]
+        wrapped = np.concatenate((v[n - count % n:],) + (v,) * (count // n + 1))
+        cell = wrapped.itemsize
+        rows[1:] = np.ndarray((count, n), wrapped.dtype, wrapped, (count - 1) * cell,
+                              (-cell, cell))
 
     def lipschitz_exact(self, n: int) -> float:
         return 1.0
@@ -395,7 +414,9 @@ def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int, *,
     point of ``space``'s space.
 
     Returns the number of steps made: ``count``, or j when the map raised
-    MassOverflowError at step j.  No point is built.  The rows are checked
+    MassOverflowError at step j.  No point is built.  An operator that
+    states ``map_powers`` writes a block of two or more steps in that one
+    call; otherwise each step is one ``map_array`` call.  The rows are checked
     once, after the maps, and the first error is raised that the point loop
     ``p = T.apply(p, check_domain=check_domain)`` would raise, with its type
     and message: it checks the domain of rows[j], then maps it, then builds
@@ -407,13 +428,16 @@ def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int, *,
     """
     stop, failure = count, None
     with np.errstate(all="ignore"):
-        try:
-            for j in range(count):
-                T.map_array(space, rows[j], rows[j + 1])
-        except Exception as exc:
-            # whatever the map raises comes after the checks of the rows
-            # before it, so it is held until they pass, then raised as is
-            stop, failure = j, exc
+        if count >= 2 and T.map_powers is not None:
+            T.map_powers(space, rows[:count + 1])
+        else:
+            try:
+                for j in range(count):
+                    T.map_array(space, rows[j], rows[j + 1])
+            except Exception as exc:
+                # whatever the map raises comes after the checks of the rows
+                # before it, so it is held until they pass, then raised as is
+                stop, failure = j, exc
         finite = np.isfinite(rows[1:stop + 1]).all(axis=1)
         bad_out = stop if finite.all() else int(np.argmin(finite))
         # rows past the first non-finite one can never fail first
@@ -436,21 +460,30 @@ def running_means(rows: np.ndarray, *, carry: np.ndarray | None = None,
     result is (c + rows[0] + ... + rows[j]) / (start + j + 1), where c, the
     sum of the earlier terms, is read from ``carry`` when start > 0.
 
-    The one mean kernel of the package: a sequential sum, one add per row,
-    scaled by 1/s, so every caller gets the same float rounding.  A given
-    ``carry`` is left holding the sum through the last row.  The means go
-    to ``out`` when given, else to a new array; none is checked finite.
+    The one mean kernel of the package: a sequential sum, the same adds in
+    row order whether a block takes one accumulate (at least as many rows as
+    slots) or one add per row, scaled by 1/s, so every caller gets the same
+    float rounding.  A given ``carry`` is left holding the sum through the
+    last row.  The means go to ``out`` when given, else to a new array; none
+    is checked finite.
     """
     out = np.empty_like(rows) if out is None else out
-    # one add per row, not np.cumsum(axis=0): on a block of few rows and
-    # many slots that walks every column on its own and is slower
-    for j, row in enumerate(rows):
-        if j:
-            np.add(out[j - 1], row, out=out[j])
-        elif start:
-            np.add(carry, row, out=out[0])
-        else:
-            out[0] = row
+    if len(rows) >= rows.shape[1]:
+        # np.add.accumulate(axis=0) makes the same adds, each column in row
+        # order, in one call; it walks every column on its own, so a block
+        # of fewer rows than slots keeps the add per row below
+        out[...] = rows
+        if start:
+            np.add(carry, rows[0], out=out[0])
+        np.add.accumulate(out, axis=0, out=out)
+    else:
+        for j, row in enumerate(rows):
+            if j:
+                np.add(out[j - 1], row, out=out[j])
+            elif start:
+                np.add(carry, row, out=out[0])
+            else:
+                out[0] = row
     if carry is not None and len(rows):
         carry[...] = out[-1]
     out *= (1.0 / np.arange(start + 1, start + len(rows) + 1))[:, None]

@@ -284,13 +284,15 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
 
     Residuals come from the affine identity z_s - T z_s = (T x0 - T**(s+1) x0)/s,
     so the whole record costs one orbit pass.  The orbit is marched by
-    ``orbit_rows``, a block of ``PHI_BLOCK_FLOATS`` floats at a time: per
-    block the rows are checked once, the residuals are priced by one
-    ``row_norms`` call, and ``running_means`` writes the block's means,
-    carrying the running sum to the next block.  Only ``T x0`` is built as
-    a point, and errors come at the step, with the type and message, of the
-    point loop ``p = T.apply(p)``.  Coordinate orbits that run out of
-    tracked slots are truncated at the last computable mean.
+    ``orbit_rows``, a block of ``PHI_BLOCK_FLOATS`` floats at a time: the
+    rotation writes a block in one copy, other maps one row per
+    ``map_array`` call.  Per block the rows are checked once, the residuals
+    are priced by one ``row_norms`` call, and ``running_means`` writes the
+    block's means, in one accumulate when the block has at least as many
+    rows as slots, carrying the running sum to the next block.  Only
+    ``T x0`` is built as a point, and errors come at the step, with the type
+    and message, of the point loop ``p = T.apply(p)``.  Coordinate orbits
+    that run out of tracked slots are truncated at the last computable mean.
     """
     if n_inner < 1:
         raise ValueError(f"n_inner must be >= 1, got {n_inner}")

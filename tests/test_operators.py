@@ -11,6 +11,7 @@ from fptlab import (
     BumpShift,
     BumpSimplex,
     ConeHull,
+    ConvexBody,
     CoordPoint,
     CyclicShift,
     DensitySimplex,
@@ -139,7 +140,7 @@ def test_running_means_match_the_reference_loop():
     # the cumulative sum after the carry, against one add per point, at
     # every split of the rows into a first run and a carried second one
     rng = np.random.default_rng(22)
-    for slots in (2, 8, 32, 4096):
+    for slots in (2, 8, 16, 17, 18, 32, 4096):
         rows = rng.normal(size=(17, slots)) * 10.0 ** rng.uniform(-3, 3, size=(17, 1))
         rows[rng.random(rows.shape) < 0.1] = -0.0
         for split in (0, 1, 2, 9, 16, 17):
@@ -155,6 +156,28 @@ def test_running_means_match_the_reference_loop():
                 assert z.tobytes() == (total * (1.0 / s)).tobytes(), (slots, split, s)
             assert carry.tobytes() == total.tobytes()
         assert running_means(rows[:1]).tobytes() == rows[0].tobytes()
+    # blocks on both sides of the switch between one accumulate (rows >=
+    # slots) and one add per row (rows < slots), and exactly at it: with no
+    # carry, with a carry that is only written, and after earlier terms
+    for n_rows, slots in ((1, 32), (31, 32), (32, 32), (33, 32), (512, 32),
+                          (4, 4096), (128, 4096)):
+        rows = rng.normal(size=(n_rows, slots)) * 10.0 ** rng.uniform(-3, 3, size=(n_rows, 1))
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        earlier = rng.normal(size=slots) * 50.0
+        earlier[rng.random(slots) < 0.1] = -0.0
+        given = rows.tobytes()
+        for start in (None, 0, 7):
+            carry = None if start is None else earlier.copy()
+            into = np.full_like(rows, np.nan)
+            means = running_means(rows, carry=carry, start=start or 0, out=into)
+            assert means is into and rows.tobytes() == given
+            total = earlier.copy() if start else None
+            for s, p in enumerate(rows, start=(start or 0) + 1):
+                total = p.copy() if total is None else np.add(total, p)
+                assert means[s - (start or 0) - 1].tobytes() == (total * (1.0 / s)).tobytes(), (
+                    n_rows, slots, start, s)
+            if carry is not None:
+                assert carry.tobytes() == total.tobytes(), (n_rows, slots, start)
 
 
 def test_cesaro_mean_doubling_hand_computed():
@@ -197,6 +220,96 @@ def test_cyclic_shift_rotates_by_one_cell():
         f = GridFunction(level, rng.standard_normal(2 ** level))
         got = CyclicShift(UnitBall(level))._transform(f)
         assert got.values.tobytes() == np.roll(f.values, 1).tobytes()
+
+
+def _looped(T):
+    """``T`` with its one-pass powers hidden, so that ``orbit_rows`` makes
+    one ``map_array`` call per step."""
+    T.map_powers = None
+    return T
+
+
+def test_rotation_block_is_bit_equal_to_repeated_map_array():
+    # orbit_rows writes a rotation block with map_powers in one copy; every
+    # row must hold the bytes of that many map_array calls, signed zeros
+    # included, before, at and past each wrap of the cycle.  Blocks above
+    # 64 MiB are not built: at level 11 the counts stop at cells + 1 and at
+    # level 12 at 2
+    rng = np.random.default_rng(24)
+    for level in range(13):
+        cells = 2 ** level
+        ball = UnitBall(level)
+        T = CyclicShift(ball)
+        v = ball.sample(rng).values.copy()
+        v[rng.random(cells) < 0.25] = -0.0
+        v[0] = -0.0
+        x0 = GridFunction(level, v)
+        for count in (1, 2, cells - 1, cells, cells + 1, 3 * cells + 5):
+            if count < 1 or (count + 1) * cells * 8 > 2 ** 26:
+                continue
+            for check_domain in (True, False):
+                rows = np.empty((count + 1, cells))
+                rows[0] = v
+                assert orbit_rows(T, x0, rows, count, check_domain=check_domain) == count
+                want, step = v.copy(), np.empty(cells)
+                for j in range(1, count + 1):
+                    want, step = T.map_array(x0, want, step), want
+                    assert rows[j].tobytes() == want.tobytes(), (level, count, j)
+
+
+class _CappedHead(ConvexBody):
+    """Grid points whose first cell holds at most ``cap``; the message names
+    the value, so it tells the rows of a rotation apart."""
+
+    name = "capped_head"
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def violation(self, x, tol=1e-9):
+        head = float(x.values[0])
+        return None if head <= self.cap else f"first cell {head:.17g} above the cap"
+
+
+def _orbit_outcome(T, x0, count, check_domain):
+    """The rows and step count of ``orbit_rows``, or what it raised."""
+    rows = np.empty((count + 1, x0.values.size))
+    rows[0] = x0.values
+    try:
+        steps = orbit_rows(T, x0, rows, count, check_domain=check_domain)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return rows.tobytes(), steps
+
+
+def test_rotation_block_breaks_the_domain_at_the_loop_row():
+    # distinct cells under a cap: the rotation brings cell (-j) mod n to the
+    # head at step j, so the first row above the cap is known, and the block
+    # must refuse it with the message of the per-step loop, naming its value
+    rng = np.random.default_rng(25)
+    for level in (0, 1, 3, 5, 7, 9):
+        cells = 2 ** level
+        v = (rng.permutation(cells) + 1.0) / cells
+        x0 = GridFunction(level, v)
+        heads = v[-np.arange(3 * cells + 6) % cells]
+        # every row refused, none refused, and cells picked at random
+        for cap in np.r_[0.0, 2.0, rng.choice(v, size=min(cells, 6), replace=False)]:
+            for count in (1, 2, cells - 1, cells, cells + 1, 3 * cells + 5):
+                if count < 1:
+                    continue
+                for check_domain in (True, False):
+                    block, loop = CyclicShift(UnitBall(level)), _looped(CyclicShift(UnitBall(level)))
+                    block.domain = loop.domain = _CappedHead(cap)
+                    got = _orbit_outcome(block, x0, count, check_domain)
+                    assert got == _orbit_outcome(loop, x0, count, check_domain), (
+                        level, cap, count, check_domain)
+                    # rows 0 .. count - 1 are checked; rows[count] is not
+                    above = np.flatnonzero(heads[:count] > cap)
+                    if check_domain and above.size:
+                        assert got == ("DomainError", "cyclic: point outside domain: "
+                                       f"first cell {heads[above[0]]:.17g} above the cap")
+                    else:
+                        assert got[1] == count
 
 
 def test_cyclic_means_close_after_full_cycle():
