@@ -29,13 +29,9 @@ from .sets import (
     body_from_spec,
     bump_tail_family,
     coord_basis,
-    distance_to_set,
-    embed_coord,
-    export_sequence_csv,
     measure_distance,
     norm,
     peak_family,
-    rademacher_family,
 )
 from .operators import (
     AffineOperator,
@@ -59,7 +55,6 @@ from .coefficients import (
     CoefficientReport,
     disjoint_additivity_defect,
     fixed_point_gate,
-    gate_margin,
     opial_cross_check,
     opial_sum,
     orlicz_coefficient,

@@ -10,7 +10,6 @@ two.  The strict inequality growth < modulus / recentering opens the gate.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .grid import (
     liminf_tail,
     limsup_tail,
     peak_sequence,
+    window_length,
 )
 from .sets import (
     SAMPLED_CANDIDATES,
@@ -87,12 +87,24 @@ class CoefficientReport:
 
 
 def _default_families(body: ConvexBody) -> list[SequenceFamily]:
+    """The drift families that ``recentering_bounds`` reads when none are
+    given.  A body with a level gets the peaks of heights 2**k for
+    k_min <= k <= level, with the least k_min >= max(1, level - 10) whose
+    trailing window holds only peaks that drift, that is lie within
+    ``DRIFT_TOL`` of zero in measure (the peak of height 2**k lies 2**-k
+    from it).  At level 4 or less no family of two or more peaks does, and
+    the list is empty."""
     if isinstance(body, BumpSimplex):
         return [bump_tail_family(body.t, body.slots)]
     level = getattr(body, "level", None)
     if level is None:
         raise ValueError(f"no default drift family for body {body.name!r}")
-    return [peak_family(level, k_min=max(1, level - 10), k_max=level)]
+    for k_min in range(max(1, level - 10), level):
+        # the least k in the trailing window of the level - k_min + 1 peaks
+        k_low = level + 1 - window_length(level + 1 - k_min)
+        if 2.0 ** -k_low <= DRIFT_TOL:
+            return [peak_family(level, k_min=k_min, k_max=level)]
+    return []
 
 
 def recentering_bounds(body: ConvexBody, families=None, *,
@@ -103,9 +115,18 @@ def recentering_bounds(body: ConvexBody, families=None, *,
     end, and the closed-form recenter witness gives the certified high end
     via norm additivity along vanishing supports.  Families that do not
     drift to their declared limit within ``DRIFT_TOL`` are rejected: the
-    coefficient is about escape in measure, nothing else.
+    coefficient is about escape in measure, nothing else.  Without
+    ``families``, a body too coarse for any default family gets the bracket
+    [1, ``RECENTERING_CAP``], with bound type "cap".
     """
-    families = _default_families(body) if families is None else list(families)
+    if families is None:
+        families = _default_families(body)
+        if not families:
+            return CoefficientReport(
+                f"recentering({body.name})", 1.0, RECENTERING_CAP, "cap",
+                f"no drift family fits level {body.level}: the cap t <= "
+                f"{RECENTERING_CAP:g}", {"families": []})
+    families = list(families)
     if not families:
         raise ValueError("need at least one drift family")
 
@@ -207,13 +228,6 @@ def fixed_point_gate(mean_lip: float, t_coeff: float, opial: float = 2.0) -> boo
     if t_coeff <= 0 or opial <= 0:
         raise ValueError("coefficients must be positive")
     return mean_lip * t_coeff < opial * (1.0 - GATE_MARGIN)
-
-
-def gate_margin(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float:
-    """Slack opial / t_coeff - mean_lip; positive exactly when the gate opens."""
-    if t_coeff <= 0 or opial <= 0:
-        raise ValueError("coefficients must be positive")
-    return opial / t_coeff - mean_lip
 
 
 def orlicz_coefficient(phi_inverse, delta: float) -> float:

@@ -116,10 +116,6 @@ class GridFunction:
         """Lebesgue integral over [0, 1]."""
         return float(self.row_integrals(self.values))
 
-    def allclose(self, other: GridFunction, tol: float = DEFAULT_TOL) -> bool:
-        self._compat(other)
-        return bool(np.max(np.abs(self.values - other.values), initial=0.0) <= tol)
-
     def __add__(self, other: GridFunction) -> GridFunction:
         self._compat(other)
         return GridFunction(self.level, self.values + other.values)

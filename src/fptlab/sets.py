@@ -10,7 +10,6 @@ upper bound.
 """
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 from collections.abc import Sequence
@@ -38,7 +37,7 @@ BYTE_BUDGET = 2 ** 30
 #: against a larger window is still one block.
 PHI_BLOCK_FLOATS = 1 << 14
 
-#: Sampled members that a sampled recentering or distance search scores.
+#: Sampled members that a sampled recentering or a recentering bound scores.
 SAMPLED_CANDIDATES = 64
 
 
@@ -153,21 +152,6 @@ def coord_basis(t: float, slots: int, k: int) -> CoordPoint:
     return CoordPoint(t, c)
 
 
-def embed_coord(x: CoordPoint, level: int) -> GridFunction:
-    """Exact grid representation of a coordinate point (needs level >= slots)."""
-    if level < x.slots:
-        raise ValueError(f"level {level} cannot resolve {x.slots} bump slots")
-    vals = np.zeros(2 ** level)
-    for k in range(x.slots):
-        lo = 2 ** (level - k - 1)
-        hi = 2 ** (level - k)
-        height = x.coeffs[k] * 2.0 ** (k + 1)
-        if k == 0:
-            height *= x.t - 1.0
-        vals[lo:hi] = height
-    return GridFunction(level, vals)
-
-
 _POINT_TYPES = (GridFunction, CoordPoint)
 
 
@@ -261,7 +245,7 @@ def measure_distance(x, y) -> float:
     On each slot's support the difference is constant with mass
     weight * |dx|, so the slot contributes min(weight * |dx|, width): one
     exact term per slot.  On bump coordinates this equals the grid distance
-    of the ``embed_coord`` images.
+    of their exact grid images (``embed_coord`` of tests/test_sets.py).
     """
     if type(x) is not type(y) or not isinstance(x, _POINT_TYPES):
         raise TypeError("mixed or unsupported point types")
@@ -283,17 +267,6 @@ def measure_distances(x, points) -> np.ndarray:
     d *= x.weights
     np.minimum(d, x.widths, out=d)
     return d.sum(axis=1)
-
-
-def export_sequence_csv(path, points, limit=None) -> None:
-    """Write a point sequence as CSV rows: index, norm, and the in-measure
-    distance to ``limit`` (blank without one)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "l1_norm", "ky_fan_to_limit"])
-        for i, p in enumerate(points):
-            dist = "" if limit is None else f"{measure_distance(p, limit):.12g}"
-            writer.writerow([i, f"{norm(p):.12g}", dist])
 
 
 def _row_messages(n: int, *checks) -> list:
@@ -338,10 +311,6 @@ class ConvexBody:
         return self.violation(x, tol) is None
 
     def sample(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def zero_point(self):
-        """Origin of the ambient space (not necessarily a member)."""
         raise NotImplementedError
 
     def recenter(self, x, seq, *, rng: np.random.Generator) -> RecenterResult:
@@ -407,9 +376,6 @@ class DensitySimplex(ConvexBody):
         v /= v.sum() * 2.0 ** -self.level
         return GridFunction(self.level, v)
 
-    def zero_point(self) -> GridFunction:
-        return GridFunction.zero(self.level)
-
     def _recenter_witness(self, x):
         if not isinstance(x, GridFunction):
             return None
@@ -463,9 +429,6 @@ class ConeHull(ConvexBody):
         f = DensitySimplex(self.level).sample(rng)
         lam = rng.random()
         return GridFunction(self.level, f.values * lam + (1.0 - lam) * self.a)
-
-    def zero_point(self) -> GridFunction:
-        return GridFunction.zero(self.level)
 
     def _recenter_witness(self, x):
         if not isinstance(x, GridFunction):
@@ -521,9 +484,6 @@ class UnitBall(ConvexBody):
         radius = rng.random() if rng.random() < 0.75 else 1.0
         return GridFunction(self.level, v * signs * radius)
 
-    def zero_point(self) -> GridFunction:
-        return GridFunction.zero(self.level)
-
     def _recenter_witness(self, x):
         if not isinstance(x, GridFunction):
             return None
@@ -576,9 +536,6 @@ class BumpSimplex(ConvexBody):
         c[:k] = rng.dirichlet(np.ones(k))
         return CoordPoint(self.t, c)
 
-    def zero_point(self) -> CoordPoint:
-        return CoordPoint(self.t, np.zeros(self.slots))
-
     def _recenter_witness(self, x):
         if not isinstance(x, CoordPoint):
             return None
@@ -592,23 +549,6 @@ class BumpSimplex(ConvexBody):
         c = x.coeffs.copy()
         c[0] += max(deficit, 0.0)
         return CoordPoint(self.t, c)
-
-
-def distance_to_set(body: ConvexBody, x, *,
-                    rng: np.random.Generator) -> tuple[float, str]:
-    """Distance from ``x`` to the body: (value, bound_type).
-
-    Uses the recenter witness plus ``SAMPLED_CANDIDATES`` members drawn from
-    ``rng``, so the value is exact when the witness is the true projection
-    and an upper bound otherwise.
-    """
-    if body.membership(x):
-        return 0.0, "exact"
-    result = body.recenter(x, (x,), rng=rng)
-    best = norm(x - result.point)
-    for _ in range(SAMPLED_CANDIDATES):
-        best = min(best, norm(x - body.sample(rng)))
-    return best, result.bound_type
 
 
 @dataclass(frozen=True)
@@ -657,19 +597,6 @@ def bump_tail_family(t: float, slots: int, k_min: int = 1,
     points = tuple(coord_basis(t, slots, k) for k in range(k_min, k_max + 1))
     return SequenceFamily(f"bump_tail(t={t:g})", points,
                           CoordPoint(t, np.zeros(slots)))
-
-
-def rademacher_family(level: int, n_max: int | None = None) -> SequenceFamily:
-    """Sign blocks: weak-null oscillation with no limit in measure.
-
-    The declared limit 0 is deliberately wrong in measure; estimators with a
-    drift precondition must reject this family.
-    """
-    from .grid import rademacher as _rademacher
-
-    n_max = level if n_max is None else n_max
-    points = tuple(_rademacher(n, level) for n in range(1, n_max + 1))
-    return SequenceFamily(f"rademacher(level={level})", points, GridFunction.zero(level))
 
 
 #: Body kinds: the constructor and its spec parameters, each with its type

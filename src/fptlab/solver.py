@@ -113,26 +113,23 @@ def _safe_residual(T: AffineOperator, x) -> float | None:
 
 @dataclass(frozen=True)
 class AfpsRecord:
-    """Cesaro means of one orbit, their residuals, and a detected limit.
+    """Cesaro means of one orbit and a detected limit.
 
     The means form an approximate fixed-point sequence whenever the orbit
     stays bounded: the residual of the s-th mean decays like 1/s by the
-    affine two-point identity.  ``limit`` is the in-measure cluster point of
-    the trailing means when one exists (see komlos_extract).  ``points`` may
-    be given as any sequence of points and is kept as one PointRows, an
-    (n, slots) array of the means.
+    affine two-point identity (``operators.afps_residual``).  ``limit`` is
+    the in-measure cluster point of the trailing means when one exists (see
+    komlos_extract).  ``points`` may be given as any sequence of points and
+    is kept as one PointRows, an (n, slots) array of the means.
     """
 
     points: PointRows
-    residuals: tuple
     limit: object | None = None
 
     def __post_init__(self) -> None:
         if not len(self.points):
             raise ValueError("record needs at least one mean")
         object.__setattr__(self, "points", point_rows(self.points))
-        object.__setattr__(self, "residuals",
-                           tuple(np.asarray(self.residuals, dtype=float).tolist()))
 
     def radius_from(self, y) -> float:
         """Trailing limsup of norm distances from ``y`` to the means, over
@@ -212,7 +209,8 @@ def komlos_extract(seq, *, extraction_tol: float):
     median.  The returned limit is the median of the cluster and lies
     within ``extraction_tol`` in measure of every selected term.  When no
     cluster of 4 terms exists the sequence is declared too short, never
-    silently truncated.
+    silently truncated.  A candidate of norm above 1e9, or not finite, is
+    refused as unbounded; terms that are not candidates are never read.
 
     Certified shortcut: every center the loop can form lies cellwise
     between the least and the greatest candidate value, since a median of
@@ -230,12 +228,6 @@ def komlos_extract(seq, *, extraction_tol: float):
     if n < 8:
         raise ValueError(f"need at least 8 terms, got {n}")
     rows = seq.rows
-    block = max(1, PHI_BLOCK_FLOATS // rows.shape[1])
-    top = max(float(seq.space.row_norms(rows[i:i + block]).max())
-              for i in range(0, n, block))
-    if not math.isfinite(top) or top > 1e9:
-        raise ValueError("sequence is not bounded in norm")
-
     start = n - window_length(n)
     picks = {n - 1}
     step = 1
@@ -248,6 +240,9 @@ def komlos_extract(seq, *, extraction_tol: float):
     cand = sorted(picks)[-64:]
 
     C = rows[cand]
+    top = float(seq.space.row_norms(C).max())
+    if not math.isfinite(top) or top > 1e9:
+        raise ValueError("sequence is not bounded in norm")
     if _hull_within(C, seq.space, extraction_tol):
         mid, order_free = _median_columns(C.T)
         if order_free:
@@ -280,19 +275,17 @@ def komlos_extract(seq, *, extraction_tol: float):
 
 
 def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
-    """Record the Cesaro means of the orbit of ``x0`` with their residuals.
+    """Record the Cesaro means of the orbit of ``x0``.
 
-    Residuals come from the affine identity z_s - T z_s = (T x0 - T**(s+1) x0)/s,
-    so the whole record costs one orbit pass.  The orbit is marched by
-    ``orbit_rows``, a block of ``PHI_BLOCK_FLOATS`` floats at a time: the
-    rotation writes a block in one copy, other maps one row per
-    ``map_array`` call.  Per block the rows are checked once, the residuals
-    are priced by one ``row_norms`` call, and ``running_means`` writes the
-    block's means, in one accumulate when the block has at least as many
-    rows as slots, carrying the running sum to the next block.  Only
-    ``T x0`` is built as a point, and errors come at the step, with the type
-    and message, of the point loop ``p = T.apply(p)``.  Coordinate orbits
-    that run out of tracked slots are truncated at the last computable mean.
+    The orbit is marched by ``orbit_rows``, a block of ``PHI_BLOCK_FLOATS``
+    floats at a time: the rotation writes a block in one copy, other maps
+    one row per ``map_array`` call.  Per block the rows are checked once and
+    ``running_means`` writes the block's means, in one accumulate when the
+    block has at least as many rows as slots, carrying the running sum to
+    the next block.  Only ``T x0`` is built as a point, and errors come at
+    the step, with the type and message, of the point loop
+    ``p = T.apply(p)``.  Coordinate orbits that run out of tracked slots are
+    truncated at the last computable mean.
     """
     if n_inner < 1:
         raise ValueError(f"n_inner must be >= 1, got {n_inner}")
@@ -302,7 +295,6 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
         raise ExtendSequenceError("orbit ended before the first residual") from None
     slots = first.size
     means = np.empty((n_inner, slots))
-    residuals = np.empty(n_inner)
     total = np.empty(slots)
     # row 0 holds T**(n+1) x0, the orbit point that the next block maps
     orbit = np.empty((max(1, PHI_BLOCK_FLOATS // slots) + 1, slots))
@@ -312,8 +304,6 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
         while n < n_inner:
             want = min(len(orbit) - 1, n_inner - n)
             k = orbit_rows(T, x0, orbit, want)
-            s = np.arange(n + 1, n + k + 1)
-            residuals[n:n + k] = x0.row_norms(first - orbit[1:k + 1]) / s
             # T x0 + ... + T**s x0 for s = n + 1, ..., n + k, scaled
             running_means(orbit[:k], carry=total, start=n, out=means[n:n + k])
             n += k
@@ -333,7 +323,7 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
             limit = komlos_extract(means, extraction_tol=EXTRACTION_TOL)[1]
         except (ExtendSequenceError, ValueError):
             pass
-    return AfpsRecord(means, residuals[:n], limit)
+    return AfpsRecord(means, limit)
 
 
 def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float | None:
@@ -538,8 +528,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     t_coeff = C.t_exact
     t_source = "catalog"
     if t_coeff is None:
-        t_coeff = recentering_bounds(C, rng=rng).estimate_high
-        t_source = "measured"
+        bracket = recentering_bounds(C, rng=rng)
+        t_coeff = bracket.estimate_high
+        t_source = "cap" if bracket.bound_type == "cap" else "measured"
     eps0 = admissible_eps(mean_lip, t_coeff, opial)
     diagnostics = {
         "mean_lip": mean_lip,

@@ -9,7 +9,6 @@ import pytest
 
 from fptlab import (
     BumpSimplex,
-    CoefficientReport,
     CoordPoint,
     ConeHull,
     DensitySimplex,
@@ -18,7 +17,6 @@ from fptlab import (
     bump_tail_family,
     disjoint_additivity_defect,
     fixed_point_gate,
-    gate_margin,
     limsup_tail,
     measure_distance,
     norm,
@@ -26,9 +24,7 @@ from fptlab import (
     opial_sum,
     orlicz_coefficient,
     peak_family,
-    peak_sequence,
     rademacher,
-    rademacher_family,
     recentering_bounds,
 )
 from fptlab import coefficients
@@ -64,12 +60,41 @@ def test_recentering_bump_exact():
 def test_recentering_rejects_non_drifting_family():
     body = DensitySimplex(8)
     with pytest.raises(ValueError, match="does not drift"):
-        recentering_bounds(body, [rademacher_family(8)], rng=np.random.default_rng(0))
+        # sign blocks oscillate: the declared limit 0 is wrong in measure
+        signs = SequenceFamily("rademacher(level=8)",
+                               tuple(rademacher(n, 8) for n in range(1, 9)),
+                               GridFunction.zero(8))
+        recentering_bounds(body, [signs], rng=np.random.default_rng(0))
 
 
 def test_recentering_needs_a_family():
     with pytest.raises(ValueError):
         recentering_bounds(DensitySimplex(6), [], rng=np.random.default_rng(0))
+
+
+def test_default_family_drifts_at_every_level():
+    # the least k_min >= max(1, level - 10) whose trailing window drifts;
+    # below level 5 no family of two or more peaks does, and the bracket is
+    # the cap
+    for level in range(1, 15):
+        families = coefficients._default_families(UnitBall(level))
+        rep = recentering_bounds(UnitBall(level), rng=np.random.default_rng(0))
+        if level <= 4:
+            assert families == []
+            assert (rep.estimate_low, rep.estimate_high, rep.bound_type) == \
+                (1.0, coefficients.RECENTERING_CAP, "cap")
+            continue
+        (fam,) = families
+        assert fam.drift_defect() <= coefficients.DRIFT_TOL, level
+        assert len(fam.points) >= 2
+        k_min = level + 1 - len(fam.points)
+        assert k_min >= max(1, level - 10)
+        if k_min > max(1, level - 10):
+            # one more peak would put a peak that does not drift in the window
+            wider = peak_family(level, k_min=k_min - 1)
+            assert wider.drift_defect() > coefficients.DRIFT_TOL, level
+        assert rep.bound_type == "bracket"
+        assert abs(rep.estimate_high - 1.0) <= 1e-9, level
 
 
 def test_coefficient_report_serialization():
@@ -193,8 +218,6 @@ def test_gate_scale_consistency():
 
 
 def test_gate_margin_and_validation():
-    assert gate_margin(1.0, 1.0) == 1.0
-    assert gate_margin(2.0, 2.0) == -1.0
     with pytest.raises(ValueError):
         fixed_point_gate(1.0, 0.0)
     with pytest.raises(ValueError):

@@ -20,8 +20,9 @@ def test_demo_stdout_matches_golden(demo):
     env = {k: v for k, v in os.environ.items() if k != "FPTLAB_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=300)
+    # -W error: the pytest warning filter does not reach the subprocess
+    run = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout == (GOLDEN / f"demo-{demo.stem}.txt").read_text()
 

@@ -16,8 +16,6 @@ from fptlab.cli import ExperimentConfig
 MODULES = ("grid", "sets", "operators", "coefficients", "solver", "cli")
 
 DEFAULTED = """
-grid.GridFunction.allclose(tol)
-sets.export_sequence_csv(limit)
 sets.ConvexBody.violation(tol)
 sets.ConvexBody.violations(tol)
 sets.ConvexBody.membership(tol)
@@ -34,7 +32,6 @@ sets.peak_family(k_min)
 sets.peak_family(k_max)
 sets.bump_tail_family(k_min)
 sets.bump_tail_family(k_max)
-sets.rademacher_family(n_max)
 operators.AffineOperator.apply(check_domain)
 operators.orbit_rows(check_domain)
 operators.running_means(carry)
@@ -48,7 +45,6 @@ coefficients.recentering_bounds(families)
 coefficients.opial_cross_check(c)
 coefficients.opial_cross_check(level)
 coefficients.fixed_point_gate(opial)
-coefficients.gate_margin(opial)
 solver.admissible_eps(opial)
 solver.solve(x0)
 solver.solve(tol)
@@ -99,4 +95,4 @@ def defaulted_parameters() -> list[str]:
 
 def test_defaulted_parameters_are_the_listed_ones():
     assert defaulted_parameters() == DEFAULTED
-    assert len(DEFAULTED) == 51
+    assert len(DEFAULTED) == 47

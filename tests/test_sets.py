@@ -17,14 +17,12 @@ from fptlab import (
     body_from_spec,
     bump_tail_family,
     coord_basis,
-    distance_to_set,
-    embed_coord,
     limsup_tail,
     measure_distance,
     norm,
     peak_family,
     peak_sequence,
-    rademacher_family,
+    rademacher,
 )
 from fptlab import sets
 from fptlab.grid import MAX_LEVEL
@@ -49,6 +47,27 @@ def catalog():
         UnitBall(LEVEL),
         BumpSimplex(1.5, 16),
     ]
+
+
+def origin(body):
+    """The origin of the body's space, which need not be a member."""
+    if isinstance(body, BumpSimplex):
+        return CoordPoint(body.t, np.zeros(body.slots))
+    return GridFunction.zero(body.level)
+
+
+def embed_coord(x: CoordPoint, level: int) -> GridFunction:
+    """Exact grid representation of a coordinate point (needs level >= slots):
+    the oracle of the coordinate metrics."""
+    if level < x.slots:
+        raise ValueError(f"level {level} cannot resolve {x.slots} bump slots")
+    vals = np.zeros(2 ** level)
+    for k in range(x.slots):
+        height = x.coeffs[k] * 2.0 ** (k + 1)
+        if k == 0:
+            height *= x.t - 1.0
+        vals[2 ** (level - k - 1):2 ** (level - k)] = height
+    return GridFunction(level, vals)
 
 
 def test_density_simplex_membership():
@@ -151,7 +170,7 @@ def test_recenter_cone_hull_vertex_witness():
         res = body.recenter(GridFunction.zero(level), fam.points,
                             rng=np.random.default_rng(0))
         assert res.bound_type == "exact"
-        assert res.point.allclose(GridFunction.constant(a, level))
+        assert np.max(np.abs(res.point.values - a)) <= 1e-9
         ratio = limsup_tail([norm(res.point - p) for p in fam.points])
         assert abs(ratio - (1.0 + a)) <= 0.02 * (1.0 + a)
 
@@ -170,7 +189,7 @@ def test_recenter_bump_tail_ratio_exact():
     for t in (1.25, 1.5, 1.75):
         body = BumpSimplex(t, slots)
         fam = bump_tail_family(t, slots, k_min=2)
-        res = body.recenter(body.zero_point(), fam.points,
+        res = body.recenter(origin(body), fam.points,
                             rng=np.random.default_rng(0))
         assert res.bound_type == "exact"
         # witness is the shrunken first vertex, norm t - 1
@@ -182,7 +201,7 @@ def test_recenter_bump_tail_ratio_exact():
 def test_recenter_output_always_member():
     rng = np.random.default_rng(9)
     for body in catalog():
-        x = body.zero_point()
+        x = origin(body)
         seq = [body.sample(rng) for _ in range(8)]
         res = body.recenter(x, seq, rng=rng)
         assert body.membership(res.point, tol=1e-6), body.name
@@ -192,31 +211,6 @@ def test_recenter_rejects_empty_sequence():
     body = DensitySimplex(4)
     with pytest.raises(ValueError):
         body.recenter(GridFunction.zero(4), (), rng=np.random.default_rng(0))
-
-
-def test_distance_to_set_member_is_zero():
-    rng = np.random.default_rng(10)
-    for body in catalog():
-        x = body.sample(rng)
-        value, _ = distance_to_set(body, x, rng=rng)
-        assert value == 0.0
-
-
-def test_distance_to_set_zero_to_simplex():
-    body = DensitySimplex(6)
-    value, bound = distance_to_set(body, GridFunction.zero(6),
-                                   rng=np.random.default_rng(11))
-    assert bound == "exact"
-    assert abs(value - 1.0) <= 1e-12
-
-
-def test_distance_to_set_zero_to_bump():
-    for t in (1.1, 1.5, 1.9):
-        body = BumpSimplex(t, 16)
-        value, bound = distance_to_set(body, body.zero_point(),
-                                       rng=np.random.default_rng(12))
-        assert bound == "exact"
-        assert abs(value - (t - 1.0)) <= 1e-12
 
 
 def test_coord_point_arithmetic_and_norm():
@@ -290,7 +284,9 @@ def test_families_drift_verdicts():
     bumps = bump_tail_family(1.5, 32)
     assert bumps.drift_defect() <= 2.0 ** -16
     # sign blocks oscillate: the declared limit 0 is wrong in measure
-    rad = rademacher_family(8)
+    rad = SequenceFamily("rademacher(level=8)",
+                         tuple(rademacher(n, 8) for n in range(1, 9)),
+                         GridFunction.zero(8))
     assert rad.drift_defect() >= 0.99
     # every prefix of 2 to 31 terms, so that each window length is read
     for fam in (peaks, bumps, rad):

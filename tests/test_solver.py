@@ -33,6 +33,7 @@ from fptlab import (
     UnitBall,
     admissible_eps,
     affinity_defect,
+    afps_residual,
     build_afps_record,
     cesaro_solve,
     coord_basis,
@@ -108,10 +109,18 @@ def test_extract_rejects_unbounded_sequence():
     huge = GridFunction.constant(2e9, 3)
     with pytest.raises(ValueError, match="not bounded"):
         komlos_extract([huge] * 16, extraction_tol=1e-3)
-    # norms are reduced a few rows at a time at level 12: the last block counts
-    late = [GridFunction.zero(12)] * 15 + [GridFunction.constant(2e9, 12)]
+    # only the candidates are priced: of 16 terms, the trailing window 8..15
+    zero, big = GridFunction.zero(12), GridFunction.constant(2e9, 12)
+    late = [zero] * 15 + [big]
     with pytest.raises(ValueError, match="not bounded"):
         komlos_extract(late, extraction_tol=1e-3)
+    inside = [zero] * 10 + [big] + [zero] * 5
+    with pytest.raises(ValueError, match="not bounded"):
+        komlos_extract(inside, extraction_tol=1e-3)
+    # a term before the window is never read
+    early = [zero] * 3 + [big] + [zero] * 12
+    idx, limit = komlos_extract(early, extraction_tol=1e-3)
+    assert idx == list(range(8, 16)) and not limit.array.any()
 
 
 def test_extract_short_escaping_run_asks_for_more(doubling_means):
@@ -368,10 +377,17 @@ def test_extract_certificate_admits_a_bound_equal_to_tol(monkeypatch):
 def test_record_residuals_obey_diameter_law(cyclic_means):
     x0, _ = cyclic_means
     ball = UnitBall(6)
-    rec = build_afps_record(CyclicShift(ball), x0, 128)
-    assert len(rec.points) == len(rec.residuals) == 128
-    for s, r in enumerate(rec.residuals, start=1):
+    T = CyclicShift(ball)
+    rec = build_afps_record(T, x0, 128)
+    assert len(rec.points) == 128
+    orbit = [x0]
+    for _ in range(129):
+        orbit.append(T.apply(orbit[-1]))
+    for s, z in enumerate(rec.points, start=1):
+        # the affine two-point identity prices the residual of the s-th mean
+        r = norm(orbit[1] - orbit[s + 1]) / s
         assert r <= 2.0 / s + 1e-12
+        assert abs(afps_residual(T, z) - r) <= 1e-9
     assert rec.limit is not None
     # the limit lies within the extraction tolerance of every selected mean
     idx, limit = komlos_extract(rec.points, extraction_tol=0.05)
@@ -383,7 +399,7 @@ def test_record_radius_and_spread_agree(cyclic_means):
     x0, _ = cyclic_means
     rec = build_afps_record(CyclicShift(UnitBall(6)), x0, 128)
     assert rec.radius_from(rec.limit) == rec.limit_spread()
-    blind = AfpsRecord(rec.points, rec.residuals, None)
+    blind = AfpsRecord(rec.points)
     assert blind.limit_spread() is None
 
 
@@ -404,7 +420,7 @@ def test_record_radius_is_bit_equal_to_the_norm_loop():
             ys = [space.like(rng.standard_normal(size)) for _ in range(3)]
             rows = np.stack([(ys[0] - p).array for p in means])
             assert space.row_norms(rows).tolist() == [norm(ys[0] - p) for p in means]
-            rec = AfpsRecord(means, [0.0] * n)
+            rec = AfpsRecord(means)
             loops = [limsup_tail([norm(y - p) for p in means]) for y in ys]
             assert [rec.radius_from(y) for y in ys] == loops
             assert _phi_values(ys, means).tolist() == loops
@@ -421,17 +437,15 @@ def _point_means(points):
 
 
 def _orbit_loop_record(T, x0, n):
-    """Means and residuals of build_afps_record from the whole orbit list:
-    the running means of orbit[1:m+1] and norm(orbit[1] - orbit[s+1]) / s."""
+    """The means of build_afps_record from the whole orbit list: the running
+    means of the orbit less its start and its last point."""
     orb = [x0]
     try:
         for _ in range(n + 1):
             orb.append(T.apply(orb[-1]))
     except MassOverflowError:
         pass
-    m = len(orb) - 2
-    residuals = [norm(orb[1] - orb[s + 1]) / s for s in range(1, m + 1)]
-    return _point_means(orb[1:m + 1]), residuals
+    return _point_means(orb[1:len(orb) - 1])
 
 
 def test_streamed_record_is_bit_equal_to_the_orbit_loops():
@@ -451,10 +465,9 @@ def test_streamed_record_is_bit_equal_to_the_orbit_loops():
     cases.append((shift, shift.default_start(rng), 30))
     for T, x0, n in cases:
         rec = build_afps_record(T, x0, n)
-        means, residuals = _orbit_loop_record(T, x0, n)
-        assert len(rec.points) == len(means) == len(residuals), T.name
+        means = _orbit_loop_record(T, x0, n)
+        assert len(rec.points) == len(means), T.name
         assert rec.points.rows.tobytes() == np.stack([z.array for z in means]).tobytes()
-        assert rec.residuals == tuple(residuals), T.name
         # the point objects are built once, from the rows
         assert all(a is b for a, b in zip(rec.points, rec.points))
         assert [p.array.tobytes() for p in rec.points] == [z.array.tobytes() for z in means]
@@ -478,7 +491,7 @@ def test_record_validation():
     with pytest.raises(ValueError, match="n_inner"):
         build_afps_record(T, GridFunction.constant(1.0, 3), 0)
     with pytest.raises(ValueError, match="at least one mean"):
-        AfpsRecord((), ())
+        AfpsRecord(())
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +595,7 @@ def test_proof_step_requires_detected_limit(cyclic_means):
     x0, _ = cyclic_means
     ball = UnitBall(6)
     rec = build_afps_record(CyclicShift(ball), x0, 128)
-    blind = AfpsRecord(rec.points, rec.residuals, None)
+    blind = AfpsRecord(rec.points)
     with pytest.raises(BranchConditionError, match="no record detected"):
         _priced_step(CyclicShift(ball), ball, x0, 0.1, [blind],
                      mean_lip=1.0, t_coeff=1.0)
@@ -730,6 +743,24 @@ def test_solve_never_reports_mesh_artifact_as_fixed():
     assert "gate closed" in out.diagnostics["branch_failure"]
     outc = cesaro_solve(T, simplex, finest, n_max=64)
     assert outc.status != FIXED
+
+
+def test_every_body_without_t_exact_gets_a_verdict():
+    # solve brackets t from the default drift family; at level 4 no family
+    # drifts, and the cap t <= 2 closes the gate for the rotation
+    for level in range(4, 10):
+        for body, t in ((UnitBall(level), 1.0), (ConeHull(0.5, level), 1.5)):
+            body.t_exact = None
+            out = solve(CyclicShift(body), body)
+            diag = out.diagnostics
+            if level == 4:
+                assert (out.status, diag["t_source"], diag["t_coeff"]) == \
+                    (BUDGET, "cap", 2.0), body.name
+                assert "gate closed" in diag["branch_failure"]
+            else:
+                assert (out.status, diag["t_source"]) == (FIXED, "measured"), \
+                    (level, body.name)
+                assert abs(diag["t_coeff"] - t) <= 1e-9, (level, body.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,25 +1134,24 @@ class _NoLastSlot(ConvexBody):
 
 
 def _record_outcome(build, T, x0, n):
-    """What ``build`` gives: the means' bytes and the residuals, or the
-    type and message of what it raised."""
+    """What ``build`` gives: the means' bytes and their number, or the type
+    and message of what it raised."""
     try:
-        means, residuals = build(T, x0, n)
+        means = build(T, x0, n)
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    return np.stack([p.array for p in means]).tobytes(), tuple(residuals)
+    return np.stack([p.array for p in means]).tobytes(), len(means)
 
 
 def _streamed(T, x0, n):
-    rec = build_afps_record(T, x0, n)
-    return rec.points, rec.residuals
+    return build_afps_record(T, x0, n).points
 
 
 def _point_loop(T, x0, n):
-    means, residuals = _orbit_loop_record(T, x0, n)
+    means = _orbit_loop_record(T, x0, n)
     if not means:
         raise ExtendSequenceError("orbit ended before the first residual")
-    return means, residuals
+    return means
 
 
 def _assert_same_record_outcome(T, x0, n, want=None):
@@ -1191,7 +1221,7 @@ def test_record_fails_mid_orbit_as_the_point_loop():
             if step == 1:
                 assert got[0] == "ExtendSequenceError"
             else:
-                assert len(got[1]) == min(n, step - 1)
+                assert got[1] == min(n, step - 1)
         # the row that would overflow breaks the domain first: no truncation
         got = _assert_same_record_outcome(_on(BumpShift(bumps), _NoLastSlot(bumps)),
                                           x0, step + 3, "DomainError")
@@ -1474,7 +1504,9 @@ def test_restart_diagnosis_is_bit_equal_to_the_point_loop():
             C = make_body(level)
             T = make_op(C)
             rng = np.random.default_rng(level)
-            for x0 in [T.default_start(rng) for _ in range(3)] + [C.zero_point()]:
+            starts = [T.default_start(rng) for _ in range(3)]
+            starts.append(starts[0].like(np.zeros(starts[0].array.size)))
+            for x0 in starts:
                 if C.violation(x0, 1e-7) is None:
                     _assert_same_outcome_as(_reference_classify_escape, classify_escape,
                                             T, C, x0)
