@@ -290,7 +290,7 @@ def run_sharpness(t_grid, slots: int, seed: int) -> tuple[list[list], bool]:
         body = BumpSimplex(t, slots)
         op = operator_from_spec({"op": "ct_shift"}, body)
         growth = mean_lipschitz(op, 8)
-        rep = recentering_bounds(body, [bump_tail_family(t, slots)], rng=rng)
+        rep = recentering_bounds(body, rng=rng)
         gate_eq = fixed_point_gate(growth, rep.estimate_high)
         gate_below = fixed_point_gate(growth - PROBE_GAP, rep.estimate_high)
         outcome = cesaro_solve(op, body, tol=1e-8, n_max=SHARPNESS_N_MAX, seed=seed)

@@ -86,25 +86,38 @@ class CoefficientReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _least_drifting_k_min(k_first: int, k_max: int, shift: int) -> int | None:
+    """The least k_min >= ``k_first`` for which the points k_min, ...,
+    ``k_max`` of a family, of which point k lies 2**-(k + ``shift``) from
+    zero in measure, hold only points that drift in their trailing window,
+    that is lie within ``DRIFT_TOL`` of zero; None when no family of two or
+    more points does."""
+    for k_min in range(k_first, k_max):
+        # the least k in the trailing window of the k_max - k_min + 1 points
+        k_low = k_max + 1 - window_length(k_max + 1 - k_min)
+        if 2.0 ** -(k_low + shift) <= DRIFT_TOL:
+            return k_min
+    return None
+
+
 def _default_families(body: ConvexBody) -> list[SequenceFamily]:
     """The drift families that ``recentering_bounds`` reads when none are
-    given.  A body with a level gets the peaks of heights 2**k for
-    k_min <= k <= level, with the least k_min >= max(1, level - 10) whose
-    trailing window holds only peaks that drift, that is lie within
-    ``DRIFT_TOL`` of zero in measure (the peak of height 2**k lies 2**-k
-    from it).  At level 4 or less no family of two or more peaks does, and
-    the list is empty."""
+    given: the least k_min whose trailing window drifts.  A bump simplex of
+    M slots gets the bump coordinates k_min <= k < M (bump k lies 2**-(k+1)
+    from zero in measure), with k_min >= 1; at M = 4 or less none of two or
+    more coordinates drifts.  A body with a level gets the peaks of heights
+    2**k for k_min <= k <= level (the peak of height 2**k lies 2**-k from
+    zero), with k_min >= max(1, level - 10); at level 4 or less none of two
+    or more peaks drifts.  Without a family the list is empty."""
     if isinstance(body, BumpSimplex):
-        return [bump_tail_family(body.t, body.slots)]
+        k_min = _least_drifting_k_min(1, body.slots - 1, 1)
+        return [] if k_min is None else [bump_tail_family(body.t, body.slots,
+                                                          k_min=k_min)]
     level = getattr(body, "level", None)
     if level is None:
         raise ValueError(f"no default drift family for body {body.name!r}")
-    for k_min in range(max(1, level - 10), level):
-        # the least k in the trailing window of the level - k_min + 1 peaks
-        k_low = level + 1 - window_length(level + 1 - k_min)
-        if 2.0 ** -k_low <= DRIFT_TOL:
-            return [peak_family(level, k_min=k_min, k_max=level)]
-    return []
+    k_min = _least_drifting_k_min(max(1, level - 10), level, 0)
+    return [] if k_min is None else [peak_family(level, k_min=k_min, k_max=level)]
 
 
 def recentering_bounds(body: ConvexBody, families=None, *,
@@ -124,7 +137,7 @@ def recentering_bounds(body: ConvexBody, families=None, *,
         if not families:
             return CoefficientReport(
                 f"recentering({body.name})", 1.0, RECENTERING_CAP, "cap",
-                f"no drift family fits level {body.level}: the cap t <= "
+                f"no drift family fits {body.name}: the cap t <= "
                 f"{RECENTERING_CAP:g}", {"families": []})
     families = list(families)
     if not families:

@@ -654,16 +654,24 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     horizon that tol would need reported either way.  The trace keeps
     about 256 of the ``n_max`` means.
 
-    The orbit is marched on a pair of rows by ``orbit_rows``, one step per
-    call, so that no step is mapped that the march does not count; only the
-    first checks the domain.  The running sum is one array that each orbit
-    row is added to, the one-row case of ``running_means``, and a point is
-    built only for a kept trace row, a mean that clears tol, or the pin.
-    The residual numerator T x0 - T**(s+1) x0 and the step
-    T**(s+1) x0 - T**s x0 share one ``row_norms`` call, bit-equal to
-    ``norm``.  So every verdict, residual and trace row rounds as the point
-    arithmetic would, and each array is checked finite at the step where a
-    point would have refused it.
+    The orbit is marched a block of ``PHI_BLOCK_FLOATS`` floats at a time
+    (at least one row), as ``build_afps_record`` marches it, after blocks of
+    1, 2, 4, ... rows up to that size.  Each block takes one ``orbit_rows``
+    call, which the rotation writes in one copy, and one ``row_norms`` call
+    that prices the residual numerators T x0 - T**(s+1) x0 and the steps
+    T**(s+1) x0 - T**s x0 of all its rows, bit-equal to ``norm``.  Only the
+    first step checks the domain.  The first row that ends the march or
+    needs a look, a non-finite norm, a residual that clears tol or a step of
+    zero, runs the step body of the point loop; the rows before it only add
+    to the running sum, one add per row as ``running_means`` makes them,
+    and build a point only for a kept trace row.  So every verdict, residual
+    and trace row rounds as the point arithmetic would, and
+    ``applications`` counts the steps the march takes, not the rows mapped
+    past its stop.  Errors come at the step of the point loop: after a
+    block whose ``orbit_rows`` call raises, the march goes on from one step
+    per call, since the error may lie past the stop; the sum, checked finite
+    once per block, is refused with the point class's error, which names no
+    value, as the point loop refuses it at the add that overflows.
 
     Statuses do not always agree with the certified ``solve``: on ``cyclic``
     over ``density_simplex`` and ``retraction`` over ``cone_hull(0)`` this
@@ -698,39 +706,80 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         if not np.all(np.isfinite(values)):
             x0.like(values)
 
-    # row 0: T**s x0, row 1: T**(s+1) x0
-    pair = np.empty((2, x0.array.size))
-    pair[0] = x0.array
-    if not orbit_rows(T, x0, pair, 1):
+    def keep(s: int, residual: float):
+        z = x0.like(total * (1.0 / s))
+        trace.append({"s": s, "residual": residual, "norm": norm(z), "point": z})
+        return z
+
+    slots = x0.array.size
+    block = min(max(1, PHI_BLOCK_FLOATS // slots), n_max)
+    # row 0: T**s x0, row j: T**(s+j) x0
+    orbit = np.empty((block + 1, slots))
+    orbit[0] = x0.array
+    if not orbit_rows(T, x0, orbit, 1):
         diagnostics["applications"] = 0
         return classify("orbit cannot move from the starting point")
     apps = 1
-    first = pair[1].copy()
+    first = orbit[1].copy()
     total = first.copy()
-    pair[0] = first
-    nxt = pair[1]
-    # row 0: T x0 - T**(s+1) x0, row 1: T**(s+1) x0 - T**s x0
-    diffs = np.empty_like(pair)
+    orbit[0] = first
+    # rows :k: T x0 - T**(s+j+1) x0, rows k:2k: T**(s+j+1) x0 - T**(s+j) x0
+    diffs = np.empty((2 * block, slots))
     best_residual = math.inf
+    # rows of the next block: one, doubling up to ``block``, so that a march
+    # that stops early maps at most about twice the steps it takes
+    width = 1
     s = 1
     while s <= n_max:
-        if not orbit_rows(T, x0, pair, 1, check_domain=False):
-            diagnostics["applications"] = apps
-            return classify(f"orbit ran out of tracked slots at step {s + 1}")
+        want = min(width, n_max - s + 1)
+        try:
+            k = orbit_rows(T, x0, orbit[:want + 1], want, check_domain=False)
+        except Exception:
+            if want == 1:
+                raise
+            # the error may come from a row past the stop: march on from one
+            # step per call
+            width = 1
+            continue
+        width = min(2 * width, block)
+        np.subtract(first, orbit[1:k + 1], out=diffs[:k])
+        np.subtract(orbit[1:k + 1], orbit[:k], out=diffs[k:2 * k])
+        norms = x0.row_norms(diffs[:2 * k]).tolist()
+        e = 0
+        while e < k:
+            gap, step = norms[e], norms[k + e]
+            residual = gap / s
+            if (residual <= tol or step == 0.0
+                    or not (math.isfinite(gap) and math.isfinite(step))):
+                break
+            # a row that stops nothing and needs no look only adds to the sum
+            best_residual = min(best_residual, residual)
+            if s % keep_every == 0 or s == n_max:
+                keep(s, residual)
+            total += orbit[e + 1]
+            apps += 1
+            s += 1
+            e += 1
+        if e:
+            # a sum that overflows stays non-finite, so the last one vouches
+            # for every add
+            check_finite(total)
+        if e == k:
+            if k < want:
+                diagnostics["applications"] = apps
+                return classify(f"orbit ran out of tracked slots at step {s + 1}")
+            orbit[0] = orbit[k]
+            continue
+        # the point loop's step body, on row e
         apps += 1
-        np.subtract(first, nxt, out=diffs[0])
-        np.subtract(nxt, pair[0], out=diffs[1])
-        gap, step = x0.row_norms(diffs).tolist()
+        nxt = orbit[e + 1]
         # a norm is finite whenever its row is, so the rows are looked at
         # only when one is not
         if not math.isfinite(gap):
-            check_finite(diffs[0])
-        residual = gap / s
+            check_finite(diffs[e])
         best_residual = min(best_residual, residual)
         if s % keep_every == 0 or residual <= tol or s == n_max:
-            z = x0.like(total * (1.0 / s))
-            trace.append({"s": s, "residual": residual, "norm": norm(z),
-                          "point": z})
+            z = keep(s, residual)
         if residual <= tol:
             direct = _safe_residual(T, z)
             apps += 1
@@ -742,7 +791,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 return SolveOutcome(STATUS_FIXED, z, direct, trace, diagnostics)
             return classify("candidate mean failed verification")
         if not math.isfinite(step):
-            check_finite(diffs[1])
+            check_finite(diffs[k + e])
         if step == 0.0:
             # orbit stopped moving: every later mean is a closed form
             pin = x0.like(nxt)
@@ -761,9 +810,11 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                                         diagnostics)
             return classify("orbit pinned by the mesh floor; later means are "
                             "artifacts")
+        # a norm overflowed on finite rows: the march goes on past this row,
+        # and the next block maps again from it
         total += nxt
         check_finite(total)
-        pair[0] = nxt
+        orbit[0] = nxt
         s += 1
     diagnostics["applications"] = apps
     diagnostics["best_residual"] = best_residual

@@ -225,6 +225,20 @@ def test_sharpness_single_t(tmp_path):
     assert status == "pass"
 
 
+def test_sharpness_on_few_slots(tmp_path):
+    # the bracket of each body comes from its default drift family: from 5
+    # slots on one drifts and every row passes; at 4 none does, the bracket
+    # is the cap [1, 2], and the gate cannot open below equality
+    for slots, rc, status in ((4, 1, "fail"), (5, 0, "pass"), (6, 0, "pass")):
+        out = tmp_path / f"sharp-{slots}.csv"
+        assert main(["sharpness", "--M", str(slots), "--out", str(out)]) == rc
+        rows = read_csv(out)[1:]
+        assert len(rows) == 5
+        assert {row[-1] for row in rows} == {status}, slots
+        if slots == 4:
+            assert {(row[3], row[5]) for row in rows} == {("2", "false")}
+
+
 # ---------------------------------------------------------------------------
 # exit code 2 on configuration errors
 

@@ -97,6 +97,38 @@ def test_default_family_drifts_at_every_level():
         assert abs(rep.estimate_high - 1.0) <= 1e-9, level
 
 
+def test_default_bump_family_drifts_at_every_slot_count():
+    # the least k_min >= 1 whose trailing window of bump coordinates drifts;
+    # at M = 4 no family of two or more coordinates does, and the bracket is
+    # the cap, named after the body
+    for slots in range(4, 70):
+        body = BumpSimplex(1.5, slots)
+        families = coefficients._default_families(body)
+        if slots == 4:
+            assert families == []
+            rep = recentering_bounds(body, rng=np.random.default_rng(0))
+            assert (rep.estimate_low, rep.estimate_high, rep.bound_type) == \
+                (1.0, coefficients.RECENTERING_CAP, "cap")
+            assert "bump_simplex(t=1.5)" in rep.witness
+            continue
+        (fam,) = families
+        assert fam.drift_defect() <= coefficients.DRIFT_TOL, slots
+        assert len(fam.points) >= 2
+        k_min = slots - len(fam.points)
+        if k_min > 1:
+            # one more coordinate would put one that does not drift in the
+            # window
+            wider = bump_tail_family(1.5, slots, k_min=k_min - 1)
+            assert wider.drift_defect() > coefficients.DRIFT_TOL, slots
+        else:
+            assert slots >= 7
+    # from 7 slots on, the family is every coordinate past the first, as
+    # the sharpness scan read it before
+    (fam,) = coefficients._default_families(BumpSimplex(1.5, 64))
+    assert [p.coeffs.tobytes() for p in fam.points] == \
+        [p.coeffs.tobytes() for p in bump_tail_family(1.5, 64).points]
+
+
 def test_coefficient_report_serialization():
     rep = recentering_bounds(UnitBall(8), rng=np.random.default_rng(26))
     data = json.loads(rep.to_json())

@@ -290,33 +290,42 @@ def _clustered_rows(rng, space, n):
     return PointRows(space, rows)
 
 
-def _proof_cyclic_sequences(tmp_path):
-    """The sequences that the benchmark's proof_cyclic solves hand to
-    komlos_extract at seeds 0-2: every record's means and every mean
-    branch's means of means."""
+def _bench_calls(tmp_path, workload, seeds, target, names=None):
+    """The arguments, (args, kwargs), with which the benchmark's
+    ``workload`` at ``seeds`` calls ``solver.<target>``, over its
+    operations named in ``names``, or over all of them."""
     bench = Path(__file__).resolve().parents[1] / "bench"
-    seqs = []
-    extract = solver_module.komlos_extract
+    calls = []
+    real = getattr(solver_module, target)
 
-    def spy(seq, *, extraction_tol):
-        seqs.append(seq)
-        return extract(seq, extraction_tol=extraction_tol)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
     loaded = set(sys.modules)
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(bench))
         import workloads
 
-        mp.setattr(solver_module, "komlos_extract", spy)
-        for seed in range(3):
-            for op in workloads.proof_cyclic(seed, tmp_path).ops:
-                op.run()
+        mp.setattr(solver_module, target, spy)
+        for seed in seeds:
+            for op in getattr(workloads, workload)(seed, tmp_path).ops:
+                if names is None or op.name in names:
+                    op.run()
     # bench/ leaves sys.path above; its modules leave the import cache here,
     # so no later import of the same name finds them
     for name in set(sys.modules) - loaded:
         if Path(getattr(sys.modules[name], "__file__", None) or "").parent == bench:
             del sys.modules[name]
-    return seqs
+    return calls
+
+
+def _proof_cyclic_sequences(tmp_path):
+    """The sequences that the benchmark's proof_cyclic solves hand to
+    komlos_extract at seeds 0-2: every record's means and every mean
+    branch's means of means."""
+    return [args[0] for args, _ in _bench_calls(tmp_path, "proof_cyclic", range(3),
+                                                 "komlos_extract")]
 
 
 def test_extract_is_bit_equal_to_the_greedy_loop(monkeypatch, tmp_path,
@@ -1017,7 +1026,9 @@ def test_streamed_march_matches_the_point_loop_on_every_exit():
         (_Scaling(fine, 0.5), fine, GridFunction(3, np.eye(8)[0]), 0, None),
     ]
     for T, C, x0, seed, reason in cases:
-        for n_max in (64, 4096):
+        # at n_max = 1000 the trace keeps every third mean, and the last one
+        # for being the last
+        for n_max in (64, 1000, 4096):
             got = cesaro_solve(T, C, x0, seed=seed, n_max=n_max)
             _assert_same_outcome(got, _reference_cesaro_solve(T, C, x0, seed=seed,
                                                               n_max=n_max),
@@ -1055,10 +1066,28 @@ class _QuarterTurn(AffineOperator):
         return x.like(np.array([x.values[1], -x.values[0]]))
 
 
-def _applications_until_refused(solver, T, C, x0, n_max):
-    with pytest.raises(ValueError, match="must be finite"):
-        solver(T, C, x0, n_max=n_max)
-    return T.calls
+def _refused_by_the_reference(make_op, C, x0, n_max):
+    """The reference march refuses an overflow: its operator calls, less
+    the one of T x0, name the step it refused at.  Returns that step and
+    the error's type and message."""
+    T = make_op()
+    with pytest.raises(ValueError, match="must be finite") as info:
+        _reference_cesaro_solve(T, C, x0, n_max=n_max)
+    return T.calls - 1, type(info.value), str(info.value)
+
+
+def _assert_refused_at_step(make_op, C, x0, n_max, step, error, label):
+    """cesaro_solve maps up to a block past the step it stops at, so its
+    calls do not count its steps; ``n_max`` pins the step instead.  It
+    refuses with the reference's error at ``n_max`` and at ``n_max = step``,
+    and one step earlier gives the reference outcome."""
+    for limit in (n_max, step):
+        with pytest.raises(ValueError) as info:
+            cesaro_solve(make_op(), C, x0, n_max=limit)
+        assert (type(info.value), str(info.value)) == error, (label, limit)
+    _assert_same_outcome(cesaro_solve(make_op(), C, x0, n_max=step - 1),
+                         _reference_cesaro_solve(make_op(), C, x0, n_max=step - 1),
+                         (label, step - 1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1066,33 +1095,161 @@ def test_streamed_march_refuses_an_overflow_at_the_same_step():
     ball = UnitBall(2)
     x0 = GridFunction(2, np.array([1.0, -0.5, 0.25, -1.0]))
 
-    def applications(solver, factor, n_max):
-        return _applications_until_refused(solver, _Scaling(ball, factor), ball,
-                                           x0, n_max)
+    def scaling(factor):
+        return lambda: _Scaling(ball, factor)
 
     # doubling: the running sum overflows one step before an orbit point;
     # n_max puts that add on the last step of the march
     n_max = 1022
-    calls = applications(_reference_cesaro_solve, 2.0, n_max)
-    assert calls == n_max + 1
-    assert applications(cesaro_solve, 2.0, n_max) == calls
-    # one step fewer and the march ends before the sum overflows
-    _assert_same_outcome(cesaro_solve(_Scaling(ball, 2.0), ball, x0, n_max=n_max - 1),
-                         _reference_cesaro_solve(_Scaling(ball, 2.0), ball, x0,
-                                                 n_max=n_max - 1),
-                         "doubling one step short")
+    step, *error = _refused_by_the_reference(scaling(2.0), ball, x0, n_max)
+    assert step == n_max
+    _assert_refused_at_step(scaling(2.0), ball, x0, n_max, step, tuple(error),
+                            "doubling")
     # x -> -1.5 x: the step T**(s+1) x0 - T**s x0 overflows first
-    calls = applications(_reference_cesaro_solve, -1.5, 4096)
-    assert calls < 4096
-    assert applications(cesaro_solve, -1.5, 4096) == calls
+    step, *error = _refused_by_the_reference(scaling(-1.5), ball, x0, 4096)
+    assert step < 4095
+    _assert_refused_at_step(scaling(-1.5), ball, x0, 4096, step, tuple(error),
+                            "x -> -1.5 x")
     # the residual difference T x0 - T**(s+1) x0 overflows first
     everything = _AllOfSpace()
     big = GridFunction(1, np.array([0.6 * np.finfo(float).max, 0.0]))
-    calls = _applications_until_refused(_reference_cesaro_solve,
-                                        _QuarterTurn(everything), everything, big, 64)
-    assert calls == 3
-    assert _applications_until_refused(cesaro_solve, _QuarterTurn(everything),
-                                       everything, big, 64) == calls
+
+    def turn():
+        return _QuarterTurn(everything)
+
+    step, *error = _refused_by_the_reference(turn, everything, big, 64)
+    assert step == 2
+    _assert_refused_at_step(turn, everything, big, 64, step, tuple(error),
+                            "quarter turn")
+
+
+class _PartialTurn(AffineOperator):
+    """Rotate the first ``m`` cells by one place and keep the rest: the
+    orbit has period m, so T x0 = T**(m+1) x0 and the residual is exactly 0
+    at s = m, a tol stop at a chosen step.  ``saturated`` declares every
+    point a mesh artifact, so that the mean fails its verification."""
+
+    name = "partial_turn"
+
+    def __init__(self, domain, m, saturated=False):
+        self.domain = domain
+        self.m = m
+        self.saturated = saturated
+
+    def _transform(self, x):
+        v = x.values.copy()
+        v[:self.m] = np.roll(v[:self.m], 1)
+        return x.like(v)
+
+    def is_saturated(self, x):
+        return self.saturated
+
+
+class _PushOut(AffineOperator):
+    """Shift one cell right; mass in the last cell has nowhere to go, and
+    the map raises MassOverflowError, as a coordinate shift that runs out of
+    tracked slots does."""
+
+    name = "push_out"
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def _transform(self, x):
+        if x.values[-1] != 0.0:
+            raise MassOverflowError("mass reached the last cell")
+        out = np.zeros_like(x.values)
+        out[1:] = x.values[:-1]
+        return x.like(out)
+
+
+class _HalveAbove(AffineOperator):
+    """x -> x / 2, refusing a point whose first cell lies below ``floor``:
+    an error that a march meets only if it maps past its stop."""
+
+    name = "halve_above"
+
+    def __init__(self, domain, floor):
+        self.domain = domain
+        self.floor = floor
+
+    def _transform(self, x):
+        if x.values[0] < self.floor:
+            raise ValueError(f"first cell below {self.floor!r}")
+        return x * 0.5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_block_march_matches_the_point_loop_at_every_offset(tmp_path):
+    level = 10
+    cells = 2 ** level
+    block = PHI_BLOCK_FLOATS // cells
+    ball = UnitBall(level)
+    everything = _AllOfSpace()
+    unit = np.eye(cells)
+    rng = np.random.default_rng(5)
+    # blocks of 1, 2, ..., block / 2 rows come first, so full blocks start
+    # at the steps that ``block`` divides: the march stops on every row of a
+    # full block in turn at the steps block + 1 to 2 * block
+    steps = range(block + 1, 2 * block + 1)
+    # the step that each march stops at, or refuses at
+    stops = {}
+
+    def same(T, C, x0, label, **kwargs):
+        got = cesaro_solve(T, C, x0, **kwargs)
+        want = _reference_cesaro_solve(T, C, x0, **kwargs)
+        _assert_same_outcome(got, want, label)
+        return want.diagnostics
+
+    for step in steps:
+        x0 = GridFunction(level, np.where(np.arange(cells) < step,
+                                          rng.uniform(-1.0, 1.0, cells), 0.0))
+        # a tol stop, and the same mean failing its verification
+        diag = same(_PartialTurn(ball, step), ball, x0, ("tol", step))
+        stops.setdefault("tol", set()).add(diag["stopped_at"])
+        diag = same(_PartialTurn(ball, step, saturated=True), ball, x0,
+                    ("verification", step))
+        assert diag["stop_reason"] == "candidate mean failed verification"
+        # unit mass that reaches the last cell after step - 1 moves: the
+        # drop shift pins at zero one step later, the push-out overflows
+        mass = GridFunction(level, cells * unit[cells - step])
+        diag = same(_DropShift(ball), ball, mass, ("pin", step))
+        stops.setdefault("pin", set()).add(diag["orbit_pinned_at"] - 1)
+        diag = same(_PushOut(ball), ball, mass, ("overflow", step))
+        assert diag["stop_reason"].startswith("orbit ran out of tracked slots")
+        stops.setdefault("overflow", set()).add(
+            int(diag["stop_reason"].split()[-1]) - 1)
+        # x -> x / 2 from unit mass in the first cell: the residual
+        # (1/2 - 2**-(s+1)) / s falls below tol at ``step``, and the map
+        # refuses the next orbit point, which the march never takes
+        r = [(0.5 - 2.0 ** -(s + 1)) / s for s in (step - 1, step)]
+        tol = (r[0] + r[1]) / 2
+        halve = _HalveAbove(ball, cells * 2.0 ** -step)
+        diag = same(halve, ball, GridFunction(level, cells * unit[0]),
+                    ("error past the stop", step), tol=tol)
+        stops.setdefault("error past the stop", set()).add(diag["stopped_at"])
+        # a running sum that overflows
+        big = GridFunction(level, unit[0] * np.finfo(float).max / (step + 0.5))
+
+        def scaling():
+            return _Scaling(everything, 1.0 + 2.0 ** -30)
+
+        refused, *error = _refused_by_the_reference(scaling, everything, big, 4096)
+        _assert_refused_at_step(scaling, everything, big, 4096, refused,
+                                tuple(error), ("sum overflow", step))
+        stops.setdefault("sum overflow", set()).add(refused)
+    for case, seen in stops.items():
+        assert {s % block for s in seen} == set(range(block)), case
+    # the benchmark's longest marches at level 12, four rows a block
+    marches = _bench_calls(tmp_path, "catalog_verdicts", (0,), "cesaro_solve",
+                           {"cyclic/ball/practical",
+                            "retraction_compose/cone_hull(0)/practical"})
+    assert len(marches) == 2
+    for args, kwargs in marches:
+        T = args[0]
+        assert PHI_BLOCK_FLOATS // args[2].array.size == 4
+        diag = same(*args, T.name, **kwargs)
+        assert diag["applications"] >= 4096, T.name
 
 
 class _Capped(ConvexBody):
