@@ -172,8 +172,7 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
 
     for t in cfg.t_grid:
         body = BumpSimplex(t, cfg.slots)
-        fam = bump_tail_family(t, cfg.slots)
-        rep = recentering_bounds(body, [fam], rng=rng)
+        rep = recentering_bounds(body, rng=rng)
         add(f"recentering(bump,t={t:g})", "abs", t,
             rep.estimate_low, rep.estimate_high, 1e-9)
         op = operator_from_spec({"op": "ct_shift"}, body)

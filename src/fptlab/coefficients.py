@@ -9,14 +9,12 @@ two.  The strict inequality growth < modulus / recentering opens the gate.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     DEFAULT_TOL,
-    WINDOW_FRACTION,
     GridFunction,
     liminf_tail,
     limsup_tail,
@@ -55,7 +53,7 @@ ORLICZ_GRID.setflags(write=False)
 
 @dataclass(frozen=True)
 class CoefficientReport:
-    """Measured bracket for a scalar coefficient, with its provenance.
+    """Measured bracket for a scalar coefficient.
 
     ``estimate_low`` is the trailing-window value realized by the best
     candidate found; ``estimate_high`` is a triangle-inequality certificate
@@ -67,23 +65,10 @@ class CoefficientReport:
     estimate_low: float
     estimate_high: float
     bound_type: str
-    witness: str
-    parameters: dict = field(default_factory=dict)
 
     @property
     def gap(self) -> float:
         return self.estimate_high - self.estimate_low
-
-    def to_json(self) -> str:
-        payload = {
-            "quantity": self.quantity,
-            "estimate_low": self.estimate_low,
-            "estimate_high": self.estimate_high,
-            "bound_type": self.bound_type,
-            "witness": self.witness,
-            "parameters": self.parameters,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _least_drifting_k_min(k_first: int, k_max: int, shift: int) -> int | None:
@@ -135,18 +120,14 @@ def recentering_bounds(body: ConvexBody, families=None, *,
     if families is None:
         families = _default_families(body)
         if not families:
-            return CoefficientReport(
-                f"recentering({body.name})", 1.0, RECENTERING_CAP, "cap",
-                f"no drift family fits {body.name}: the cap t <= "
-                f"{RECENTERING_CAP:g}", {"families": []})
+            return CoefficientReport(f"recentering({body.name})", 1.0,
+                                     RECENTERING_CAP, "cap")
     families = list(families)
     if not families:
         raise ValueError("need at least one drift family")
 
     low = 1.0
     high = 1.0
-    witness_desc = "ratio 1: no family forced a recentering premium"
-    clamped = False
     for fam in families:
         defect = fam.drift_defect()
         if defect > DRIFT_TOL:
@@ -165,22 +146,12 @@ def recentering_bounds(body: ConvexBody, families=None, *,
         if result.bound_type != "exact":
             fam_high = RECENTERING_CAP
         if fam_high > RECENTERING_CAP + DEFAULT_TOL:
-            clamped = True
             fam_high = RECENTERING_CAP
-        if fam_high > high:
-            high = fam_high
-            witness_desc = (f"family {fam.name}: recenter point of norm "
-                            f"{norm(result.point):.6g} ({result.bound_type})")
+        high = max(high, fam_high)
         low = max(low, fam_low)
     low = min(low, high)
-    params = {
-        "n_samples": SAMPLED_CANDIDATES,
-        "window_fraction": WINDOW_FRACTION,
-        "families": [fam.name for fam in families],
-        "clamped": clamped,
-    }
     return CoefficientReport(f"recentering({body.name})", float(low), float(high),
-                             "bracket", witness_desc, params)
+                             "bracket")
 
 
 def disjoint_additivity_defect(points, z) -> float:

@@ -294,20 +294,20 @@ class ConvexBody:
     #: Exact recentering coefficient when known for the catalog body.
     t_exact: float | None = None
 
-    def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
+    def violation(self, x, tol: float) -> str | None:
         """None if ``x`` belongs to the body, else a description of the
         constraint that fails.  A catalog body checks the type of ``x`` here
         and states its constraints once, on rows, in ``violations``: this is
         their one-row case."""
         raise NotImplementedError
 
-    def violations(self, space, rows: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+    def violations(self, space, rows: np.ndarray, tol: float) -> list:
         """``violation`` of each row of a 2-d array of points of ``space``'s
         space, which must be one the body checks.  This fallback builds each
         point, for a body that states its constraints on points only."""
         return [self.violation(space.like(row), tol) for row in rows]
 
-    def membership(self, x, tol: float = DEFAULT_TOL) -> bool:
+    def membership(self, x, tol: float) -> bool:
         return self.violation(x, tol) is None
 
     def sample(self, rng: np.random.Generator):
@@ -352,12 +352,12 @@ class DensitySimplex(ConvexBody):
         self.level = check_level(level)
         self.name = "density_simplex"
 
-    def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
+    def violation(self, x, tol: float) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
         return self.violations(x, x.values[None], tol)[0]
 
-    def violations(self, space, rows, tol=DEFAULT_TOL):
+    def violations(self, space, rows, tol):
         lows = rows.min(axis=1)
         integrals = space.row_integrals(rows)
         return _row_messages(
@@ -404,12 +404,12 @@ class ConeHull(ConvexBody):
         self.name = f"cone_hull(a={self.a:g})"
         self.t_exact = 1.0 + self.a
 
-    def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
+    def violation(self, x, tol: float) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
         return self.violations(x, x.values[None], tol)[0]
 
-    def violations(self, space, rows, tol=DEFAULT_TOL):
+    def violations(self, space, rows, tol):
         a = self.a
         integrals = space.row_integrals(rows)
         if a >= 1.0 - 1e-12:
@@ -466,12 +466,12 @@ class UnitBall(ConvexBody):
         self.level = check_level(level)
         self.name = "ball"
 
-    def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
+    def violation(self, x, tol: float) -> str | None:
         if not isinstance(x, GridFunction):
             return f"expected GridFunction, got {type(x).__name__}"
         return self.violations(x, x.values[None], tol)[0]
 
-    def violations(self, space, rows, tol=DEFAULT_TOL):
+    def violations(self, space, rows, tol):
         norms = space.row_norms(rows)
         return _row_messages(len(rows), (norms > 1.0 + tol,
                                          lambda j: f"norm {norms[j]:.6g} exceeds 1"))
@@ -514,14 +514,14 @@ class BumpSimplex(ConvexBody):
         self.name = f"bump_simplex(t={self.t:g})"
         self.t_exact = self.t
 
-    def violation(self, x, tol: float = DEFAULT_TOL) -> str | None:
+    def violation(self, x, tol: float) -> str | None:
         if not isinstance(x, CoordPoint):
             return f"expected CoordPoint, got {type(x).__name__}"
         if abs(x.t - self.t) > DEFAULT_TOL or x.slots != self.slots:
             return "coordinate space mismatch"
         return self.violations(x, x.coeffs[None], tol)[0]
 
-    def violations(self, space, rows, tol=DEFAULT_TOL):
+    def violations(self, space, rows, tol):
         lows = rows.min(axis=1)
         totals = rows.sum(axis=1)
         return _row_messages(

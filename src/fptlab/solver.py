@@ -486,10 +486,22 @@ def _default_inner(T: AffineOperator, x) -> int:
 
 def _verified(T: AffineOperator, C: ConvexBody, point, residual: float | None,
               tol: float) -> bool:
-    """``solve``'s acceptance test: the residual is known and at most
-    ``tol``, the point is a member, and the mesh floor does not pin it."""
+    """The one acceptance test of both solvers: the residual is known and at
+    most ``tol``, the point is a member, and the mesh floor does not pin
+    it."""
     return (residual is not None and residual <= tol
             and C.membership(point, MEMBERSHIP_TOL) and not T.is_saturated(point))
+
+
+def _start(T: AffineOperator, C: ConvexBody, x0, rng: np.random.Generator):
+    """``x0``, or ``T``'s default start drawn from ``rng``, refused with
+    DomainError when it lies outside ``C``."""
+    if x0 is None:
+        x0 = T.default_start(rng)
+    problem = C.violation(x0, 1e-7)
+    if problem is not None:
+        raise DomainError(f"starting point outside the body: {problem}")
+    return x0
 
 
 def _check_tol(tol: float) -> None:
@@ -517,11 +529,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     defect = affinity_defect(T, rng)
     if defect > 1e-7:
         raise ValueError(f"affinity certificate failed: defect {defect:.3g}")
-    if x0 is None:
-        x0 = T.default_start(rng)
-    problem = C.violation(x0, 1e-7)
-    if problem is not None:
-        raise DomainError(f"starting point outside the body: {problem}")
+    x0 = _start(T, C, x0, rng)
 
     opial = opial_sum()
     mean_lip = mean_lipschitz(T, 8, rng=rng)
@@ -651,8 +659,9 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     the affine identity.  Orbits that stop moving are handled analytically:
     a genuinely fixed orbit point is returned at once, a mesh-pinned one is
     rejected as an artifact and handed to restart diagnosis, with the mean
-    horizon that tol would need reported either way.  The trace keeps
-    about 256 of the ``n_max`` means.
+    horizon that tol would need reported either way.  A mean or a pinned
+    point is a fixed point only when ``_verified`` accepts it, as in
+    ``solve``.  The trace keeps about 256 of the ``n_max`` means.
 
     The orbit is marched a block of ``PHI_BLOCK_FLOATS`` floats at a time
     (at least one row), as ``build_afps_record`` marches it, after blocks of
@@ -660,18 +669,19 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     call, which the rotation writes in one copy, and one ``row_norms`` call
     that prices the residual numerators T x0 - T**(s+1) x0 and the steps
     T**(s+1) x0 - T**s x0 of all its rows, bit-equal to ``norm``.  Only the
-    first step checks the domain.  The first row that ends the march or
-    needs a look, a non-finite norm, a residual that clears tol or a step of
-    zero, runs the step body of the point loop; the rows before it only add
-    to the running sum, one add per row as ``running_means`` makes them,
-    and build a point only for a kept trace row.  So every verdict, residual
-    and trace row rounds as the point arithmetic would, and
-    ``applications`` counts the steps the march takes, not the rows mapped
-    past its stop.  Errors come at the step of the point loop: after a
-    block whose ``orbit_rows`` call raises, the march goes on from one step
-    per call, since the error may lie past the stop; the sum, checked finite
-    once per block, is refused with the point class's error, which names no
-    value, as the point loop refuses it at the add that overflows.
+    first step checks the domain.  The march ends at its stop row: a
+    residual that clears tol, a step of zero, or a difference row that is
+    not finite.  A row whose norm overflows on finite differences marches on
+    like any other.  The rows before the stop add to the running sum, one
+    add per row as ``running_means`` makes them, and build a point only for
+    a kept trace row; the stop row verifies, pins or raises.  So every
+    verdict, residual and trace row rounds as the point arithmetic would,
+    and ``applications`` counts the steps the march takes, not the rows
+    mapped past its stop.  Errors come at the step of the point loop: after
+    a block whose ``orbit_rows`` call raises, the march goes on from one
+    step per call, since the error may lie past the stop; the sum, checked
+    finite once per block, is refused with the point class's error, which
+    names no value, as the point loop refuses it at the add that overflows.
 
     Statuses do not always agree with the certified ``solve``: on ``cyclic``
     over ``density_simplex`` and ``retraction`` over ``cone_hull(0)`` this
@@ -681,24 +691,25 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     _check_tol(tol)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = T.default_start(rng)
-    problem = C.violation(x0, 1e-7)
-    if problem is not None:
-        raise DomainError(f"starting point outside the body: {problem}")
+    x0 = _start(T, C, x0, np.random.default_rng(seed))
     diagnostics = {"applications": 0, "n_max": n_max}
     trace: list[dict] = []
     keep_every = max(1, n_max // 256)
+    apps = 0
 
     def classify(reason: str):
         status, limit, diag = classify_escape(T, C, x0)
-        diagnostics["applications"] += diag.pop("applications", 0)
+        diagnostics["applications"] = apps + diag.pop("applications", 0)
         diagnostics.update(diag)
         diagnostics["stop_reason"] = reason
         residual = None if limit is None else _safe_residual(T, limit)
         _fill_measure_column(trace, limit)
         return SolveOutcome(status, limit, residual, trace, diagnostics)
+
+    def fixed(point, residual: float):
+        diagnostics["applications"] = apps
+        _fill_measure_column(trace, point)
+        return SolveOutcome(STATUS_FIXED, point, residual, trace, diagnostics)
 
     def check_finite(values) -> None:
         # the point class refuses the array with its own error, as the
@@ -717,7 +728,6 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     orbit = np.empty((block + 1, slots))
     orbit[0] = x0.array
     if not orbit_rows(T, x0, orbit, 1):
-        diagnostics["applications"] = 0
         return classify("orbit cannot move from the starting point")
     apps = 1
     first = orbit[1].copy()
@@ -749,10 +759,14 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         while e < k:
             gap, step = norms[e], norms[k + e]
             residual = gap / s
-            if (residual <= tol or step == 0.0
-                    or not (math.isfinite(gap) and math.isfinite(step))):
+            if residual <= tol or step == 0.0:
                 break
-            # a row that stops nothing and needs no look only adds to the sum
+            # a norm is finite whenever its row is, so rows e and k + e are
+            # looked at only when one is not: a norm may overflow on finite
+            # rows, and such a row marches on
+            if not (math.isfinite(gap) and math.isfinite(step)
+                    or np.isfinite(diffs[e:2 * k:k]).all()):
+                break
             best_residual = min(best_residual, residual)
             if s % keep_every == 0 or s == n_max:
                 keep(s, residual)
@@ -766,57 +780,34 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             check_finite(total)
         if e == k:
             if k < want:
-                diagnostics["applications"] = apps
                 return classify(f"orbit ran out of tracked slots at step {s + 1}")
             orbit[0] = orbit[k]
             continue
-        # the point loop's step body, on row e
+        # the stop row: in the point loop's order, it verifies, pins or raises
         apps += 1
-        nxt = orbit[e + 1]
-        # a norm is finite whenever its row is, so the rows are looked at
-        # only when one is not
-        if not math.isfinite(gap):
-            check_finite(diffs[e])
-        best_residual = min(best_residual, residual)
+        check_finite(diffs[e])
         if s % keep_every == 0 or residual <= tol or s == n_max:
             z = keep(s, residual)
         if residual <= tol:
             direct = _safe_residual(T, z)
             apps += 1
-            diagnostics["applications"] = apps
-            if (direct is not None and direct <= max(tol, residual + 1e-12)
-                    and C.membership(z, MEMBERSHIP_TOL) and not T.is_saturated(z)):
+            if _verified(T, C, z, direct, max(tol, residual + 1e-12)):
                 diagnostics["stopped_at"] = s
-                _fill_measure_column(trace, z)
-                return SolveOutcome(STATUS_FIXED, z, direct, trace, diagnostics)
+                return fixed(z, direct)
             return classify("candidate mean failed verification")
-        if not math.isfinite(step):
-            check_finite(diffs[k + e])
-        if step == 0.0:
-            # orbit stopped moving: every later mean is a closed form
-            pin = x0.like(nxt)
-            needed = math.inf if gap == 0.0 else gap / tol
-            diagnostics["orbit_pinned_at"] = s + 1
-            diagnostics["means_needed_for_tol"] = needed
-            diagnostics["applications"] = apps
-            if not T.is_saturated(pin):
-                residual_pin = _safe_residual(T, pin)
-                apps += 1
-                diagnostics["applications"] = apps
-                if (residual_pin is not None and residual_pin <= tol
-                        and C.membership(pin, MEMBERSHIP_TOL)):
-                    _fill_measure_column(trace, pin)
-                    return SolveOutcome(STATUS_FIXED, pin, residual_pin, trace,
-                                        diagnostics)
-            return classify("orbit pinned by the mesh floor; later means are "
-                            "artifacts")
-        # a norm overflowed on finite rows: the march goes on past this row,
-        # and the next block maps again from it
-        total += nxt
-        check_finite(total)
-        orbit[0] = nxt
-        s += 1
-    diagnostics["applications"] = apps
+        check_finite(diffs[k + e])
+        # the orbit stopped moving: every later mean is a closed form, and
+        # the gap is not zero, or the residual would have cleared tol
+        pin = x0.like(orbit[e + 1])
+        diagnostics["orbit_pinned_at"] = s + 1
+        diagnostics["means_needed_for_tol"] = gap / tol if tol > 0.0 else math.inf
+        if not T.is_saturated(pin):
+            residual_pin = _safe_residual(T, pin)
+            apps += 1
+            if _verified(T, C, pin, residual_pin, tol):
+                return fixed(pin, residual_pin)
+        return classify("orbit pinned by the mesh floor; later means are "
+                        "artifacts")
     diagnostics["best_residual"] = best_residual
     return classify(f"no mean reached tol within n_max={n_max}")
 

@@ -132,6 +132,24 @@ def test_reproduce_reads_config_file(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("slots, code, failing", [
+    (5, 1, (1.1, 1.25, 1.5, 1.75, 1.9)),
+    (6, 1, (1.5, 1.75, 1.9)),
+    (64, 0, ()),
+])
+def test_reproduce_bump_rows_read_the_default_family(tmp_path, slots, code,
+                                                     failing):
+    # the bump rows take the drift family that the sharpness scan reads: at
+    # 5 slots its low end is 1 for every t, at 6 it reaches only the lower
+    # t values; a coarse family is a failing row, not a configuration error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"slots": slots}))
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "--config", str(cfg_path), "--out", str(out)]) == code
+    failed = [row[0] for row in read_csv(out)[1:] if row[-1] != "pass"]
+    assert failed == [f"recentering(bump,t={t:g})" for t in failing]
+
+
 def test_reproduce_rejects_coarse_level(tmp_path, capsys):
     # at a coarse level the drifting family stops vanishing in measure fast
     # enough for the additivity check: a configuration error, not a fake row
@@ -163,6 +181,17 @@ def test_solve_cli_practical_cyclic(tmp_path):
     rows = read_csv(trace)
     assert rows[0] == ["s", "residual", "norm", "ky_fan_to_detected_limit"]
     assert len(rows) > 1
+
+
+def test_solve_cli_practical_tol_zero_gives_a_verdict(tmp_path, capsys):
+    # the doubling orbit pins at the mesh floor; tol 0 is a valid setting
+    out = tmp_path / "outcome.json"
+    rc = main(["solve", "--op", "doubling", "--set", "density_simplex",
+               "--level", "6", "--tol", "0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("status: budget_exhausted")
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert diagnostics["means_needed_for_tol"] == float("inf")
 
 
 def test_solve_cli_proof_cyclic(tmp_path):

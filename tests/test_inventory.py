@@ -16,17 +16,6 @@ from fptlab.cli import ExperimentConfig
 MODULES = ("grid", "sets", "operators", "coefficients", "solver", "cli")
 
 DEFAULTED = """
-sets.ConvexBody.violation(tol)
-sets.ConvexBody.violations(tol)
-sets.ConvexBody.membership(tol)
-sets.DensitySimplex.violation(tol)
-sets.DensitySimplex.violations(tol)
-sets.ConeHull.violation(tol)
-sets.ConeHull.violations(tol)
-sets.UnitBall.violation(tol)
-sets.UnitBall.violations(tol)
-sets.BumpSimplex.violation(tol)
-sets.BumpSimplex.violations(tol)
 sets.BumpSimplex.sample(support)
 sets.peak_family(k_min)
 sets.peak_family(k_max)
@@ -95,4 +84,4 @@ def defaulted_parameters() -> list[str]:
 
 def test_defaulted_parameters_are_the_listed_ones():
     assert defaulted_parameters() == DEFAULTED
-    assert len(DEFAULTED) == 47
+    assert len(DEFAULTED) == 36

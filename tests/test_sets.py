@@ -72,28 +72,28 @@ def embed_coord(x: CoordPoint, level: int) -> GridFunction:
 
 def test_density_simplex_membership():
     body = DensitySimplex(5)
-    assert body.membership(GridFunction.constant(1.0, 5))
+    assert body.membership(GridFunction.constant(1.0, 5), 1e-9)
     for k in range(0, 6):
-        assert body.membership(peak_sequence(2 ** k, 5))
-    violation = body.violation(GridFunction.zero(5))
+        assert body.membership(peak_sequence(2 ** k, 5), 1e-9)
+    violation = body.violation(GridFunction.zero(5), 1e-9)
     assert violation is not None and "integral" in violation
 
 
 def test_unit_ball_membership():
     body = UnitBall(4)
-    assert body.membership(GridFunction.zero(4))
-    assert body.membership(GridFunction.constant(-1.0, 4))
-    assert not body.membership(GridFunction.constant(1.5, 4))
+    assert body.membership(GridFunction.zero(4), 1e-9)
+    assert body.membership(GridFunction.constant(-1.0, 4), 1e-9)
+    assert not body.membership(GridFunction.constant(1.5, 4), 1e-9)
 
 
 def test_cone_hull_vertex_membership():
     for a in (0.0, 0.25, 0.5, 0.75, 1.0):
         body = ConeHull(a, 5)
-        assert body.membership(GridFunction.constant(a, 5))
-        assert body.membership(GridFunction.constant(1.0, 5))
-        assert body.membership(peak_sequence(4, 5))
-    assert not ConeHull(0.5, 5).membership(GridFunction.zero(5))
-    assert ConeHull(0.0, 5).membership(GridFunction.zero(5))
+        assert body.membership(GridFunction.constant(a, 5), 1e-9)
+        assert body.membership(GridFunction.constant(1.0, 5), 1e-9)
+        assert body.membership(peak_sequence(4, 5), 1e-9)
+    assert not ConeHull(0.5, 5).membership(GridFunction.zero(5), 1e-9)
+    assert ConeHull(0.0, 5).membership(GridFunction.zero(5), 1e-9)
 
 
 def test_cone_hull_rejects_bad_a():
@@ -106,9 +106,9 @@ def test_cone_hull_rejects_bad_a():
 def test_bump_simplex_membership():
     body = BumpSimplex(1.5, 8)
     for k in range(8):
-        assert body.membership(coord_basis(1.5, 8, k))
-    assert not body.membership(CoordPoint(1.5, np.zeros(8)))
-    assert not body.membership(CoordPoint(1.25, np.eye(8)[0]))
+        assert body.membership(coord_basis(1.5, 8, k), 1e-9)
+    assert not body.membership(CoordPoint(1.5, np.zeros(8)), 1e-9)
+    assert not body.membership(CoordPoint(1.25, np.eye(8)[0]), 1e-9)
 
 
 def test_bump_simplex_bounds_its_slot_count():
@@ -126,7 +126,7 @@ def test_sample_membership_round_trip():
     rng = np.random.default_rng(5)
     for body in catalog():
         for _ in range(1000):
-            assert body.membership(body.sample(rng)), body.name
+            assert body.membership(body.sample(rng), 1e-9), body.name
 
 
 def test_convexity_probe():

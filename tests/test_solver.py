@@ -892,7 +892,8 @@ def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
         if norm(nxt - orbit_pt) == 0.0:
             pin = nxt
             gap = norm(first - pin)
-            needed = math.inf if gap == 0.0 else gap / tol
+            # no number of means brings a gap above 0 to tol = 0
+            needed = gap / tol if tol > 0.0 else math.inf
             diagnostics["orbit_pinned_at"] = s + 1
             diagnostics["means_needed_for_tol"] = needed
             diagnostics["applications"] = apps
@@ -1038,6 +1039,18 @@ def test_streamed_march_matches_the_point_loop_on_every_exit():
             elif n_max == 4096:
                 assert got.status == FIXED and "orbit_pinned_at" in got.diagnostics
     assert cesaro_solve(cases[-1][0], fine, cases[-1][2]).point.values[0] == 2.0 ** -1072
+
+
+def test_pinned_orbit_at_tol_zero_needs_infinitely_many_means():
+    # the doubling orbit reaches the mesh floor of level 6 and pins there;
+    # at tol = 0 no number of means clears the gap, so the horizon is inf
+    C = DensitySimplex(6)
+    T = DoublingShift(C)
+    got = cesaro_solve(T, C, tol=0.0)
+    _assert_same_outcome(got, _reference_cesaro_solve(T, C, tol=0.0), "tol 0")
+    assert got.status == BUDGET
+    assert got.diagnostics["means_needed_for_tol"] == math.inf
+    assert got.diagnostics["stop_reason"].startswith("orbit pinned by the mesh floor")
 
 
 class _AllOfSpace(ConvexBody):
@@ -1238,6 +1251,20 @@ def test_block_march_matches_the_point_loop_at_every_offset(tmp_path):
         _assert_refused_at_step(scaling, everything, big, 4096, refused,
                                 tuple(error), ("sum overflow", step))
         stops.setdefault("sum overflow", set()).add(refused)
+        # c on ``step`` of 3 * step turning cells: x0 - T**s x0 holds
+        # 2 min(s, step) cells of +-c up to s = 2 * step, so the residual
+        # numerator's norm overflows on finite rows from ``step`` on, and the
+        # march goes on past those rows to the period, where it stops
+        c = np.finfo(float).max / (2 * step - 1)
+        turn = _PartialTurn(everything, 3 * step)
+        x0 = GridFunction(level, np.where(np.arange(cells) < step, c, 0.0))
+        diag = same(turn, everything, x0, ("norm overflow", step))
+        assert diag["stopped_at"] == 3 * step
+        # T x0, ..., T**(s+1) x0 up to the first s whose numerator overflows
+        orbit = [turn.apply(x0, check_domain=False)]
+        while math.isfinite(norm(orbit[0] - orbit[-1])):
+            orbit.append(turn.apply(orbit[-1], check_domain=False))
+        stops.setdefault("norm overflow", set()).add(len(orbit) - 1)
     for case, seen in stops.items():
         assert {s % block for s in seen} == set(range(block)), case
     # the benchmark's longest marches at level 12, four rows a block
