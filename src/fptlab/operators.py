@@ -16,6 +16,7 @@ from .sets import (
     ConeHull,
     ConvexBody,
     CoordPoint,
+    GridBody,
     build_from_spec,
     coord_basis,
     norm,
@@ -131,7 +132,7 @@ class DoublingShift(AffineOperator):
     def __init__(self, domain: ConvexBody):
         if isinstance(domain, ConeHull) and domain.a > 0.0:
             raise ValueError("doubling does not preserve cone hulls with a > 0")
-        if not hasattr(domain, "level"):
+        if not isinstance(domain, GridBody):
             raise ValueError("doubling needs a grid body")
         self.domain = domain
         self.level = domain.level
@@ -183,7 +184,7 @@ class CyclicShift(AffineOperator):
     name = "cyclic"
 
     def __init__(self, domain: ConvexBody):
-        if not hasattr(domain, "level"):
+        if not isinstance(domain, GridBody):
             raise ValueError("cyclic shift needs a grid body")
         self.domain = domain
         self.level = domain.level

@@ -110,6 +110,8 @@ class CoordPoint:
         return np.array([np.abs(row) @ w for row in rows])
 
     def _compat(self, other: CoordPoint) -> None:
+        if not isinstance(other, CoordPoint):
+            raise TypeError("expected CoordPoint operands")
         if abs(self.t - other.t) > DEFAULT_TOL or self.slots != other.slots:
             raise ValueError("mixed coordinate spaces")
 
@@ -296,10 +298,15 @@ class ConvexBody:
 
     def violation(self, x, tol: float) -> str | None:
         """None if ``x`` belongs to the body, else a description of the
-        constraint that fails.  A catalog body checks the type of ``x`` here
-        and states its constraints once, on rows, in ``violations``: this is
-        their one-row case."""
+        constraint that fails.  A catalog body checks the space of ``x`` here
+        (``_space_error``) and states its constraints once, on rows, in
+        ``violations``: this is their one-row case."""
         raise NotImplementedError
+
+    def _space_error(self, x) -> str | None:
+        """None if ``x`` is a point of the body's space, else why not.  Only
+        such a point reaches ``_recenter_witness``."""
+        return None
 
     def violations(self, space, rows: np.ndarray, tol: float) -> list:
         """``violation`` of each row of a 2-d array of points of ``space``'s
@@ -319,7 +326,7 @@ class ConvexBody:
         members drawn from ``rng`` when no closed form applies."""
         if len(seq) == 0:
             raise ValueError("recenter needs a nonempty sequence")
-        closed = self._recenter_witness(x)
+        closed = None if self._space_error(x) else self._recenter_witness(x)
         if closed is not None and self.membership(closed, tol=1e-7):
             return RecenterResult(closed, "exact")
         return RecenterResult(self._recenter_sampled(x, seq, rng), "upper")
@@ -338,7 +345,24 @@ class ConvexBody:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class DensitySimplex(ConvexBody):
+class GridBody(ConvexBody):
+    """Body of grid functions of one level."""
+
+    def __init__(self, level: int):
+        self.level = check_level(level)
+
+    def _space_error(self, x) -> str | None:
+        if not isinstance(x, GridFunction):
+            return f"expected GridFunction, got {type(x).__name__}"
+        if x.level != self.level:
+            return f"expected a level-{self.level} point, got level {x.level}"
+        return None
+
+    def violation(self, x, tol: float) -> str | None:
+        return self._space_error(x) or self.violations(x, x.values[None], tol)[0]
+
+
+class DensitySimplex(GridBody):
     """Nonnegative grid functions of unit integral: the probability densities.
 
     Convex, closed, and bounded in norm, but badly non-closed in measure:
@@ -346,16 +370,8 @@ class DensitySimplex(ConvexBody):
     mass.  The recentering coefficient is as large as it can be.
     """
 
+    name = "density_simplex"
     t_exact = 2.0
-
-    def __init__(self, level: int):
-        self.level = check_level(level)
-        self.name = "density_simplex"
-
-    def violation(self, x, tol: float) -> str | None:
-        if not isinstance(x, GridFunction):
-            return f"expected GridFunction, got {type(x).__name__}"
-        return self.violations(x, x.values[None], tol)[0]
 
     def violations(self, space, rows, tol):
         lows = rows.min(axis=1)
@@ -377,8 +393,6 @@ class DensitySimplex(ConvexBody):
         return GridFunction(self.level, v)
 
     def _recenter_witness(self, x):
-        if not isinstance(x, GridFunction):
-            return None
         if float(x.values.min()) < -1e-7:
             return None
         deficit = 1.0 - x.integral()
@@ -387,35 +401,30 @@ class DensitySimplex(ConvexBody):
         return x + GridFunction.constant(max(deficit, 0.0), x.level)
 
 
-class ConeHull(ConvexBody):
+class ConeHull(GridBody):
     """Convex hull of the density simplex with the constant function a.
 
     For 0 < a < 1 the extra vertex sits strictly inside the norm ball of the
     simplex, and the recentering coefficient drops to 1 + a.  a = 0 gives the
     sub-probability densities (closed in measure); a = 1 gives the simplex
-    itself back.
+    itself back, and from 1 - 1e-12 on the hull takes the simplex's
+    constraints and witness.
     """
 
     def __init__(self, a: float, level: int):
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"a must lie in [0, 1], got {a}")
         self.a = float(a)
-        self.level = check_level(level)
+        super().__init__(level)
         self.name = f"cone_hull(a={self.a:g})"
         self.t_exact = 1.0 + self.a
 
-    def violation(self, x, tol: float) -> str | None:
-        if not isinstance(x, GridFunction):
-            return f"expected GridFunction, got {type(x).__name__}"
-        return self.violations(x, x.values[None], tol)[0]
-
     def violations(self, space, rows, tol):
         a = self.a
-        integrals = space.row_integrals(rows)
         if a >= 1.0 - 1e-12:
-            lam = np.ones_like(integrals)
-        else:
-            lam = (integrals - a) / (1.0 - a)
+            return DensitySimplex.violations(self, space, rows, tol)
+        integrals = space.row_integrals(rows)
+        lam = (integrals - a) / (1.0 - a)
         floors = (1.0 - np.minimum(np.maximum(lam, 0.0), 1.0)) * a
         lows = rows.min(axis=1)
         return _row_messages(
@@ -431,15 +440,13 @@ class ConeHull(ConvexBody):
         return GridFunction(self.level, f.values * lam + (1.0 - lam) * self.a)
 
     def _recenter_witness(self, x):
-        if not isinstance(x, GridFunction):
-            return None
         a = self.a
+        if a >= 1.0 - 1e-12:
+            return DensitySimplex._recenter_witness(self, x)
         integral = x.integral()
         low = float(x.values.min())
         if low < -1e-7 or integral > 1.0 + 1e-7:
             return None
-        if a >= 1.0 - 1e-12:
-            return x + GridFunction.constant(max(1.0 - integral, 0.0), x.level)
         # constant shift c puts x + c at mixture weight lam exactly when
         # c = lam + (1-lam) a - integral; the floor constraint
         # min(x) + c >= (1-lam) a then reads lam >= integral - min(x).
@@ -453,23 +460,15 @@ class ConeHull(ConvexBody):
         return x + GridFunction.constant(shift, x.level)
 
 
-class UnitBall(ConvexBody):
+class UnitBall(GridBody):
     """Closed unit ball of the norm: signed functions with integral of |f| <= 1.
 
     Closed in measure, so recentering is free: any norm limit already lies in
     the ball and the coefficient is 1.
     """
 
+    name = "ball"
     t_exact = 1.0
-
-    def __init__(self, level: int):
-        self.level = check_level(level)
-        self.name = "ball"
-
-    def violation(self, x, tol: float) -> str | None:
-        if not isinstance(x, GridFunction):
-            return f"expected GridFunction, got {type(x).__name__}"
-        return self.violations(x, x.values[None], tol)[0]
 
     def violations(self, space, rows, tol):
         norms = space.row_norms(rows)
@@ -485,8 +484,6 @@ class UnitBall(ConvexBody):
         return GridFunction(self.level, v * signs * radius)
 
     def _recenter_witness(self, x):
-        if not isinstance(x, GridFunction):
-            return None
         nrm = x.norm()
         if nrm <= 1.0:
             return x
@@ -514,12 +511,15 @@ class BumpSimplex(ConvexBody):
         self.name = f"bump_simplex(t={self.t:g})"
         self.t_exact = self.t
 
-    def violation(self, x, tol: float) -> str | None:
+    def _space_error(self, x) -> str | None:
         if not isinstance(x, CoordPoint):
             return f"expected CoordPoint, got {type(x).__name__}"
         if abs(x.t - self.t) > DEFAULT_TOL or x.slots != self.slots:
             return "coordinate space mismatch"
-        return self.violations(x, x.coeffs[None], tol)[0]
+        return None
+
+    def violation(self, x, tol: float) -> str | None:
+        return self._space_error(x) or self.violations(x, x.coeffs[None], tol)[0]
 
     def violations(self, space, rows, tol):
         lows = rows.min(axis=1)
@@ -537,10 +537,6 @@ class BumpSimplex(ConvexBody):
         return CoordPoint(self.t, c)
 
     def _recenter_witness(self, x):
-        if not isinstance(x, CoordPoint):
-            return None
-        if abs(x.t - self.t) > DEFAULT_TOL or x.slots != self.slots:
-            return None
         if float(x.coeffs.min()) < -1e-7:
             return None
         deficit = 1.0 - float(x.coeffs.sum())
@@ -583,18 +579,17 @@ def peak_family(level: int, k_min: int = 1, k_max: int | None = None) -> Sequenc
     return SequenceFamily(f"peaks(level={level})", points, GridFunction.zero(level))
 
 
-def bump_tail_family(t: float, slots: int, k_min: int = 1,
-                     k_max: int | None = None) -> SequenceFamily:
-    """Late bump vertices: unit-norm coordinates vanishing in measure."""
-    k_max = slots - 1 if k_max is None else k_max
-    if not (1 <= k_min <= k_max < slots):
-        raise ValueError(f"need 1 <= {k_min} <= {k_max} < {slots}")
-    count = k_max - k_min + 1
+def bump_tail_family(t: float, slots: int, k_min: int = 1) -> SequenceFamily:
+    """Late bump vertices: unit-norm coordinates k_min <= k < slots,
+    vanishing in measure."""
+    if not (1 <= k_min < slots):
+        raise ValueError(f"need 1 <= {k_min} < {slots}")
+    count = slots - k_min
     if count * slots * 8 > BYTE_BUDGET:
         raise ValueError(f"a bump tail family of {count} points of {slots} slots "
                          f"needs {count * slots * 8} bytes, more than the budget "
                          f"of {BYTE_BUDGET}")
-    points = tuple(coord_basis(t, slots, k) for k in range(k_min, k_max + 1))
+    points = tuple(coord_basis(t, slots, k) for k in range(k_min, slots))
     return SequenceFamily(f"bump_tail(t={t:g})", points,
                           CoordPoint(t, np.zeros(slots)))
 

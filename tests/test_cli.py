@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from fptlab import sets
 from fptlab.cli import ExperimentConfig, _parse_spec, main, run_reproduce
 from fptlab.grid import limsup_tail
 from fptlab.operators import OPERATOR_KINDS
-from fptlab.sets import BODY_KINDS, bump_tail_family, norm, peak_family
+from fptlab.coefficients import _default_families
+from fptlab.sets import BODY_KINDS, BumpSimplex, bump_tail_family, norm, peak_family
 
 _REPRO_HEADER = ["quantity", "reference_value", "estimate_low",
                  "estimate_high", "gap", "tolerance", "status"]
@@ -148,6 +150,24 @@ def test_reproduce_bump_rows_read_the_default_family(tmp_path, slots, code,
     assert main(["reproduce", "--config", str(cfg_path), "--out", str(out)]) == code
     failed = [row[0] for row in read_csv(out)[1:] if row[-1] != "pass"]
     assert failed == [f"recentering(bump,t={t:g})" for t in failing]
+
+
+@pytest.mark.parametrize("slots, points, status", [
+    (4, 0, "fail"), (5, 2, "pass"), (6, 4, "pass"), (64, 63, "pass"),
+])
+def test_reproduce_bump_drift_row_reads_the_default_family(slots, points, status):
+    # the row measures the family that drifts, not every late coordinate:
+    # at 5 and 6 slots that family is shorter, at 4 there is none and the
+    # row has no drift radius
+    fams = _default_families(BumpSimplex(1.5, slots))
+    assert [len(f.points) for f in fams] == ([points] if points else [])
+    cfg = ExperimentConfig(slots=slots, a_grid=(0.5,), t_grid=(1.5,), orlicz_p=(2.0,))
+    row = {r[0]: r for r in run_reproduce(cfg)[0]}["drift_radius(bump,t=1.5)"]
+    assert row[-1] == status
+    if points:
+        assert row[2] == row[3] == limsup_tail([norm(p) for p in fams[0].points]) == 1.0
+    else:
+        assert math.isnan(row[2]) and math.isnan(row[3])
 
 
 def test_reproduce_rejects_coarse_level(tmp_path, capsys):

@@ -20,7 +20,6 @@ sets.BumpSimplex.sample(support)
 sets.peak_family(k_min)
 sets.peak_family(k_max)
 sets.bump_tail_family(k_min)
-sets.bump_tail_family(k_max)
 operators.AffineOperator.apply(check_domain)
 operators.orbit_rows(check_domain)
 operators.running_means(carry)
@@ -84,4 +83,4 @@ def defaulted_parameters() -> list[str]:
 
 def test_defaulted_parameters_are_the_listed_ones():
     assert defaulted_parameters() == DEFAULTED
-    assert len(DEFAULTED) == 36
+    assert len(DEFAULTED) == 35

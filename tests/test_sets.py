@@ -175,6 +175,70 @@ def test_recenter_cone_hull_vertex_witness():
         assert abs(ratio - (1.0 + a)) <= 0.02 * (1.0 + a)
 
 
+def _foreign_points(body):
+    """Points of another space than ``body``'s, each with the message the
+    body refuses it with: the other point kind, a grid point of another
+    level, a coordinate point of another t or slot count."""
+    if isinstance(body, BumpSimplex):
+        kind = "expected CoordPoint, got GridFunction"
+        return [(GridFunction.constant(1.0, level), kind) for level in (0, 4, LEVEL)] + [
+            (coord_basis(t, slots, 1), "coordinate space mismatch")
+            for t, slots in ((1.25, body.slots), (body.t, body.slots - 1),
+                             (body.t, body.slots + 1))]
+    return [(GridFunction.constant(1.0, level),
+             f"expected a level-{LEVEL} point, got level {level}")
+            for level in (0, 4, LEVEL + 1)] + [
+        (coord_basis(1.5, slots, 1), "expected GridFunction, got CoordPoint")
+        for slots in (4, 2 ** LEVEL)]
+
+
+def test_bodies_refuse_points_of_another_space():
+    # the space test comes before every constraint, and a refused point never
+    # reaches a recenter witness: recentering falls back to sampling
+    rng = np.random.default_rng(12)
+    for body in catalog():
+        seq = [body.sample(rng) for _ in range(4)]
+
+        def witness(x, _name=body.name):
+            raise AssertionError(f"{_name}: witness called on {x!r}")
+
+        body._recenter_witness = witness
+        for x, message in _foreign_points(body):
+            assert body.violation(x, 1e-7) == message, body.name
+            assert not body.membership(x, 1e-7)
+            res = body.recenter(x, seq, rng=rng)
+            assert res.bound_type == "upper" and body.membership(res.point, 1e-7)
+
+
+def test_cone_hull_at_one_is_the_density_simplex():
+    # the rows, the messages and the witness of the simplex, on seeded rows
+    # in and out of it
+    rng = np.random.default_rng(20)
+    for level in (0, 1, 5, 9):
+        hull, simplex = ConeHull(1.0, level), DensitySimplex(level)
+        space = GridFunction.zero(level)
+        for message in ("integral 5 != 1", "integral 0.5 != 1"):
+            value = float(message.split()[1])
+            assert hull.violation(GridFunction.constant(value, level), 1e-9) == message
+        members = np.stack([simplex.sample(rng).values for _ in range(8)])
+        rows = np.concatenate([
+            members,
+            members * rng.uniform(0.5, 1.5, size=(8, 1)),
+            members - rng.uniform(0.0, 2.0, size=(8, 1)),
+            rng.standard_normal((8, 2 ** level)),
+        ])
+        for tol in (0.0, 1e-9, 1e-7):
+            want = simplex.violations(space, rows, tol)
+            assert hull.violations(space, rows, tol) == want
+            assert [hull.violation(space.like(r), tol) for r in rows] == want
+        for row in rows:
+            got = hull._recenter_witness(space.like(row))
+            ref = simplex._recenter_witness(space.like(row))
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got.values.tobytes() == ref.values.tobytes()
+
+
 def test_recenter_witness_for_member_is_identity():
     rng = np.random.default_rng(8)
     for body in catalog():
@@ -268,6 +332,18 @@ def test_norm_dispatch_rejects_mixed_types():
         measure_distance("not a point", "not a point")
     with pytest.raises(ValueError):
         measure_distance(CoordPoint(1.5, np.zeros(4)), CoordPoint(1.25, np.zeros(4)))
+
+
+def test_mixed_point_kinds_raise_type_error_in_both_orders():
+    grid, coord = GridFunction.zero(3), CoordPoint(1.5, np.zeros(4))
+    for a, b, want in ((grid, coord, "expected GridFunction operands"),
+                       (coord, grid, "expected CoordPoint operands")):
+        with pytest.raises(TypeError, match=want):
+            a + b
+        with pytest.raises(TypeError, match=want):
+            a - b
+        with pytest.raises(TypeError, match=want):
+            point_rows([a, b])
 
 
 def test_coord_json_round_trip():
@@ -384,10 +460,14 @@ def test_bump_tail_family_respects_the_byte_budget(monkeypatch):
     with pytest.raises(ValueError, match="more than the budget of 4096"):
         bump_tail_family(1.5, 64)  # 63 points of 64 slots: 32256 bytes
     assert len(bump_tail_family(1.5, 8).points) == 7  # 448 bytes
+    # 22 points of 23 slots fit; 23 points of 24 slots are refused
+    assert len(bump_tail_family(1.5, 23).points) == 22  # 4048 bytes
+    with pytest.raises(ValueError, match="23 points of 24 slots needs 4416 bytes"):
+        bump_tail_family(1.5, 24)
     # 8 points of 64 slots fill the budget exactly; a ninth is refused
-    assert len(bump_tail_family(1.5, 64, k_max=8).points) == 8
+    assert len(bump_tail_family(1.5, 64, k_min=56).points) == 8
     with pytest.raises(ValueError, match="9 points of 64 slots needs 4608 bytes"):
-        bump_tail_family(1.5, 64, k_max=9)
+        bump_tail_family(1.5, 64, k_min=55)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +573,8 @@ def test_recenter_sampled_returns_the_first_minimizer():
 
 def _scalar_violation(body, x, tol):
     """The one-point constraint checks of the catalog bodies as each body
-    stated them before the row check, copied: the reference of
-    ``violations``."""
+    stated them before the row check, copied, with the hull at a = 1 held
+    to the simplex's rule: the reference of ``violations``."""
     if isinstance(body, BumpSimplex):
         if float(x.coeffs.min()) < -tol:
             return f"negative coefficient {float(x.coeffs.min()):.6g}"
@@ -507,19 +587,17 @@ def _scalar_violation(body, x, tol):
         if nrm > 1.0 + tol:
             return f"norm {nrm:.6g} exceeds 1"
         return None
-    if isinstance(body, DensitySimplex):
+    a = getattr(body, "a", 1.0)
+    if a >= 1.0 - 1e-12:
+        # the density simplex, and the hull with a = 1, which is the simplex
         if float(x.values.min()) < -tol:
             return f"negative part: min value {float(x.values.min()):.6g}"
         integral = x.integral()
         if abs(integral - 1.0) > tol:
             return f"integral {integral:.6g} != 1"
         return None
-    a = body.a
     integral = x.integral()
-    if a >= 1.0 - 1e-12:
-        lam = 1.0
-    else:
-        lam = (integral - a) / (1.0 - a)
+    lam = (integral - a) / (1.0 - a)
     if lam < -tol:
         return f"integral {integral:.6g} below vertex level {a:g}"
     if lam > 1.0 + tol:
@@ -563,16 +641,14 @@ def _boundary_rows(body, space, tol, rng):
         signed = density * rng.choice([-1.0, 1.0], size=size)
         return [("norm", _nudged(signed * ((1.0 + tol) / norm(space.like(signed)))))]
     a = getattr(body, "a", 1.0)
-    if isinstance(body, DensitySimplex):
+    if a >= 1.0:
+        # the density simplex, and the hull with a = 1, which is the simplex
         groups = [("integral", _nudged(density * (1.0 + tol))),
                   ("integral", _nudged(density * (1.0 - tol)))]
-    elif a < 1.0:
+    else:
         # mixture weight lam just below 0 and just above 1
         groups = [("integral", _nudged(np.full(size, a - tol * (1.0 - a)), slice(None))),
                   ("integral", _nudged(density * (1.0 + tol * (1.0 - a))))]
-    else:
-        # the hull with a = 1 is the simplex without its integral constraint
-        groups = []
     # weight one half (1 for the simplex): the floor (1 - lam) a, less tol,
     # in the lowest cell
     floor = 0.5 * a if a < 1.0 else 0.0
@@ -586,7 +662,7 @@ def _boundary_rows(body, space, tol, rng):
         integral = space.like(row).integral()
         lam = min(max((integral - a) / (1.0 - a), 0.0), 1.0) if a < 1.0 else 1.0
         row[cell] = (1.0 - lam) * a - tol
-    low = "negative part" if isinstance(body, DensitySimplex) else "min value"
+    low = "negative part" if a >= 1.0 else "min value"
     groups.append((low, _nudged(row, cell)))
     return groups
 

@@ -738,6 +738,15 @@ def test_solve_rejects_start_outside_body():
         solve(CyclicShift(ball), ball, GridFunction.constant(2.0, 4))
 
 
+def test_both_solvers_reject_a_start_of_another_level():
+    ball = UnitBall(8)
+    x0 = GridFunction.constant(0.5, 4)
+    for run in (solve, cesaro_solve):
+        with pytest.raises(DomainError,
+                           match="starting point outside the body: expected a level-8"):
+            run(CyclicShift(ball), ball, x0)
+
+
 def test_solve_never_reports_mesh_artifact_as_fixed():
     # the finest peak is pinned by the doubling map only because the grid
     # cannot refine further; its residual is exactly zero, yet neither
