@@ -89,8 +89,15 @@ class GridFunction:
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         """``norm`` of each row of a C-contiguous 2-d array of cell values,
-        bit-equal to it: each row is summed as one 1-d array is."""
-        return np.abs(rows).sum(axis=1) * self.cell_width
+        bit-equal to it (see abs_row_norms)."""
+        return self.abs_row_norms(np.abs(rows))
+
+    def abs_row_norms(self, magnitudes: np.ndarray) -> np.ndarray:
+        """``row_norms`` of the rows whose absolute values the C-contiguous
+        2-d array ``magnitudes`` holds, so that a caller may take them in
+        place in its own buffer: the one row-norm rule of the grid, each row
+        summed as one 1-d array is."""
+        return magnitudes.sum(axis=1) * self.cell_width
 
     def row_integrals(self, rows: np.ndarray) -> np.ndarray:
         """Integral of each row of a C-contiguous 2-d array of cell values,

@@ -104,10 +104,17 @@ class CoordPoint:
 
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         """``norm`` of each row of a 2-d array of coefficients, bit-equal to
-        it.  Row by row, because one matrix-vector product rounds differently
-        from a row's dot product in the last place."""
+        it (see abs_row_norms)."""
+        return self.abs_row_norms(np.abs(rows))
+
+    def abs_row_norms(self, magnitudes: np.ndarray) -> np.ndarray:
+        """``row_norms`` of the rows whose absolute values the 2-d array
+        ``magnitudes`` holds, so that a caller may take them in place in its
+        own buffer: the one row-norm rule of the coordinates.  Row by row,
+        because one matrix-vector product rounds differently from a row's
+        dot product in the last place."""
         w = self.weights
-        return np.array([np.abs(row) @ w for row in rows])
+        return np.array([row @ w for row in magnitudes])
 
     def _compat(self, other: CoordPoint) -> None:
         if not isinstance(other, CoordPoint):
@@ -220,22 +227,36 @@ def _phi_values(points, means) -> np.ndarray:
 
     Both arguments are PointRows or sequences of points of one space, as
     they must be to subtract (see point_rows).  The trailing window of the
-    means is stacked once, and the points one block at a time (see
-    PHI_BLOCK_FLOATS); a PointRows is sliced, not copied.  The distances
-    are reduced by the point class's ``row_norms``, so each entry is
-    bit-equal to the limsup_tail of the norms.  Only the window's distances
-    are checked finite: the points are finite, so only a difference that
-    overflows can fail.
+    means is stacked once; a PointRows is sliced, not copied.  The
+    differences go into one buffer of at most ``PHI_BLOCK_FLOATS`` floats
+    (or one row): a block of points against the whole window, or, when the
+    window alone is larger, one point against a block of window rows at a
+    time, whose maxima ``np.maximum`` folds.  The buffer takes its absolute
+    values in place for the point class's ``abs_row_norms``, so each entry
+    is bit-equal to the limsup_tail of the norms: a max of block maxima is
+    the max.  Only the window's distances are checked finite: the points
+    are finite, so only a difference that overflows can fail.
     """
     window = point_rows(means[len(means) - window_length(len(means)):])
     space, W = window.space, window.rows
+    n_w, cells = W.shape
     out = np.empty(len(points))
     block = max(1, PHI_BLOCK_FLOATS // W.size)
+    step = min(n_w, max(1, PHI_BLOCK_FLOATS // cells))
+    buf = np.empty(min(block, len(points)) * step * cells)
     for i in range(0, len(points), block):
         Z = point_rows(points[i:i + block])
         space._compat(Z.space)
-        gaps = (Z.rows[:, None, :] - W[None, :, :]).reshape(-1, W.shape[1])
-        out[i:i + block] = space.row_norms(gaps).reshape(-1, W.shape[0]).max(axis=1)
+        top = None
+        for j in range(0, n_w, step):
+            rows = W[j:j + step]
+            gaps = buf[:len(Z) * rows.size].reshape(len(Z), len(rows), cells)
+            np.subtract(Z.rows[:, None, :], rows[None, :, :], out=gaps)
+            gaps = gaps.reshape(-1, cells)
+            np.abs(gaps, out=gaps)
+            peak = space.abs_row_norms(gaps).reshape(len(Z), len(rows)).max(axis=1)
+            top = peak if top is None else np.maximum(top, peak)
+        out[i:i + len(Z)] = top
     if not np.all(np.isfinite(out)):
         raise ValueError("terms must be finite")
     return out

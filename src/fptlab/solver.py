@@ -659,22 +659,31 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     the affine identity.  Orbits that stop moving are handled analytically:
     a genuinely fixed orbit point is returned at once, a mesh-pinned one is
     rejected as an artifact and handed to restart diagnosis, with the mean
-    horizon that tol would need reported either way.  A mean or a pinned
-    point is a fixed point only when ``_verified`` accepts it, as in
+    horizon that tol would need reported either way.  An orbit that
+    returns, bit for bit, to a saturated row ends the same way (a floor
+    cycle): the map repeats it forever and ``T.is_saturated`` calls the row
+    a mesh artifact, so every later mean is one too.  Past the operator's
+    horizon F (``T.max_faithful_steps``) the march keeps one anchor row,
+    taken at orbit row F and again at twice the anchor's row, as in Brent's
+    cycle finding, and compares a row with it only when their gaps are
+    equal; an operator without a horizon is never looked at.  A mean or a
+    pinned point is a fixed point only when ``_verified`` accepts it, as in
     ``solve``.  The trace keeps about 256 of the ``n_max`` means.
 
     The orbit is marched a block of ``PHI_BLOCK_FLOATS`` floats at a time
     (at least one row), as ``build_afps_record`` marches it, after blocks of
     1, 2, 4, ... rows up to that size.  Each block takes one ``orbit_rows``
-    call, which the rotation writes in one copy, and one ``row_norms`` call
-    that prices the residual numerators T x0 - T**(s+1) x0 and the steps
-    T**(s+1) x0 - T**s x0 of all its rows, bit-equal to ``norm``.  Only the
-    first step checks the domain.  The march ends at its stop row: a
-    residual that clears tol, a step of zero, or a difference row that is
-    not finite.  A row whose norm overflows on finite differences marches on
-    like any other.  The rows before the stop add to the running sum, one
-    add per row as ``running_means`` makes them, and build a point only for
-    a kept trace row; the stop row verifies, pins or raises.  So every
+    call, which the rotation writes in one copy, and one ``abs_row_norms``
+    call that prices the residual numerators T x0 - T**(s+1) x0 and the
+    steps T**(s+1) x0 - T**s x0 of all its rows, bit-equal to ``norm``,
+    after their absolute values are taken in place.  Only the first step
+    checks the domain.  The march ends at its stop row: a residual that
+    clears tol, a step of zero, a difference row that is not finite, or a
+    floor cycle, looked for in that order.  A row whose norm overflows on
+    finite differences marches on like any other.  The rows before the stop
+    add to the running sum, one add per row as ``running_means`` makes
+    them, and build a point only for a kept trace row; the stop row
+    verifies, pins or raises.  So every
     verdict, residual and trace row rounds as the point arithmetic would,
     and ``applications`` counts the steps the march takes, not the rows
     mapped past its stop.  Errors come at the step of the point loop: after
@@ -733,9 +742,16 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     first = orbit[1].copy()
     total = first.copy()
     orbit[0] = first
-    # rows :k: T x0 - T**(s+j+1) x0, rows k:2k: T**(s+j+1) x0 - T**(s+j) x0
+    # rows :k: |T x0 - T**(s+j+1) x0|, rows k:2k: |T**(s+j+1) x0 - T**(s+j) x0|
     diffs = np.empty((2 * block, slots))
     best_residual = math.inf
+    # the floor-cycle anchor: the bytes of orbit row ``anchor_at`` once the
+    # march passes the operator's horizon, and its gap; a row that equals
+    # it, bit for bit, and is saturated ends the march as a pin.  Without a
+    # horizon no gap equals the NaN, so the march never looks
+    horizon = T.max_faithful_steps(x0)
+    anchor, anchor_gap = None, math.nan
+    anchor_at = math.inf if horizon is None else horizon
     # rows of the next block: one, doubling up to ``block``, so that a march
     # that stops early maps at most about twice the steps it takes
     width = 1
@@ -754,7 +770,9 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         width = min(2 * width, block)
         np.subtract(first, orbit[1:k + 1], out=diffs[:k])
         np.subtract(orbit[1:k + 1], orbit[:k], out=diffs[k:2 * k])
-        norms = x0.row_norms(diffs[:2 * k]).tolist()
+        priced = diffs[:2 * k]
+        np.abs(priced, out=priced)
+        norms = x0.abs_row_norms(priced).tolist()
         e = 0
         while e < k:
             gap, step = norms[e], norms[k + e]
@@ -767,6 +785,13 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             if not (math.isfinite(gap) and math.isfinite(step)
                     or np.isfinite(diffs[e:2 * k:k]).all()):
                 break
+            # equal rows price bit-equal gaps, so rows are compared only then
+            if (gap == anchor_gap and orbit[e + 1].tobytes() == anchor
+                    and T.is_saturated(x0.like(orbit[e + 1]))):
+                break
+            if s + 1 >= anchor_at:
+                anchor, anchor_gap = orbit[e + 1].tobytes(), gap
+                anchor_at = 2 * (s + 1)
             best_residual = min(best_residual, residual)
             if s % keep_every == 0 or s == n_max:
                 keep(s, residual)
@@ -796,8 +821,10 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 return fixed(z, direct)
             return classify("candidate mean failed verification")
         check_finite(diffs[k + e])
-        # the orbit stopped moving: every later mean is a closed form, and
-        # the gap is not zero, or the residual would have cleared tol
+        # the orbit stopped moving, or returned to its saturated anchor and
+        # repeats it forever: every later mean is a closed form or an
+        # artifact, and the gap is not zero, or the residual would have
+        # cleared tol
         pin = x0.like(orbit[e + 1])
         diagnostics["orbit_pinned_at"] = s + 1
         diagnostics["means_needed_for_tol"] = gap / tol if tol > 0.0 else math.inf

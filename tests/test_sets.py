@@ -25,10 +25,11 @@ from fptlab import (
     rademacher,
 )
 from fptlab import sets
-from fptlab.grid import MAX_LEVEL
+from fptlab.grid import MAX_LEVEL, window_length
 from fptlab.sets import (
     PHI_BLOCK_FLOATS,
     SAMPLED_CANDIDATES,
+    PointRows,
     SequenceFamily,
     _phi_values,
     measure_distances,
@@ -514,6 +515,46 @@ def test_phi_values_blocks_match_the_norm_loop():
             points = [space.like(rng.standard_normal(size)) for _ in range(n)]
             got = _phi_values(points, means)
             assert got.tolist() == _norm_loops(points, means), (space.kind, n)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_phi_values_window_blocks_match_the_one_shot_difference():
+    # windows of one row under, at and one row over PHI_BLOCK_FLOATS, and of
+    # two full blocks and a short one: a window over the cap is priced a
+    # block of rows at a time, each radius bit-equal to the max of the one
+    # difference array of the whole window
+    rng = np.random.default_rng(21)
+    for space in (GridFunction.zero(8), CoordPoint(1.5, np.zeros(1024))):
+        size = space.array.size
+        rows = PHI_BLOCK_FLOATS // size
+        for n_w in (rows - 1, rows, rows + 1, 2 * rows + 3):
+            W = rng.standard_normal((n_w, size))
+            # the farthest row comes again in the short last block: the
+            # maximum is tied across blocks
+            W[0] *= 100.0
+            W[-1] = W[0]
+            W[:, ::7] = -0.0
+            points = rng.standard_normal((5, size))
+            points[:, ::5] = 0.0
+            points[:, ::11] = -0.0
+            means = PointRows(space, np.concatenate([rng.standard_normal((n_w, size)), W]))
+            assert window_length(len(means)) == n_w
+            want = [float(space.row_norms(p - W).max()) for p in points]
+            label = (space.kind, n_w)
+            assert _phi_values(PointRows(space, points), means).tolist() == want, label
+            assert _phi_values([space.like(p) for p in points], means).tolist() == want, label
+            if space.kind == "grid":
+                assert want == _norm_loops([space.like(p) for p in points], means), label
+            # a difference that overflows in any block, the short last one
+            # included, is refused
+            big = points.copy()
+            big[:, 1] = -np.finfo(float).max
+            for row in (*range(0, n_w, rows), n_w - 1):
+                over = W.copy()
+                over[row, 1] = np.finfo(float).max
+                means = PointRows(space, np.concatenate([W, over]))
+                with pytest.raises(ValueError, match="terms must be finite"):
+                    _phi_values(PointRows(space, big), means)
 
 
 def test_phi_values_rejects_mixed_spaces():

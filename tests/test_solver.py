@@ -840,11 +840,13 @@ def test_cesaro_solve_bump_overflow_escapes():
 
 def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
                             membership_tol=1e-6, measure_tol=0.02,
-                            trace_points=256):
+                            trace_points=256, floor_cycles=True):
     """The march on point objects: every mean, difference and running sum
     is a validated point.  cesaro_solve must give the same outcome, float
     for float.  Its tolerances and trace length are the solver's constants
-    written out, so that a change to one of them shows here."""
+    written out, so that a change to one of them shows here.  With
+    ``floor_cycles`` off, an orbit that returns to a saturated row marches
+    on, as the solver did before it stopped there."""
     assert (MEMBERSHIP_TOL, MEASURE_TOL) == (membership_tol, measure_tol)
     rng = np.random.default_rng(seed)
     if x0 is None:
@@ -874,6 +876,10 @@ def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
     orbit_pt = first
     total = first
     best_residual = math.inf
+    # orbit rows F, 2F, 4F, ... past the horizon F become the anchor; the
+    # orbit repeats from a row that equals it
+    horizon = T.max_faithful_steps(x0) if floor_cycles else None
+    anchor, anchor_row = None, horizon
     s = 1
     while s <= n_max:
         z = total * (1.0 / s)
@@ -898,7 +904,11 @@ def _reference_cesaro_solve(T, C, x0=None, *, tol=1e-8, n_max=4096, seed=0,
                 _fill_measure_column(trace, z)
                 return SolveOutcome(FIXED, z, direct, trace, diagnostics)
             return classify("candidate mean failed verification")
-        if norm(nxt - orbit_pt) == 0.0:
+        cycle = (anchor is not None and nxt.array.tobytes() == anchor.array.tobytes()
+                 and T.is_saturated(nxt))
+        if horizon is not None and s + 1 >= anchor_row:
+            anchor, anchor_row = nxt, 2 * (s + 1)
+        if norm(nxt - orbit_pt) == 0.0 or cycle:
             pin = nxt
             gap = norm(first - pin)
             # no number of means brings a gap above 0 to tol = 0
@@ -1021,13 +1031,65 @@ class _SaturatedFlip(AffineOperator):
         return True
 
 
+class _SlowTurn(AffineOperator):
+    """Rotation of the plane of two cells by 2 pi / ``period``: an orbit
+    that never returns exactly, never pins, and whose residual stays far
+    above tol for ``period`` steps."""
+
+    name = "slow_turn"
+
+    def __init__(self, domain, period):
+        self.domain = domain
+        self.c, self.s = math.cos(2 * math.pi / period), math.sin(2 * math.pi / period)
+
+    def _transform(self, x):
+        a, b = x.values
+        return x.like(np.array([self.c * a - self.s * b, self.s * a + self.c * b]))
+
+
+class _FloorFlip(AffineOperator):
+    """Shift one cell right; mass in the last cell flips its sign.  Unit
+    mass reaches the last cell and then alternates between +1 and -1 there,
+    a period-2 cycle whose two rows price the same gap.  ``horizon`` is the
+    operator's faithful step count, where the march takes its first anchor;
+    with ``saturated`` the rows with all their mass in the last cell are
+    mesh artifacts."""
+
+    name = "floor_flip"
+
+    def __init__(self, domain, horizon, saturated=True):
+        self.domain = domain
+        self.horizon = horizon
+        self.saturated = saturated
+
+    def _transform(self, x):
+        out = np.zeros_like(x.values)
+        out[1:] = x.values[:-1]
+        out[-1] -= x.values[-1]
+        return x.like(out)
+
+    def max_faithful_steps(self, x):
+        return self.horizon
+
+    def is_saturated(self, x):
+        return self.saturated and not x.values[:-1].any()
+
+
 def test_streamed_march_matches_the_point_loop_on_every_exit():
     sub = ConeHull(0.0, 10)
     ball = UnitBall(4)
     fine = UnitBall(3)
+    everything = _AllOfSpace()
     cases = [
-        # seed 33: the composite's orbit never pins, so the march runs to n_max
-        (RetractionDoubling(sub), sub, None, 33, "no mean reached tol"),
+        # a rotation whose period exceeds every n_max: the march runs to n_max
+        (_SlowTurn(everything, 5000), everything, GridFunction(1, np.array([1.0, 0.0])),
+         0, "no mean reached tol"),
+        # seed 33: the composite's orbit never pins exactly, but returns to
+        # its saturated row 20 at row 25, so the march ends on that cycle
+        (RetractionDoubling(sub), sub, None, 33, "orbit pinned by the mesh floor"),
+        # a cycle of rows that are no artifacts is marched through
+        (_FloorFlip(ball, 3, saturated=False), ball, GridFunction(4, 16 * np.eye(16)[13]),
+         0, "no mean reached tol"),
         (_DropShift(ball), ball, None, 0, None),
         (_SaturatedFlip(ball), ball, None, 0, "candidate mean failed verification"),
         # halving one cell: the step from 2**-1071 to 2**-1072 has norm
@@ -1048,6 +1110,9 @@ def test_streamed_march_matches_the_point_loop_on_every_exit():
             elif n_max == 4096:
                 assert got.status == FIXED and "orbit_pinned_at" in got.diagnostics
     assert cesaro_solve(cases[-1][0], fine, cases[-1][2]).point.values[0] == 2.0 ** -1072
+    assert cesaro_solve(cases[1][0], sub, seed=33).diagnostics["orbit_pinned_at"] == 25
+    unruled = _reference_cesaro_solve(cases[1][0], sub, seed=33, floor_cycles=False)
+    assert unruled.diagnostics["stop_reason"].startswith("no mean reached tol")
 
 
 def test_pinned_orbit_at_tol_zero_needs_infinitely_many_means():
@@ -1060,6 +1125,47 @@ def test_pinned_orbit_at_tol_zero_needs_infinitely_many_means():
     assert got.status == BUDGET
     assert got.diagnostics["means_needed_for_tol"] == math.inf
     assert got.diagnostics["stop_reason"].startswith("orbit pinned by the mesh floor")
+
+
+def _verdict(outcome):
+    point = None if outcome.point is None else outcome.point.array.tobytes()
+    return outcome.status, point, outcome.residual
+
+
+def test_key_nine_composite_ends_on_its_floor_cycle(tmp_path):
+    # the benchmark's level-12 composite start on which the orbit never
+    # pins exactly: its verdict is the one of the march through all 4096
+    # means, which it no longer takes
+    (args, kwargs), = _bench_calls(tmp_path, "catalog_verdicts", (0,), "cesaro_solve",
+                                   {"retraction_compose/cone_hull(0)/practical"})
+    got = cesaro_solve(*args, **kwargs)
+    full = _reference_cesaro_solve(*args, **kwargs, floor_cycles=False)
+    assert full.diagnostics["applications"] > 4096
+    assert _verdict(got) == _verdict(full)
+    assert got.status == BUDGET and got.point is not None
+    assert got.diagnostics["stop_reason"] == ("orbit pinned by the mesh floor; "
+                                              "later means are artifacts")
+    T, x0 = args[0], args[2]
+    pinned = got.diagnostics["orbit_pinned_at"]
+    assert pinned < 256 and T.max_faithful_steps(x0) == 12
+    assert got.diagnostics["applications"] < 256
+    assert got.diagnostics["means_needed_for_tol"] > 0.0
+    assert "best_residual" not in got.diagnostics
+
+
+@pytest.mark.parametrize("make_op", [RetractionDoubling, DoublingShift])
+def test_floor_cycles_move_no_verdict(make_op):
+    # the rule only ends marches whose later means are artifacts: every
+    # verdict is the one of the march that never looks for a cycle
+    for level in range(6, 13):
+        C = ConeHull(0.0, level) if make_op is RetractionDoubling else DensitySimplex(level)
+        T = make_op(C)
+        for seed in range(20):
+            got = cesaro_solve(T, C, seed=seed)
+            _assert_same_outcome(got, _reference_cesaro_solve(T, C, seed=seed),
+                                 (T.name, level, seed))
+            assert _verdict(got) == _verdict(_reference_cesaro_solve(
+                T, C, seed=seed, floor_cycles=False)), (T.name, level, seed)
 
 
 class _AllOfSpace(ConvexBody):
@@ -1241,6 +1347,14 @@ def test_block_march_matches_the_point_loop_at_every_offset(tmp_path):
         assert diag["stop_reason"].startswith("orbit ran out of tracked slots")
         stops.setdefault("overflow", set()).add(
             int(diag["stop_reason"].split()[-1]) - 1)
+        # unit mass two cells before the last enters the flip cycle at row
+        # 2; the anchor, row step - 1, comes back at row step + 1, two rows
+        # after its negative priced the same gap
+        flip = _FloorFlip(ball, step - 1)
+        diag = same(flip, ball, GridFunction(level, cells * unit[cells - 3]),
+                    ("floor cycle", step))
+        assert diag["stop_reason"].startswith("orbit pinned by the mesh floor")
+        stops.setdefault("floor cycle", set()).add(diag["orbit_pinned_at"] - 1)
         # x -> x / 2 from unit mass in the first cell: the residual
         # (1/2 - 2**-(s+1)) / s falls below tol at ``step``, and the map
         # refuses the next orbit point, which the march never takes
@@ -1274,18 +1388,21 @@ def test_block_march_matches_the_point_loop_at_every_offset(tmp_path):
         while math.isfinite(norm(orbit[0] - orbit[-1])):
             orbit.append(turn.apply(orbit[-1], check_domain=False))
         stops.setdefault("norm overflow", set()).add(len(orbit) - 1)
+    assert len(stops) == 7
     for case, seen in stops.items():
         assert {s % block for s in seen} == set(range(block)), case
-    # the benchmark's longest marches at level 12, four rows a block
+    # the benchmark's longest marches at level 12, four rows a block: the
+    # rotation runs all its means, the composite ends on its floor cycle
     marches = _bench_calls(tmp_path, "catalog_verdicts", (0,), "cesaro_solve",
                            {"cyclic/ball/practical",
                             "retraction_compose/cone_hull(0)/practical"})
     assert len(marches) == 2
-    for args, kwargs in marches:
-        T = args[0]
-        assert PHI_BLOCK_FLOATS // args[2].array.size == 4
-        diag = same(*args, T.name, **kwargs)
-        assert diag["applications"] >= 4096, T.name
+    (ball_args, ball_kwargs), (comp_args, comp_kwargs) = marches
+    assert PHI_BLOCK_FLOATS // ball_args[2].array.size == 4
+    assert PHI_BLOCK_FLOATS // comp_args[2].array.size == 4
+    assert same(*ball_args, "cyclic", **ball_kwargs)["applications"] >= 4096
+    diag = same(*comp_args, "retraction_compose", **comp_kwargs)
+    assert diag["stop_reason"].startswith("orbit pinned by the mesh floor")
 
 
 class _Capped(ConvexBody):
