@@ -418,9 +418,11 @@ def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int, *,
     MassOverflowError at step j.  No point is built.  An operator that
     states ``map_powers`` writes a block of two or more steps in that one
     call; otherwise each step is one ``map_array`` call.  The rows are checked
-    once, after the maps, and the first error is raised that the point loop
-    ``p = T.apply(p, check_domain=check_domain)`` would raise, with its type
-    and message: it checks the domain of rows[j], then maps it, then builds
+    once, after the maps: one ``np.isfinite`` of their sum, which a
+    non-finite cell makes non-finite and finite rows only by overflow, and
+    row by row only when that sum is not finite.  The first error is raised
+    that the point loop ``p = T.apply(p, check_domain=check_domain)`` would
+    raise, with its type and message: it checks the domain of rows[j], then maps it, then builds
     rows[j + 1], which must be finite.  So the domain error of row j comes
     before the finiteness error of row j + 1, an error of the map at step j
     comes only after row j passed its domain check, and rows[count], which
@@ -439,8 +441,11 @@ def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int, *,
                 # whatever the map raises comes after the checks of the rows
                 # before it, so it is held until they pass, then raised as is
                 stop, failure = j, exc
-        finite = np.isfinite(rows[1:stop + 1]).all(axis=1)
-        bad_out = stop if finite.all() else int(np.argmin(finite))
+        bad_out = stop
+        if not np.isfinite(rows[1:stop + 1].sum()):
+            # a non-finite cell, or finite rows whose sum overflowed
+            finite = np.isfinite(rows[1:stop + 1]).all(axis=1)
+            bad_out = stop if finite.all() else int(np.argmin(finite))
         # rows past the first non-finite one can never fail first
         checked = rows[:min(bad_out + 1, stop + (failure is not None))]
         problems = T.domain.violations(space, checked, ORBIT_TOL) if check_domain else ()

@@ -651,6 +651,53 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
                                       f"no convergence in {max_outer} outer steps")
 
 
+def _step_screen(x0, first: np.ndarray):
+    """The practical march's step screen: ``vouches(g, g_prev)`` is true
+    only when the step T**(s+1) x0 - T**s x0 has a norm that is neither 0
+    nor non-finite, read from the gap g = |T x0 - T**(s+1) x0| and the
+    previous gap g_prev = |T x0 - T**s x0|, so that the march need not price
+    it.  ``first`` holds T x0.  It vouches when both gaps lie in
+    [2**-900, 2**1020 w], where w is the least norm weight of ``x0``'s
+    class, max|T x0| <= 2**1020, and |g - g_prev| > 2**-20 (g + g_prev).
+
+    Proof.  Write u, v, w for the finite rows T x0, T**(s+1) x0, T**s x0,
+    a, b, d for the float differences u - v, u - w, v - w, and n <= 2**24
+    for the slots.  A norm is a float sum of the nonnegative weighted terms
+    |x_i| w_i, in whatever order the class adds them.  Such a sum is at
+    least each term, and within n 2**-53 <= 2**-29 of the exact sum, up to
+    2**-1075 for each term that underflows.
+
+    A zero step.  If the step's norm is 0, every weighted cell move
+    |d_i| w_i rounds to 0, so |v_i - w_i| w_i is at most 2**-1074.  A float
+    difference is exact or off by at most 2**-53 of itself, and
+    (u_i - w_i) - (u_i - v_i) = v_i - w_i, so ||a_i| - |b_i|| <= |v_i - w_i|
+    + 2**-52 (|a_i| + |b_i|).  Weighting and adding up, and then rounding the
+    two sums, |g - g_prev| <= 2**-28 (g + g_prev) + 2 n 2**-1074.  With both
+    gaps at least 2**-900 the last term is below 2**-100 (g + g_prev), so
+    the bound stays under 2**-20 (g + g_prev), and the screen never vouches
+    for a step that stops the march.  (The grid scales its sum of |x_i| by
+    the power-of-two cell width, which is exact in this band.)
+
+    A non-finite step.  Each term of g is at most g, so |a_i| <= g / w
+    <= 2**1020 (1 + 2**-52), and so is |b_i|.  With |u_i| <= 2**1020, every
+    cell of v and w lies below 2**1021 (1 + 2**-50), and d_i below 2**1022
+    (1 + 2**-49): finite.  The exact weighted sum of |d_i| is at most the
+    two gaps' sums, about g + g_prev <= 2**1021 w, and the float one
+    rounds from it by a factor of at most 1 + 2**-29: finite too.  The
+    gaps themselves are finite, since both lie in the band.
+    """
+    low, high = 2.0 ** -900, 2.0 ** 1020 * float(x0.weights.min())
+    if not np.abs(first).max() <= 2.0 ** 1020:
+        # an empty band: every step is priced
+        low, high = math.inf, -math.inf
+
+    def vouches(gap: float, prev: float) -> bool:
+        return (low <= gap <= high and low <= prev <= high
+                and abs(gap - prev) > 2.0 ** -20 * (gap + prev))
+
+    return vouches
+
+
 def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
                  n_max: int = 4096, seed: int = 0) -> SolveOutcome:
     """Practical solver: march the Cesaro means until a residual clears tol.
@@ -670,27 +717,32 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     pinned point is a fixed point only when ``_verified`` accepts it, as in
     ``solve``.  The trace keeps about 256 of the ``n_max`` means.
 
-    The orbit is marched a block of ``PHI_BLOCK_FLOATS`` floats at a time
-    (at least one row), as ``build_afps_record`` marches it, after blocks of
-    1, 2, 4, ... rows up to that size.  Each block takes one ``orbit_rows``
-    call, which the rotation writes in one copy, and one ``abs_row_norms``
-    call that prices the residual numerators T x0 - T**(s+1) x0 and the
-    steps T**(s+1) x0 - T**s x0 of all its rows, bit-equal to ``norm``,
-    after their absolute values are taken in place.  Only the first step
-    checks the domain.  The march ends at its stop row: a residual that
-    clears tol, a step of zero, a difference row that is not finite, or a
-    floor cycle, looked for in that order.  A row whose norm overflows on
-    finite differences marches on like any other.  The rows before the stop
-    add to the running sum, one add per row as ``running_means`` makes
-    them, and build a point only for a kept trace row; the stop row
-    verifies, pins or raises.  So every
-    verdict, residual and trace row rounds as the point arithmetic would,
-    and ``applications`` counts the steps the march takes, not the rows
-    mapped past its stop.  Errors come at the step of the point loop: after
-    a block whose ``orbit_rows`` call raises, the march goes on from one
-    step per call, since the error may lie past the stop; the sum, checked
-    finite once per block, is refused with the point class's error, which
-    names no value, as the point loop refuses it at the add that overflows.
+    The orbit is marched a block of 2 ``PHI_BLOCK_FLOATS`` floats at a time
+    (at least one row; 8 rows at level 12), after blocks of 1, 2, 4, ...
+    rows up to that size.  Each block takes one ``orbit_rows`` call, which
+    the rotation writes in one copy, and one ``abs_row_norms`` call that
+    prices the gaps T x0 - T**(s+1) x0, the residual numerators of all its
+    rows, bit-equal to ``norm``, after their absolute values are taken in
+    place.  A step T**(s+1) x0 - T**s x0 matters only when its norm is 0 or
+    not finite, so it is priced, alone, only when ``_step_screen`` cannot
+    vouch from the row's gap and the one before that it is neither: a few
+    of 4096 steps on the level-12 rotations.  Only the first step checks the
+    domain.  The march ends at its stop row: a residual that clears tol, a
+    step of zero, a difference row that is not finite, or a floor cycle,
+    looked for in that order.  A row whose norm overflows on finite
+    differences marches on like any other.  The rows before the stop add to
+    the running sum, one add per row as ``running_means`` makes them, and
+    build a point only for a kept trace row; the stop row verifies, pins or
+    raises.  So every verdict, residual and trace row rounds as the point
+    arithmetic would, and ``applications`` counts the steps the march
+    takes, not the rows mapped past its stop.  Errors come at the step of
+    the point loop: after a block whose ``orbit_rows`` call raises, the
+    march goes on from one step per call, since the error may lie past the
+    stop.  A sum that overflows stays non-finite, so it is checked only
+    where the march leaves (its stop row, its end, a map that runs out of
+    slots, an ``orbit_rows`` error) and by a kept trace row, and refused
+    there with the point class's error, which names no value, as the point
+    loop refuses it at the add that overflows.
 
     Statuses do not always agree with the certified ``solve``: on ``cyclic``
     over ``density_simplex`` and ``retraction`` over ``cone_hull(0)`` this
@@ -732,7 +784,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         return z
 
     slots = x0.array.size
-    block = min(max(1, PHI_BLOCK_FLOATS // slots), n_max)
+    block = min(max(1, 2 * PHI_BLOCK_FLOATS // slots), n_max)
     # row 0: T**s x0, row j: T**(s+j) x0
     orbit = np.empty((block + 1, slots))
     orbit[0] = x0.array
@@ -742,8 +794,14 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     first = orbit[1].copy()
     total = first.copy()
     orbit[0] = first
-    # rows :k: |T x0 - T**(s+j+1) x0|, rows k:2k: |T**(s+j+1) x0 - T**(s+j) x0|
-    diffs = np.empty((2 * block, slots))
+    # row j: |T x0 - T**(s+j+1) x0|, the residual numerator of step s + j
+    gaps = np.empty((block, slots))
+    # one step T**(s+1) x0 - T**s x0, made when the screen cannot vouch for
+    # its norm and at the stop row
+    step_row = np.empty((1, slots))
+    vouches = _step_screen(x0, first)
+    # the gap of step 0, |T x0 - T x0|
+    prev = 0.0
     best_residual = math.inf
     # the floor-cycle anchor: the bytes of orbit row ``anchor_at`` once the
     # march passes the operator's horizon, and its gap; a row that equals
@@ -761,6 +819,9 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         try:
             k = orbit_rows(T, x0, orbit[:want + 1], want, check_domain=False)
         except Exception:
+            # a sum that overflowed did so before this block: the point loop
+            # refused it first
+            check_finite(total)
             if want == 1:
                 raise
             # the error may come from a row past the stop: march on from one
@@ -768,23 +829,28 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             width = 1
             continue
         width = min(2 * width, block)
-        np.subtract(first, orbit[1:k + 1], out=diffs[:k])
-        np.subtract(orbit[1:k + 1], orbit[:k], out=diffs[k:2 * k])
-        priced = diffs[:2 * k]
+        priced = gaps[:k]
+        np.subtract(first, orbit[1:k + 1], out=priced)
         np.abs(priced, out=priced)
         norms = x0.abs_row_norms(priced).tolist()
         e = 0
         while e < k:
-            gap, step = norms[e], norms[k + e]
+            gap = norms[e]
             residual = gap / s
-            if residual <= tol or step == 0.0:
+            if residual <= tol:
                 break
-            # a norm is finite whenever its row is, so rows e and k + e are
-            # looked at only when one is not: a norm may overflow on finite
-            # rows, and such a row marches on
-            if not (math.isfinite(gap) and math.isfinite(step)
-                    or np.isfinite(diffs[e:2 * k:k]).all()):
-                break
+            if not vouches(gap, prev):
+                np.subtract(orbit[e + 1], orbit[e], out=step_row[0])
+                np.abs(step_row, out=step_row)
+                step = x0.abs_row_norms(step_row)[0]
+                if step == 0.0:
+                    break
+                # a norm is finite whenever its row is, so the rows are
+                # looked at only when one is not: a norm may overflow on
+                # finite rows, and such a row marches on
+                if not (math.isfinite(gap) and math.isfinite(step)
+                        or np.isfinite(priced[e]).all() and np.isfinite(step_row).all()):
+                    break
             # equal rows price bit-equal gaps, so rows are compared only then
             if (gap == anchor_gap and orbit[e + 1].tobytes() == anchor
                     and T.is_saturated(x0.like(orbit[e + 1]))):
@@ -796,21 +862,21 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             if s % keep_every == 0 or s == n_max:
                 keep(s, residual)
             total += orbit[e + 1]
+            prev = gap
             apps += 1
             s += 1
             e += 1
-        if e:
-            # a sum that overflows stays non-finite, so the last one vouches
-            # for every add
-            check_finite(total)
         if e == k:
             if k < want:
+                check_finite(total)
                 return classify(f"orbit ran out of tracked slots at step {s + 1}")
             orbit[0] = orbit[k]
             continue
-        # the stop row: in the point loop's order, it verifies, pins or raises
+        # the stop row: in the point loop's order, it verifies, pins or
+        # raises, after the sum, which stays non-finite once an add overflows
+        check_finite(total)
         apps += 1
-        check_finite(diffs[e])
+        check_finite(priced[e])
         if s % keep_every == 0 or residual <= tol or s == n_max:
             z = keep(s, residual)
         if residual <= tol:
@@ -820,7 +886,9 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 diagnostics["stopped_at"] = s
                 return fixed(z, direct)
             return classify("candidate mean failed verification")
-        check_finite(diffs[k + e])
+        # made again: the screen may have vouched for this row's step
+        np.subtract(orbit[e + 1], orbit[e], out=step_row[0])
+        check_finite(step_row[0])
         # the orbit stopped moving, or returned to its saturated anchor and
         # repeats it forever: every later mean is a closed form or an
         # artifact, and the gap is not zero, or the residual would have
@@ -835,6 +903,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 return fixed(pin, residual_pin)
         return classify("orbit pinned by the mesh floor; later means are "
                         "artifacts")
+    check_finite(total)
     diagnostics["best_residual"] = best_residual
     return classify(f"no mean reached tol within n_max={n_max}")
 

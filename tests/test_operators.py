@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fptlab import (
+    AffineOperator,
     BumpShift,
     BumpSimplex,
     ConeHull,
@@ -321,6 +322,85 @@ def test_rotation_block_breaks_the_domain_at_the_loop_row():
                                        f"first cell {heads[above[0]]:.17g} above the cap")
                     else:
                         assert got[1] == count
+
+
+def test_orbit_rows_keep_finite_rows_whose_sum_overflows():
+    # cells at 0.9 max: a block's sum overflows to inf, or to nan when half
+    # the cells are negative, yet every row is finite and none is refused,
+    # on both map paths
+    top = 0.9 * np.finfo(float).max
+    count = 8
+    for level in (0, 3, 6):
+        cells = 2 ** level
+        for v in (np.full(cells, top), np.where(np.arange(cells) < cells // 2, top, -top)):
+            x0 = GridFunction(level, v)
+            for T in (IdentityOperator(DensitySimplex(level)), CyclicShift(UnitBall(level)),
+                      _looped(CyclicShift(UnitBall(level)))):
+                T.domain = _CappedHead(np.inf)
+                for check_domain in (True, False):
+                    rows, steps = _orbit(T, x0, count, check_domain=check_domain)
+                    assert steps == count
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert not np.isfinite(rows[1:].sum()), (level, T.name)
+                    want = x0
+                    for j in range(1, count + 1):
+                        want = T.apply(want, check_domain=False)
+                        assert rows[j].tobytes() == want.values.tobytes(), (level, T.name, j)
+
+
+class _PoisonAt(AffineOperator):
+    """x -> 2 x, writing ``bad`` into the last slot of the image at the map
+    call ``step``: an orbit that leaves the floats at a chosen row."""
+
+    name = "poison"
+
+    def __init__(self, domain, step, bad):
+        self.domain = domain
+        self.step = step
+        self.bad = bad
+        self.calls = 0
+
+    def map_array(self, space, v, out):
+        self.calls += 1
+        np.multiply(v, 2.0, out=out)
+        if self.calls == self.step:
+            out[-1] = self.bad
+        return out
+
+
+def test_orbit_rows_refuse_a_non_finite_cell_at_its_row():
+    # NaN, inf or -inf written into row ``step`` of an eight-row block, at
+    # every offset: the point class refuses it with its own error, after
+    # the domain checks of the rows before it and before that of its own
+    count = 8
+    grid = GridFunction(3, np.eye(8)[0])
+    coord = CoordPoint(1.5, np.eye(4)[0])
+    for x0 in (grid, coord):
+        with pytest.raises(ValueError) as info:
+            x0.like(np.full(x0.array.size, np.nan))
+        message = str(info.value)
+        for step in range(1, count + 1):
+            for bad in (np.nan, np.inf, -np.inf):
+                rows = np.empty((count + 1, x0.array.size))
+                rows[0] = x0.array
+                with pytest.raises(ValueError) as info:
+                    orbit_rows(_PoisonAt(None, step, bad), x0, rows, count,
+                               check_domain=False)
+                assert str(info.value) == message, (x0.kind, step, bad)
+                if x0 is not grid:
+                    continue
+                # the head doubles a row: a cap just under 2**r refuses
+                # rows r, r + 1, ...; the poisoned row is refused before
+                # its own domain check, and after that of the row before
+                T = _PoisonAt(_CappedHead(2.0 ** step - 0.5), step, bad)
+                with pytest.raises(ValueError) as info:
+                    _orbit(T, x0, count)
+                assert str(info.value) == message, (step, bad)
+                T = _PoisonAt(_CappedHead(2.0 ** (step - 1) - 0.5), step, bad)
+                with pytest.raises(DomainError) as info:
+                    _orbit(T, x0, count)
+                assert str(info.value) == ("poison: point outside domain: first cell "
+                                           f"{2.0 ** (step - 1):.17g} above the cap")
 
 
 def test_cyclic_means_close_after_full_cycle():

@@ -1115,6 +1115,24 @@ def test_streamed_march_matches_the_point_loop_on_every_exit():
     assert unruled.diagnostics["stop_reason"].startswith("no mean reached tol")
 
 
+def test_underflowing_steps_pin_at_the_reference_step():
+    # halving unit mass in the first cell of a level-L ball: the step from
+    # 2**-(s+1) to 2**-s weighs 2**-(s+1+L) in norm, which rounds to zero
+    # while the rows still differ, so the orbit pins at row 1075 - L; the
+    # gaps there agree to far below 2**-20 of their size, so the step screen
+    # must price those steps, not vouch for them
+    for level in (1, 2, 4):
+        ball = UnitBall(level)
+        x0 = GridFunction(level, np.eye(2 ** level)[0])
+        for n_max in (64, 1000, 4096):
+            got = cesaro_solve(_Scaling(ball, 0.5), ball, x0, n_max=n_max)
+            want = _reference_cesaro_solve(_Scaling(ball, 0.5), ball, x0, n_max=n_max)
+            _assert_same_outcome(got, want, (level, n_max))
+        assert got.status == FIXED
+        assert got.diagnostics["orbit_pinned_at"] == 1075 - level
+        assert got.point.values[0] == 2.0 ** -(1075 - level)
+
+
 def test_pinned_orbit_at_tol_zero_needs_infinitely_many_means():
     # the doubling orbit reaches the mesh floor of level 6 and pins there;
     # at tol = 0 no number of means clears the gap, so the horizon is inf
@@ -1251,6 +1269,66 @@ def test_streamed_march_refuses_an_overflow_at_the_same_step():
                             "quarter turn")
 
 
+class _ScalingBelow(_Scaling):
+    """x -> factor * x, refusing a point whose first cell lies above
+    ``ceiling``: an error of the map at a chosen step."""
+
+    name = "scaling_below"
+
+    def __init__(self, domain, factor, ceiling):
+        super().__init__(domain, factor)
+        self.ceiling = ceiling
+
+    def _transform(self, x):
+        if x.values[0] > self.ceiling:
+            raise ValueError(f"first cell above {self.ceiling!r}")
+        return super()._transform(x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_march_refuses_an_overflowed_sum_before_a_later_exit():
+    # on two cells a block runs up to n_max rows, after the blocks of 1, 2,
+    # 4, ... rows, so blocks start at the steps 1, 2, 4, ..., 64, 128.  The
+    # sum overflows at a step between 112, the last kept trace row before
+    # 128 (every 16th), and 128, and the map refuses T**128 x0, the first
+    # row of the next block: the point loop refuses the sum first, and so
+    # must the march
+    everything = _AllOfSpace()
+    factor = 1.0 + 2.0 ** -30
+    x0 = GridFunction(1, np.array([np.finfo(float).max / 120.5, 0.0]))
+    orbit = [x0]
+    for _ in range(127):
+        orbit.append(_Scaling(everything, factor).apply(orbit[-1]))
+
+    def refusing_from(step):
+        # the map refuses T**step x0, and so every later orbit point
+        return lambda: _ScalingBelow(everything, factor, float(orbit[step - 1].values[0]))
+
+    step, *error = _refused_by_the_reference(refusing_from(128), everything, x0, 4096)
+    assert 112 < step < 128
+    assert tuple(error) == (ValueError, "values must be finite")
+    with pytest.raises(ValueError) as info:
+        cesaro_solve(refusing_from(128)(), everything, x0, n_max=4096)
+    assert (type(info.value), str(info.value)) == tuple(error)
+    # a map that refuses T**64 x0, the first row of the block before, does
+    # so while the sum is still finite: its error comes first
+    with pytest.raises(ValueError, match="first cell above"):
+        _reference_cesaro_solve(refusing_from(64)(), everything, x0, n_max=4096)
+    with pytest.raises(ValueError, match="first cell above"):
+        cesaro_solve(refusing_from(64)(), everything, x0, n_max=4096)
+    # three cells of 0.4 max shifted right: the sum's cell 3 overflows at
+    # step 2, before the orbit pins at zero (four cells) or runs out of
+    # slots (eight), and before any kept trace row
+    c = 0.4 * np.finfo(float).max
+    for T, x0 in ((_DropShift(everything), GridFunction(2, np.array([c, c, c, 0.0]))),
+                  (_PushOut(everything), GridFunction(3, np.r_[c, c, c, np.zeros(5)]))):
+        with pytest.raises(ValueError) as want:
+            _reference_cesaro_solve(T, everything, x0, n_max=4096)
+        with pytest.raises(ValueError) as got:
+            cesaro_solve(T, everything, x0, n_max=4096)
+        assert str(got.value) == str(want.value) == "values must be finite", T.name
+
+
 class _PartialTurn(AffineOperator):
     """Rotate the first ``m`` cells by one place and keep the rest: the
     orbit has period m, so T x0 = T**(m+1) x0 and the residual is exactly 0
@@ -1311,7 +1389,8 @@ class _HalveAbove(AffineOperator):
 def test_block_march_matches_the_point_loop_at_every_offset(tmp_path):
     level = 10
     cells = 2 ** level
-    block = PHI_BLOCK_FLOATS // cells
+    # the march's block: its gap buffer of 2 PHI_BLOCK_FLOATS floats
+    block = 2 * PHI_BLOCK_FLOATS // cells
     ball = UnitBall(level)
     everything = _AllOfSpace()
     unit = np.eye(cells)
@@ -1391,18 +1470,37 @@ def test_block_march_matches_the_point_loop_at_every_offset(tmp_path):
     assert len(stops) == 7
     for case, seen in stops.items():
         assert {s % block for s in seen} == set(range(block)), case
-    # the benchmark's longest marches at level 12, four rows a block: the
+    # the benchmark's longest marches at level 12, eight rows a block: the
     # rotation runs all its means, the composite ends on its floor cycle
     marches = _bench_calls(tmp_path, "catalog_verdicts", (0,), "cesaro_solve",
                            {"cyclic/ball/practical",
                             "retraction_compose/cone_hull(0)/practical"})
     assert len(marches) == 2
     (ball_args, ball_kwargs), (comp_args, comp_kwargs) = marches
-    assert PHI_BLOCK_FLOATS // ball_args[2].array.size == 4
-    assert PHI_BLOCK_FLOATS // comp_args[2].array.size == 4
+    assert 2 * PHI_BLOCK_FLOATS // ball_args[2].array.size == 8
+    assert 2 * PHI_BLOCK_FLOATS // comp_args[2].array.size == 8
     assert same(*ball_args, "cyclic", **ball_kwargs)["applications"] >= 4096
     diag = same(*comp_args, "retraction_compose", **comp_kwargs)
     assert diag["stop_reason"].startswith("orbit pinned by the mesh floor")
+
+
+def test_level_twelve_rotation_prices_few_steps(monkeypatch, tmp_path):
+    # the benchmark's level-12 march of the rotation on the ball prices one
+    # gap a step; its steps move the orbit far more than rounding does, so
+    # the step screen vouches for all but a few of them
+    (args, kwargs), = _bench_calls(tmp_path, "catalog_verdicts", (0,), "cesaro_solve",
+                                   {"cyclic/ball/practical"})
+    rows = []
+    abs_row_norms = GridFunction.abs_row_norms
+
+    def counted(self, magnitudes):
+        rows.append(len(magnitudes))
+        return abs_row_norms(self, magnitudes)
+
+    monkeypatch.setattr(GridFunction, "abs_row_norms", counted)
+    out = cesaro_solve(*args, **kwargs)
+    assert out.status == FIXED and out.diagnostics["stopped_at"] == 4096
+    assert sum(rows) <= 4096 + 64
 
 
 class _Capped(ConvexBody):
