@@ -160,7 +160,7 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
         rows.append([quantity, ref, low, high, high - low, tol,
                      "pass" if ok else "fail"])
 
-    peaks = peak_family(level, k_min=max(1, level - 8), k_max=level)
+    peaks = peak_family(level, k_min=max(1, level - 8))
     for a in cfg.a_grid:
         body = ConeHull(a, level)
         rep = recentering_bounds(body, [peaks], rng=rng)

@@ -102,7 +102,7 @@ def _default_families(body: ConvexBody) -> list[SequenceFamily]:
     if level is None:
         raise ValueError(f"no default drift family for body {body.name!r}")
     k_min = _least_drifting_k_min(max(1, level - 10), level, 0)
-    return [] if k_min is None else [peak_family(level, k_min=k_min, k_max=level)]
+    return [] if k_min is None else [peak_family(level, k_min=k_min)]
 
 
 def recentering_bounds(body: ConvexBody, families=None, *,
@@ -200,18 +200,18 @@ def opial_cross_check(c: float = 1.0, level: int = 14) -> float:
     return liminf_tail(gaps)
 
 
-def fixed_point_gate(mean_lip: float, t_coeff: float, opial: float = 2.0) -> bool:
-    """Strict inequality mean_lip * t_coeff < opial.  Equality fails: the
-    catalog counterexamples sit exactly on the boundary.
+def fixed_point_gate(mean_lip: float, t_coeff: float) -> bool:
+    """The package's one gate rule: the strict inequality mean_lip * t_coeff
+    < ``opial_sum()``.  Equality fails: the catalog counterexamples sit
+    exactly on the boundary.
 
     The comparison leaves the relative margin ``GATE_MARGIN`` so products
     that match the bound up to float rounding (for example 2/t times t) do
-    not spuriously open the gate, and the verdict is invariant under scaling
-    t_coeff and opial by a common positive factor.
+    not spuriously open the gate.
     """
-    if t_coeff <= 0 or opial <= 0:
+    if t_coeff <= 0:
         raise ValueError("coefficients must be positive")
-    return mean_lip * t_coeff < opial * (1.0 - GATE_MARGIN)
+    return mean_lip * t_coeff < opial_sum() * (1.0 - GATE_MARGIN)
 
 
 def orlicz_coefficient(phi_inverse, delta: float) -> float:

@@ -142,13 +142,6 @@ class GridFunction:
     def to_json(self) -> str:
         return json.dumps({"level": self.level, "values": self.values.tolist()})
 
-    @classmethod
-    def from_json(cls, text: str) -> GridFunction:
-        data = json.loads(text)
-        if set(data) != {"level", "values"}:
-            raise ValueError(f"expected keys level/values, got {sorted(data)}")
-        return cls(int(data["level"]), np.asarray(data["values"], dtype=float))
-
     def __repr__(self) -> str:
         return f"GridFunction(level={self.level}, norm={self.norm():.6g})"
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .grid import DEFAULT_TOL, GridFunction, peak_sequence
 from .sets import (
+    ORBIT_TOL,
     BumpSimplex,
     ConeHull,
     ConvexBody,
@@ -21,9 +22,6 @@ from .sets import (
     coord_basis,
     norm,
 )
-
-#: Membership tolerance while iterating (float drift accumulates).
-ORBIT_TOL = 1e-7
 
 #: Sampled start pairs of the affinity certificate, and the mixing weights
 #: tried on each pair.
@@ -516,7 +514,7 @@ def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
     for _ in range(pairs):
         candidates.append((T.domain.sample(rng), T.domain.sample(rng)))
     for x, y in T.witness_pairs():
-        if T.domain.membership(x, tol=1e-7) and T.domain.membership(y, tol=1e-7):
+        if T.domain.membership(x, tol=ORBIT_TOL) and T.domain.membership(y, tol=ORBIT_TOL):
             candidates.append((x, y))
     best = None
     # the orbits of x and y, n steps each, in one buffer for every pair

@@ -40,6 +40,11 @@ PHI_BLOCK_FLOATS = 1 << 14
 #: Sampled members that a sampled recentering or a recentering bound scores.
 SAMPLED_CANDIDATES = 64
 
+#: Membership slack of points that float drift may have nudged out of a
+#: body: orbit points, recenter witnesses and their inputs, sampled witness
+#: pairs and solver starts.
+ORBIT_TOL = 1e-7
+
 
 @dataclass(frozen=True, eq=False)
 class CoordPoint:
@@ -140,13 +145,6 @@ class CoordPoint:
 
     def to_json(self) -> str:
         return json.dumps({"t": self.t, "coeffs": self.coeffs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> CoordPoint:
-        data = json.loads(text)
-        if set(data) != {"t", "coeffs"}:
-            raise ValueError(f"expected keys t/coeffs, got {sorted(data)}")
-        return cls(float(data["t"]), np.asarray(data["coeffs"], dtype=float))
 
     def __repr__(self) -> str:
         return f"CoordPoint(t={self.t}, slots={self.slots}, norm={self.norm():.6g})"
@@ -348,7 +346,7 @@ class ConvexBody:
         if len(seq) == 0:
             raise ValueError("recenter needs a nonempty sequence")
         closed = None if self._space_error(x) else self._recenter_witness(x)
-        if closed is not None and self.membership(closed, tol=1e-7):
+        if closed is not None and self.membership(closed, tol=ORBIT_TOL):
             return RecenterResult(closed, "exact")
         return RecenterResult(self._recenter_sampled(x, seq, rng), "upper")
 
@@ -357,7 +355,7 @@ class ConvexBody:
 
     def _recenter_sampled(self, x, seq, rng):
         candidates = [self.sample(rng) for _ in range(SAMPLED_CANDIDATES)]
-        if self.membership(x, tol=1e-7):
+        if self.membership(x, tol=ORBIT_TOL):
             candidates.append(x)
         # argmin picks the first of equal scores, as min(key=) does
         return candidates[int(np.argmin(_phi_values(candidates, seq)))]
@@ -414,10 +412,10 @@ class DensitySimplex(GridBody):
         return GridFunction(self.level, v)
 
     def _recenter_witness(self, x):
-        if float(x.values.min()) < -1e-7:
+        if float(x.values.min()) < -ORBIT_TOL:
             return None
         deficit = 1.0 - x.integral()
-        if deficit < -1e-7:
+        if deficit < -ORBIT_TOL:
             return None
         return x + GridFunction.constant(max(deficit, 0.0), x.level)
 
@@ -466,7 +464,7 @@ class ConeHull(GridBody):
             return DensitySimplex._recenter_witness(self, x)
         integral = x.integral()
         low = float(x.values.min())
-        if low < -1e-7 or integral > 1.0 + 1e-7:
+        if low < -ORBIT_TOL or integral > 1.0 + ORBIT_TOL:
             return None
         # constant shift c puts x + c at mixture weight lam exactly when
         # c = lam + (1-lam) a - integral; the floor constraint
@@ -474,7 +472,7 @@ class ConeHull(GridBody):
         # c grows with lam, so the smallest admissible lam gives the least
         # shift, and a negative least shift means x is already a member.
         lam = max(0.0, integral - low)
-        if lam > 1.0 + 1e-7:
+        if lam > 1.0 + ORBIT_TOL:
             return None
         lam = min(lam, 1.0)
         shift = max(lam + (1.0 - lam) * a - integral, 0.0)
@@ -558,10 +556,10 @@ class BumpSimplex(ConvexBody):
         return CoordPoint(self.t, c)
 
     def _recenter_witness(self, x):
-        if float(x.coeffs.min()) < -1e-7:
+        if float(x.coeffs.min()) < -ORBIT_TOL:
             return None
         deficit = 1.0 - float(x.coeffs.sum())
-        if deficit < -1e-7:
+        if deficit < -ORBIT_TOL:
             return None
         c = x.coeffs.copy()
         c[0] += max(deficit, 0.0)
@@ -591,12 +589,12 @@ class SequenceFamily:
         return limsup_tail(measure_distances(self.limit, self.points))
 
 
-def peak_family(level: int, k_min: int = 1, k_max: int | None = None) -> SequenceFamily:
-    """Peaks of heights 2**k: unit-norm densities vanishing in measure."""
-    k_max = level if k_max is None else k_max
-    if not (1 <= k_min <= k_max <= level):
-        raise ValueError(f"need 1 <= {k_min} <= {k_max} <= {level}")
-    points = tuple(peak_sequence(2 ** k, level) for k in range(k_min, k_max + 1))
+def peak_family(level: int, k_min: int = 1) -> SequenceFamily:
+    """Peaks of heights 2**k for k_min <= k <= level: unit-norm densities
+    vanishing in measure."""
+    if not (1 <= k_min <= level):
+        raise ValueError(f"need 1 <= {k_min} <= {level}")
+    points = tuple(peak_sequence(2 ** k, level) for k in range(k_min, level + 1))
     return SequenceFamily(f"peaks(level={level})", points, GridFunction.zero(level))
 
 

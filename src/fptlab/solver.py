@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import opial_sum, recentering_bounds
+from .coefficients import fixed_point_gate, opial_sum, recentering_bounds
 from .grid import window_length
 from .operators import (
     AffineOperator,
@@ -36,6 +36,7 @@ from .operators import (
     running_means,
 )
 from .sets import (
+    ORBIT_TOL,
     PHI_BLOCK_FLOATS,
     ConvexBody,
     PointRows,
@@ -326,19 +327,19 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
     return AfpsRecord(means, limit)
 
 
-def admissible_eps(mean_lip: float, t_coeff: float, opial: float = 2.0) -> float | None:
+def admissible_eps(mean_lip: float, t_coeff: float) -> float | None:
     """Half the largest eps with mean_lip < (opial/t_coeff)(1-eps)/(1+eps)**2,
-    or None when no positive eps exists (the gate is closed)."""
-    if mean_lip <= 0 or t_coeff <= 0 or opial <= 0:
+    opial = ``opial_sum()``, or None when ``fixed_point_gate`` is closed (or
+    the closed form cancels to 0, at mean_lip * t_coeff / opial below about
+    1e-16)."""
+    if mean_lip <= 0 or t_coeff <= 0:
         raise ValueError("coefficients must be positive")
-    q = mean_lip * t_coeff / opial
-    if q >= 1.0:
+    if not fixed_point_gate(mean_lip, t_coeff):
         return None
+    q = mean_lip * t_coeff / opial_sum()
     disc = (2.0 * q + 1.0) ** 2 - 4.0 * q * (q - 1.0)
     e_star = 1.0 if q == 0.0 else (-(2.0 * q + 1.0) + math.sqrt(disc)) / (2.0 * q)
     eps = min(0.5 * e_star, 0.5)
-    while eps > 1e-12 and mean_lip >= (opial / t_coeff) * (1.0 - eps) / (1.0 + eps) ** 2:
-        eps *= 0.5
     return eps if eps > 1e-12 else None
 
 
@@ -475,6 +476,20 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0):
     return STATUS_BUDGET, None, diag
 
 
+def _diagnose(T: AffineOperator, C: ConvexBody, x0, diagnostics: dict, apps: int,
+              key: str, reason: str):
+    """The diagnosis exit of both solvers: runs ``classify_escape`` from
+    ``x0``, merges its findings into ``diagnostics`` with ``reason`` under
+    ``key``, sets ``applications`` to ``apps`` plus the restart orbit's
+    steps, and returns (status, limit, the limit's residual)."""
+    status, limit, diag = classify_escape(T, C, x0)
+    diagnostics["applications"] = apps + diag.pop("applications")
+    diagnostics.update(diag)
+    diagnostics[key] = reason
+    residual = None if limit is None else _safe_residual(T, limit)
+    return status, limit, residual
+
+
 def _default_inner(T: AffineOperator, x) -> int:
     faithful = T.max_faithful_steps(x)
     if faithful is not None:
@@ -498,7 +513,7 @@ def _start(T: AffineOperator, C: ConvexBody, x0, rng: np.random.Generator):
     DomainError when it lies outside ``C``."""
     if x0 is None:
         x0 = T.default_start(rng)
-    problem = C.violation(x0, 1e-7)
+    problem = C.violation(x0, ORBIT_TOL)
     if problem is not None:
         raise DomainError(f"starting point outside the body: {problem}")
     return x0
@@ -514,8 +529,8 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
           budget: int = 10 ** 6, seed: int = 0) -> SolveOutcome:
     """Certified fixed-point search for an affine map of a convex body.
 
-    Entry enforces the affinity certificate and domain membership.  When the
-    growth gate mean_lip < opial / t_coeff admits a positive eps, the solver
+    Entry enforces the affinity certificate and domain membership.  When
+    ``fixed_point_gate`` is open and ``admissible_eps`` gives eps, the solver
     runs contraction steps whose certificates are measured, not assumed, and
     returns a fixed point with its residual.  Otherwise, or on certificate
     failure, it switches to restart diagnosis and reports either escape in
@@ -539,13 +554,13 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
         bracket = recentering_bounds(C, rng=rng)
         t_coeff = bracket.estimate_high
         t_source = "cap" if bracket.bound_type == "cap" else "measured"
-    eps0 = admissible_eps(mean_lip, t_coeff, opial)
+    eps0 = admissible_eps(mean_lip, t_coeff)
     diagnostics = {
         "mean_lip": mean_lip,
         "t_coeff": t_coeff,
         "t_source": t_source,
         "opial": opial,
-        "gate_open": eps0 is not None,
+        "gate_open": fixed_point_gate(mean_lip, t_coeff),
         "eps": eps0,
         "affinity_defect": defect,
         "applications": 0,
@@ -553,15 +568,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     trace: list[dict] = []
     apps = 0
 
-    def finish_with_classification(outer: int, r_est: float | None, reason: str | None):
-        nonlocal apps
-        status, limit, diag = classify_escape(T, C, x0)
-        apps += diag.get("applications", 0)
-        if reason is not None:
-            diagnostics["branch_failure"] = reason
-        diagnostics.update({k: v for k, v in diag.items() if k != "applications"})
-        diagnostics["applications"] = apps
-        residual = None if limit is None else _safe_residual(T, limit)
+    def finish_with_classification(outer: int, r_est: float | None, reason: str):
+        status, limit, residual = _diagnose(T, C, x0, diagnostics, apps,
+                                            "branch_failure", reason)
         trace.append({
             "outer_iter": outer,
             "r_estimate": r_est,
@@ -759,11 +768,8 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     apps = 0
 
     def classify(reason: str):
-        status, limit, diag = classify_escape(T, C, x0)
-        diagnostics["applications"] = apps + diag.pop("applications", 0)
-        diagnostics.update(diag)
-        diagnostics["stop_reason"] = reason
-        residual = None if limit is None else _safe_residual(T, limit)
+        status, limit, residual = _diagnose(T, C, x0, diagnostics, apps,
+                                            "stop_reason", reason)
         _fill_measure_column(trace, limit)
         return SolveOutcome(status, limit, residual, trace, diagnostics)
 

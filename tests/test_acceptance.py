@@ -32,6 +32,7 @@ from fptlab import (
     opial_sum,
     orlicz_coefficient,
     peak_family,
+    peak_sequence,
     recentering_bounds,
     solve,
 )
@@ -43,10 +44,15 @@ A_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 T_GRID = (1.1, 1.25, 1.5, 1.75, 1.9)
 
 
+def _peaks(k_min: int, k_max: int) -> list:
+    """The level-``LEVEL`` peaks of heights 2**k, k_min <= k <= k_max."""
+    return [peak_sequence(2 ** k, LEVEL) for k in range(k_min, k_max + 1)]
+
+
 def test_c01_cone_hull_recentering_bracket_contains_one_plus_a():
     # the hull of the density simplex and the constant a has recentering
     # coefficient exactly 1 + a; the measured bracket must trap it tightly
-    peaks = peak_family(LEVEL, k_min=4, k_max=12)
+    peaks = peak_family(LEVEL, k_min=4)
     rng = np.random.default_rng(0)
     for a in A_GRID:
         body = ConeHull(a, LEVEL)
@@ -88,10 +94,10 @@ def test_c04_additivity_defect_bounded_by_peak_measure():
     z = GridFunction(LEVEL, np.where(
         np.arange(2 ** LEVEL) >= 2 ** (LEVEL - 1), 1.0, 0.0))
     with pytest.raises(ValueError, match="does not vanish"):
-        disjoint_additivity_defect(peak_family(LEVEL, k_min=4, k_max=8), z)
+        disjoint_additivity_defect(_peaks(4, 8), z)
     defects = []
     for k in range(9, 13):
-        fam = peak_family(LEVEL, k_min=4, k_max=k)
+        fam = _peaks(4, k)
         defect = disjoint_additivity_defect(fam, z)
         assert defect <= 2.0 ** -k
         defects.append(defect)
@@ -101,7 +107,7 @@ def test_c04_additivity_defect_bounded_by_peak_measure():
 def test_c05_drift_radius_within_half_diameter():
     # every catalog body keeps its drifting generator sequences within half
     # the diameter of their in-measure limit, in the trailing-limsup sense
-    peaks = peak_family(LEVEL, k_min=4, k_max=12)
+    peaks = peak_family(LEVEL, k_min=4)
     cases = [(DensitySimplex(LEVEL), peaks)]
     cases += [(ConeHull(a, LEVEL), peaks) for a in (0.0, 0.5, 1.0)]
     cases += [(UnitBall(LEVEL), peaks)]

@@ -106,7 +106,7 @@ def test_reproduce_drift_radii_match_the_norm_loop(level, slots, seed):
     cfg = ExperimentConfig(level=level, slots=slots, seed=seed,
                            a_grid=(0.5,), t_grid=(1.5,), orlicz_p=(2.0,))
     rows = {row[0]: row for row in run_reproduce(cfg)[0]}
-    peaks = peak_family(level, k_min=max(1, level - 8), k_max=level)
+    peaks = peak_family(level, k_min=max(1, level - 8))
     bumps = bump_tail_family(1.5, slots)
     for quantity, fam in (("drift_radius(density_simplex)", peaks),
                           ("drift_radius(bump,t=1.5)", bumps)):

@@ -24,6 +24,7 @@ from fptlab import (
     opial_sum,
     orlicz_coefficient,
     peak_family,
+    peak_sequence,
     rademacher,
     recentering_bounds,
 )
@@ -151,7 +152,7 @@ def test_additivity_defect_disjoint_z_is_exactly_zero():
                                      1.0, 0.0))
     last = None
     for k in range(9, level + 1):
-        fam = peak_family(level, k_min=4, k_max=k)
+        fam = [peak_sequence(2 ** j, level) for j in range(4, k + 1)]
         defect = disjoint_additivity_defect(fam, z)
         assert defect <= 2.0 ** -4 + 1e-12
         if last is not None:
@@ -169,7 +170,7 @@ def test_additivity_defect_cancelling_z_law():
     z = GridFunction(level, np.where(np.arange(2 ** level) < 2 ** (level - 1),
                                      -1.0, 0.0))
     for k in range(8, level + 1):
-        fam = peak_family(level, k_min=k - 2, k_max=k)
+        fam = [peak_sequence(2 ** j, level) for j in range(k - 2, k + 1)]
         defect = disjoint_additivity_defect(fam, z)
         assert abs(defect - 2.0 ** (1 - k)) <= 1e-12
 
@@ -233,29 +234,36 @@ def test_opial_cross_check_converges_from_below():
 
 
 def test_gate_basic_verdicts():
-    assert fixed_point_gate(1.0, 1.0, 2.0) is True
-    assert fixed_point_gate(1.99, 1.0, 2.0) is True
-    assert fixed_point_gate(1.0, 2.0, 2.0) is False
+    assert fixed_point_gate(1.0, 1.0) is True
+    assert fixed_point_gate(1.99, 1.0) is True
+    assert fixed_point_gate(1.0, 2.0) is False
     for t in (1.1, 1.25, 1.5, 1.75, 1.9):
-        assert fixed_point_gate(2.0 / t, t, 2.0) is False
-        assert fixed_point_gate(2.0 / t - 0.01, t, 2.0) is True
+        assert fixed_point_gate(2.0 / t, t) is False
+        assert fixed_point_gate(2.0 / t - 0.01, t) is True
 
 
 def test_gate_scale_consistency():
-    for kappa in (1e-9, 1e-3, 1.0, 1e3, 1e9):
-        assert fixed_point_gate(1.0, kappa, 2.0 * kappa) is True
-        assert fixed_point_gate(2.0, kappa, 2.0 * kappa) is False
-        assert fixed_point_gate(2.0 / 1.1, 1.1 * kappa, 2.0 * kappa) is False
+    # scaling mean_lip by a power of two and t_coeff by its inverse keeps
+    # the float product exact, so the verdict cannot move
+    cases = [(1.0, 1.0), (1.99, 1.0), (2.0, 1.0), (1.0, 2.0),
+             (2.0 / 1.1, 1.1), (2.0 / 1.1 - 0.01, 1.1),
+             (2.0 * (1.0 - 1e-12), 1.0), (2.0 * (1.0 - 1e-8), 1.0)]
+    verdicts = [fixed_point_gate(m, t) for m, t in cases]
+    assert True in verdicts and False in verdicts
+    for (m, t), verdict in zip(cases, verdicts):
+        for e in range(-40, 41, 4):
+            kappa = 2.0 ** e
+            assert fixed_point_gate(m * kappa, t / kappa) is verdict, (m, t, e)
 
 
 def test_gate_margin_and_validation():
     with pytest.raises(ValueError):
         fixed_point_gate(1.0, 0.0)
     with pytest.raises(ValueError):
-        fixed_point_gate(1.0, 1.0, -2.0)
+        fixed_point_gate(1.0, -2.0)
     # a product within the relative margin of the bound keeps the gate shut
-    assert fixed_point_gate(1.0 - 1e-12, 1.0, 1.0) is False
-    assert fixed_point_gate(1.0 - 1e-8, 1.0, 1.0) is True
+    assert fixed_point_gate(2.0 * (1.0 - 1e-12), 1.0) is False
+    assert fixed_point_gate(2.0 * (1.0 - 1e-8), 1.0) is True
 
 
 def test_orlicz_identity_gauge():

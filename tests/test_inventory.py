@@ -18,7 +18,6 @@ MODULES = ("grid", "sets", "operators", "coefficients", "solver", "cli")
 DEFAULTED = """
 sets.BumpSimplex.sample(support)
 sets.peak_family(k_min)
-sets.peak_family(k_max)
 sets.bump_tail_family(k_min)
 operators.AffineOperator.apply(check_domain)
 operators.orbit_rows(check_domain)
@@ -32,8 +31,6 @@ operators.mean_lipschitz(use_exact)
 coefficients.recentering_bounds(families)
 coefficients.opial_cross_check(c)
 coefficients.opial_cross_check(level)
-coefficients.fixed_point_gate(opial)
-solver.admissible_eps(opial)
 solver.solve(x0)
 solver.solve(tol)
 solver.solve(max_outer)
@@ -83,4 +80,4 @@ def defaulted_parameters() -> list[str]:
 
 def test_defaulted_parameters_are_the_listed_ones():
     assert defaulted_parameters() == DEFAULTED
-    assert len(DEFAULTED) == 35
+    assert len(DEFAULTED) == 32

@@ -351,7 +351,7 @@ def test_coord_json_round_trip():
     x = CoordPoint(1.5, np.array([0.25, 0.75, 0.0, 0.0]))
     data = json.loads(x.to_json())
     assert set(data) == {"t", "coeffs"}
-    y = CoordPoint.from_json(x.to_json())
+    y = CoordPoint(data["t"], np.asarray(data["coeffs"]))
     assert y.t == x.t and np.all(y.coeffs == x.coeffs)
 
 
@@ -375,7 +375,7 @@ def test_families_drift_verdicts():
 
 def test_family_needs_two_points():
     with pytest.raises(ValueError):
-        peak_family(3, k_min=3, k_max=3)
+        peak_family(3, k_min=3)
 
 
 def test_body_from_spec_round_trip():
@@ -486,7 +486,7 @@ def test_phi_values_many_points_match_the_norm_loop():
     # each window length is read
     rng = np.random.default_rng(11)
     level = 12
-    peaks = peak_family(level, k_min=level - 8, k_max=level)
+    peaks = peak_family(level, k_min=level - 8)
     body = ConeHull(0.5, level)
     grid_points = [body.sample(rng) for _ in range(64)] + [peaks.limit]
     bumps = bump_tail_family(1.5, 64)

@@ -47,6 +47,7 @@ from fptlab import (
     solve,
 )
 from fptlab import solver as solver_module
+from fptlab.coefficients import GATE_MARGIN, fixed_point_gate
 from fptlab.grid import window_length
 from fptlab.operators import AFFINITY_LAMBDAS, AFFINITY_PAIRS
 from fptlab.sets import PHI_BLOCK_FLOATS, PointRows, measure_distances, point_rows
@@ -510,15 +511,74 @@ def test_record_validation():
 def test_admissible_eps_cyclic_value():
     # mean_lip 1, recentering 1, duality sum 2: the quadratic root is
     # sqrt(5) - 2 and the returned parameter is half of it
-    eps = admissible_eps(1.0, 1.0, 2.0)
+    eps = admissible_eps(1.0, 1.0)
     assert eps == pytest.approx((math.sqrt(5.0) - 2.0) / 2.0, abs=1e-12)
     assert eps == pytest.approx(0.1180339887498949, abs=1e-12)
 
 
 def test_admissible_eps_none_when_gate_closed():
-    assert admissible_eps(2.0, 1.0, 2.0) is None
-    assert admissible_eps(1.0, 2.0, 2.0) is None
-    assert admissible_eps(2.0, 1.5, 2.0) is None
+    assert admissible_eps(2.0, 1.0) is None
+    assert admissible_eps(1.0, 2.0) is None
+    assert admissible_eps(2.0, 1.5) is None
+
+
+def _halving_admissible_eps(mean_lip, t_coeff, opial=2.0):
+    """admissible_eps as it was before it read ``fixed_point_gate``: its own
+    q >= 1 test, a halving loop and the 1e-12 floor.  The reference of the
+    bit-equality sweep."""
+    if mean_lip <= 0 or t_coeff <= 0 or opial <= 0:
+        raise ValueError("coefficients must be positive")
+    q = mean_lip * t_coeff / opial
+    if q >= 1.0:
+        return None
+    disc = (2.0 * q + 1.0) ** 2 - 4.0 * q * (q - 1.0)
+    e_star = 1.0 if q == 0.0 else (-(2.0 * q + 1.0) + math.sqrt(disc)) / (2.0 * q)
+    eps = min(0.5 * e_star, 0.5)
+    while eps > 1e-12 and mean_lip >= (opial / t_coeff) * (1.0 - eps) / (1.0 + eps) ** 2:
+        eps *= 0.5
+    return eps if eps > 1e-12 else None
+
+
+def test_admissible_eps_opens_exactly_where_the_gate_does():
+    # products below, at and above the bound 2, and inside
+    # (1 - GATE_MARGIN, 1) of it, where the gate is shut
+    rng = np.random.default_rng(23)
+    ts = [1.0, 1.1, 1.25, 1.5, 1.75, 1.9, 2.0, *rng.uniform(0.5, 4.0, 40)]
+    rel = [-0.9, -0.5, -1e-3, -1e-6, -1e-8, -2 * GATE_MARGIN,
+           -1.000001 * GATE_MARGIN, -GATE_MARGIN, -0.999999 * GATE_MARGIN,
+           -0.5 * GATE_MARGIN, -1e-12, -1e-15, 0.0, 1e-15, 1e-9, 1e-3, 1.0,
+           *(-GATE_MARGIN * rng.uniform(0.0, 1.0, 40))]
+    inside = 0
+    for t in ts:
+        for r in rel:
+            m = 2.0 * (1.0 + r) / t
+            gate = fixed_point_gate(m, t)
+            assert (admissible_eps(m, t) is None) is (not gate), (m, t)
+            inside += 2.0 * (1.0 - GATE_MARGIN) < m * t < 2.0
+    assert inside >= 40 * len(ts)
+    m = 2.0 * (1.0 - 5e-10)
+    assert not fixed_point_gate(m, 1.0) and admissible_eps(m, 1.0) is None
+
+
+def test_admissible_eps_bit_equal_to_the_halving_loop():
+    # every eps of an open gate is the closed form's, bit for bit: the
+    # halving loop never ran there
+    rng = np.random.default_rng(29)
+    qs = np.concatenate([10.0 ** rng.uniform(-18.0, 0.0, 3000),
+                         1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 3000)])
+    ts = 10.0 ** rng.uniform(-3.0, 3.0, qs.size)
+    opened = 0
+    for q, t in zip(qs.tolist(), ts.tolist()):
+        m = 2.0 * q / t
+        got = admissible_eps(m, t)
+        if fixed_point_gate(m, t):
+            ref = _halving_admissible_eps(m, t)
+            assert got == ref, (m, t, got, ref)
+            opened += got is not None
+        else:
+            assert got is None, (m, t)
+    assert opened >= 4000
+    assert admissible_eps(1.0, 1.0) == 0.1180339887498949
 
 
 def test_admissible_eps_satisfies_strict_inequality():
