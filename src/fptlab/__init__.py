@@ -23,7 +23,6 @@ from .sets import (
     ConvexBody,
     CoordPoint,
     DensitySimplex,
-    RecenterResult,
     SequenceFamily,
     UnitBall,
     body_from_spec,

@@ -9,6 +9,7 @@ two.  The strict inequality growth < modulus / recentering opens the gate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,8 @@ def recentering_bounds(body: ConvexBody, families=None, *,
 
     For each drifting family the best follow-up member found gives the low
     end, and the closed-form recenter witness gives the certified high end
-    via norm additivity along vanishing supports.  Families that do not
+    via norm additivity along vanishing supports; a limit that the body
+    cannot recenter raises ``recenter``'s ValueError.  Families that do not
     drift to their declared limit within ``DRIFT_TOL`` are rejected: the
     coefficient is about escape in measure, nothing else.  Without
     ``families``, a body too coarse for any default family gets the bracket
@@ -138,13 +140,11 @@ def recentering_bounds(body: ConvexBody, families=None, *,
         if scale <= 1e-12:
             # norm-converging family: recentering is free
             continue
-        result = body.recenter(fam.limit, fam.points, rng=rng)
-        candidates = [result.point]
+        witness = body.recenter(fam.limit)
+        candidates = [witness]
         candidates.extend(body.sample(rng) for _ in range(SAMPLED_CANDIDATES))
         fam_low = float(_phi_values(candidates, fam.points).min()) / scale
-        fam_high = 1.0 + norm(result.point - fam.limit) / scale
-        if result.bound_type != "exact":
-            fam_high = RECENTERING_CAP
+        fam_high = 1.0 + norm(witness - fam.limit) / scale
         if fam_high > RECENTERING_CAP + DEFAULT_TOL:
             fam_high = RECENTERING_CAP
         high = max(high, fam_high)
@@ -207,10 +207,12 @@ def fixed_point_gate(mean_lip: float, t_coeff: float) -> bool:
 
     The comparison leaves the relative margin ``GATE_MARGIN`` so products
     that match the bound up to float rounding (for example 2/t times t) do
-    not spuriously open the gate.
+    not spuriously open the gate.  Both coefficients must be finite and
+    positive, else ValueError.
     """
-    if t_coeff <= 0:
-        raise ValueError("coefficients must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in (mean_lip, t_coeff)):
+        raise ValueError(f"coefficients must be finite and positive, got "
+                         f"mean_lip={mean_lip}, t_coeff={t_coeff}")
     return mean_lip * t_coeff < opial_sum() * (1.0 - GATE_MARGIN)
 
 

@@ -5,8 +5,7 @@ rule.  Recentering takes a point ``x`` that a sequence inside the body drifts
 toward (typically a limit in measure that escaped the body) and returns a
 member of the body that stays asymptotically close to the sequence.  For the
 catalog bodies the recenter point comes from a closed form with a proven
-distance ratio; the generic fallback scores sampled candidates and is only an
-upper bound.
+distance ratio, and a point without one is refused.
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import json
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +35,12 @@ BYTE_BUDGET = 2 ** 30
 #: against a larger window is still one block.
 PHI_BLOCK_FLOATS = 1 << 14
 
-#: Sampled members that a sampled recentering or a recentering bound scores.
+#: Sampled members that a recentering bound scores.
 SAMPLED_CANDIDATES = 64
 
 #: Membership slack of points that float drift may have nudged out of a
-#: body: orbit points, recenter witnesses and their inputs, sampled witness
-#: pairs and solver starts.
+#: body: orbit points, recenter witnesses, sampled witness pairs and solver
+#: starts.
 ORBIT_TOL = 1e-7
 
 
@@ -302,11 +300,6 @@ def _row_messages(n: int, *checks) -> list:
     return out
 
 
-class RecenterResult(NamedTuple):
-    point: object
-    bound_type: str  # "exact" for a certified witness, "upper" for sampled
-
-
 class ConvexBody:
     """Base class: a closed bounded convex subset with sampling and recentering."""
 
@@ -339,26 +332,25 @@ class ConvexBody:
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def recenter(self, x, seq, *, rng: np.random.Generator) -> RecenterResult:
-        """Member of the body asymptotically close to ``seq`` given its drift
-        point ``x``.  Falls back to a search over ``SAMPLED_CANDIDATES``
-        members drawn from ``rng`` when no closed form applies."""
-        if len(seq) == 0:
-            raise ValueError("recenter needs a nonempty sequence")
-        closed = None if self._space_error(x) else self._recenter_witness(x)
-        if closed is not None and self.membership(closed, tol=ORBIT_TOL):
-            return RecenterResult(closed, "exact")
-        return RecenterResult(self._recenter_sampled(x, seq, rng), "upper")
+    def recenter(self, x):
+        """The closed-form recenter witness of the drift point ``x``: a member
+        of the body asymptotically close to every sequence of members that
+        drifts to ``x`` in measure.  Raises ValueError, with the reason, when
+        ``x`` is not a point of the body's space, when the body has no
+        witness, or when the witness fails ``violation`` at ``ORBIT_TOL``."""
+        problem = self._space_error(x)
+        if problem is None:
+            w = self._recenter_witness(x)
+            problem = ("no closed-form witness" if w is None
+                       else self.violation(w, ORBIT_TOL))
+        if problem is not None:
+            raise ValueError(f"no recenter point in {self.name}: {problem}")
+        return w
 
     def _recenter_witness(self, x):
+        """The witness of a point of the body's space, or None for a body
+        without a closed form; ``recenter`` checks it."""
         return None
-
-    def _recenter_sampled(self, x, seq, rng):
-        candidates = [self.sample(rng) for _ in range(SAMPLED_CANDIDATES)]
-        if self.membership(x, tol=ORBIT_TOL):
-            candidates.append(x)
-        # argmin picks the first of equal scores, as min(key=) does
-        return candidates[int(np.argmin(_phi_values(candidates, seq)))]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -412,11 +404,7 @@ class DensitySimplex(GridBody):
         return GridFunction(self.level, v)
 
     def _recenter_witness(self, x):
-        if float(x.values.min()) < -ORBIT_TOL:
-            return None
         deficit = 1.0 - x.integral()
-        if deficit < -ORBIT_TOL:
-            return None
         return x + GridFunction.constant(max(deficit, 0.0), x.level)
 
 
@@ -463,18 +451,14 @@ class ConeHull(GridBody):
         if a >= 1.0 - 1e-12:
             return DensitySimplex._recenter_witness(self, x)
         integral = x.integral()
-        low = float(x.values.min())
-        if low < -ORBIT_TOL or integral > 1.0 + ORBIT_TOL:
-            return None
         # constant shift c puts x + c at mixture weight lam exactly when
         # c = lam + (1-lam) a - integral; the floor constraint
         # min(x) + c >= (1-lam) a then reads lam >= integral - min(x).
         # c grows with lam, so the smallest admissible lam gives the least
         # shift, and a negative least shift means x is already a member.
-        lam = max(0.0, integral - low)
-        if lam > 1.0 + ORBIT_TOL:
-            return None
-        lam = min(lam, 1.0)
+        # Past lam = 1 no shift gives a member, and recenter refuses the
+        # capped witness.
+        lam = min(max(0.0, integral - float(x.values.min())), 1.0)
         shift = max(lam + (1.0 - lam) * a - integral, 0.0)
         return x + GridFunction.constant(shift, x.level)
 
@@ -556,13 +540,8 @@ class BumpSimplex(ConvexBody):
         return CoordPoint(self.t, c)
 
     def _recenter_witness(self, x):
-        if float(x.coeffs.min()) < -ORBIT_TOL:
-            return None
-        deficit = 1.0 - float(x.coeffs.sum())
-        if deficit < -ORBIT_TOL:
-            return None
         c = x.coeffs.copy()
-        c[0] += max(deficit, 0.0)
+        c[0] += max(1.0 - float(x.coeffs.sum()), 0.0)
         return CoordPoint(self.t, c)
 
 

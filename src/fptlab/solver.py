@@ -156,7 +156,6 @@ class StepReport:
     limit_gap_means: float | None
     displacement: float
     displacement_bound: float
-    recenter_bound: str
     near_achieving: bool
     phi_min: float | None = None
 
@@ -331,9 +330,8 @@ def admissible_eps(mean_lip: float, t_coeff: float) -> float | None:
     """Half the largest eps with mean_lip < (opial/t_coeff)(1-eps)/(1+eps)**2,
     opial = ``opial_sum()``, or None when ``fixed_point_gate`` is closed (or
     the closed form cancels to 0, at mean_lip * t_coeff / opial below about
-    1e-16)."""
-    if mean_lip <= 0 or t_coeff <= 0:
-        raise ValueError("coefficients must be positive")
+    1e-16).  The gate refuses coefficients that are not finite and
+    positive."""
     if not fixed_point_gate(mean_lip, t_coeff):
         return None
     q = mean_lip * t_coeff / opial_sum()
@@ -344,8 +342,7 @@ def admissible_eps(mean_lip: float, t_coeff: float) -> float | None:
 
 
 def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
-               mean_lip: float, t_coeff: float, rng: np.random.Generator,
-               radii):
+               mean_lip: float, t_coeff: float, radii):
     """One certified contraction step: returns (w, StepReport).
 
     Takes the radius r of ``x0`` as the least of ``radii``, each record's
@@ -354,10 +351,11 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
     the detected limit of the best record, then the limit of means of a
     low-score subsequence of at most 24 of the newest means.  Whichever
     limit sits within rho (trailing limsup in norm) is recentered into the
-    body, and the recenter point must pass two measured certificates:
-    radius contraction by (1 - eps) and the displacement bound
-    (2 + (1 + eps) mean_lip) r, each up to ``BRANCH_SLACK``.
-    Certificate failure raises BranchConditionError; nothing is papered over.
+    body by its closed-form witness, and the recenter point must pass two
+    measured certificates: radius contraction by (1 - eps) and the
+    displacement bound (2 + (1 + eps) mean_lip) r, each up to
+    ``BRANCH_SLACK``.  A limit that the body refuses to recenter, or a
+    failed certificate, raises BranchConditionError; nothing is papered over.
     """
     records = list(records)
     if not records:
@@ -381,8 +379,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
     phi_min = None
     if gap_x is not None and gap_x <= rho + BRANCH_SLACK:
         branch = "x_limit"
-        result = C.recenter(best.limit, best.points, rng=rng)
-        r_after = best.radius_from(result.point)
+        limit, means = best.limit, best.points
     else:
         # two _phi_values passes and an extraction: run only when needed
         zs = records[-1].points
@@ -402,10 +399,14 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
                 f"no branch within rho={rho:.4g}: limit gap {gap_x}, "
                 f"means gap {gap_z}")
         branch = "mean_limit"
-        result = C.recenter(z_lim, zbar, rng=rng)
-        r_after = float(_phi_values([result.point], zbar)[0])
+        limit, means = z_lim, zbar
 
-    w = result.point
+    try:
+        w = C.recenter(limit)
+    except ValueError as exc:
+        raise BranchConditionError(str(exc)) from None
+    # bit-equal to best.radius_from(w) on the limit branch
+    r_after = float(_phi_values([w], means)[0])
     if r_after > (1.0 - eps) * r0 + BRANCH_SLACK:
         raise BranchConditionError(
             f"contraction certificate failed: {r_after:.6g} > "
@@ -419,8 +420,7 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
     report = StepReport(branch=branch, r_before=r0, r_after=r_after, rho=rho,
                         limit_gap_x=gap_x, limit_gap_means=gap_z,
                         displacement=displacement, displacement_bound=disp_bound,
-                        recenter_bound=result.bound_type, near_achieving=near,
-                        phi_min=phi_min)
+                        near_achieving=near, phi_min=phi_min)
     return w, report
 
 
@@ -635,7 +635,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
             # keywords after ``pool``: the benchmark's traced wrapper takes
             # five positional arguments
             w, report = proof_step(T, C, a, eps0, pool, mean_lip=mean_lip,
-                                   t_coeff=t_coeff, rng=rng, radii=radii)
+                                   t_coeff=t_coeff, radii=radii)
         except (BranchConditionError, ExtendSequenceError) as exc:
             return finish_with_classification(outer, r0, str(exc))
         residual_w = _safe_residual(T, w)

@@ -28,7 +28,6 @@ from fptlab import sets
 from fptlab.grid import MAX_LEVEL, window_length
 from fptlab.sets import (
     PHI_BLOCK_FLOATS,
-    SAMPLED_CANDIDATES,
     PointRows,
     SequenceFamily,
     _phi_values,
@@ -155,10 +154,7 @@ def test_recenter_ball_returns_interior_point():
     body = UnitBall(6)
     rng = np.random.default_rng(7)
     x = 0.5 * body.sample(rng)
-    seq = [body.sample(rng) for _ in range(8)]
-    res = body.recenter(x, seq, rng=rng)
-    assert res.bound_type == "exact"
-    assert norm(res.point - x) <= 1e-12
+    assert norm(body.recenter(x) - x) <= 1e-12
 
 
 def test_recenter_cone_hull_vertex_witness():
@@ -168,11 +164,9 @@ def test_recenter_cone_hull_vertex_witness():
     fam = peak_family(level, k_min=4)
     for a in (0.0, 0.25, 0.5, 0.75):
         body = ConeHull(a, level)
-        res = body.recenter(GridFunction.zero(level), fam.points,
-                            rng=np.random.default_rng(0))
-        assert res.bound_type == "exact"
-        assert np.max(np.abs(res.point.values - a)) <= 1e-9
-        ratio = limsup_tail([norm(res.point - p) for p in fam.points])
+        w = body.recenter(GridFunction.zero(level))
+        assert np.max(np.abs(w.values - a)) <= 1e-9
+        ratio = limsup_tail([norm(w - p) for p in fam.points])
         assert abs(ratio - (1.0 + a)) <= 0.02 * (1.0 + a)
 
 
@@ -195,11 +189,8 @@ def _foreign_points(body):
 
 def test_bodies_refuse_points_of_another_space():
     # the space test comes before every constraint, and a refused point never
-    # reaches a recenter witness: recentering falls back to sampling
-    rng = np.random.default_rng(12)
+    # reaches a recenter witness: recenter refuses it with the space message
     for body in catalog():
-        seq = [body.sample(rng) for _ in range(4)]
-
         def witness(x, _name=body.name):
             raise AssertionError(f"{_name}: witness called on {x!r}")
 
@@ -207,8 +198,9 @@ def test_bodies_refuse_points_of_another_space():
         for x, message in _foreign_points(body):
             assert body.violation(x, 1e-7) == message, body.name
             assert not body.membership(x, 1e-7)
-            res = body.recenter(x, seq, rng=rng)
-            assert res.bound_type == "upper" and body.membership(res.point, 1e-7)
+            with pytest.raises(ValueError) as err:
+                body.recenter(x)
+            assert str(err.value) == f"no recenter point in {body.name}: {message}"
 
 
 def test_cone_hull_at_one_is_the_density_simplex():
@@ -235,18 +227,14 @@ def test_cone_hull_at_one_is_the_density_simplex():
         for row in rows:
             got = hull._recenter_witness(space.like(row))
             ref = simplex._recenter_witness(space.like(row))
-            assert (got is None) == (ref is None)
-            if ref is not None:
-                assert got.values.tobytes() == ref.values.tobytes()
+            assert got.values.tobytes() == ref.values.tobytes()
 
 
 def test_recenter_witness_for_member_is_identity():
     rng = np.random.default_rng(8)
     for body in catalog():
         x = body.sample(rng)
-        res = body.recenter(x, (x,), rng=rng)
-        assert res.bound_type == "exact"
-        assert norm(res.point - x) <= 1e-9, body.name
+        assert norm(body.recenter(x) - x) <= 1e-9, body.name
 
 
 def test_recenter_bump_tail_ratio_exact():
@@ -254,28 +242,31 @@ def test_recenter_bump_tail_ratio_exact():
     for t in (1.25, 1.5, 1.75):
         body = BumpSimplex(t, slots)
         fam = bump_tail_family(t, slots, k_min=2)
-        res = body.recenter(origin(body), fam.points,
-                            rng=np.random.default_rng(0))
-        assert res.bound_type == "exact"
+        w = body.recenter(origin(body))
         # witness is the shrunken first vertex, norm t - 1
-        assert abs(norm(res.point) - (t - 1.0)) <= 1e-12
-        ratio = limsup_tail([norm(res.point - p) for p in fam.points])
+        assert abs(norm(w) - (t - 1.0)) <= 1e-12
+        ratio = limsup_tail([norm(w - p) for p in fam.points])
         assert abs(ratio - t) <= 1e-9
 
 
 def test_recenter_output_always_member():
-    rng = np.random.default_rng(9)
     for body in catalog():
-        x = origin(body)
-        seq = [body.sample(rng) for _ in range(8)]
-        res = body.recenter(x, seq, rng=rng)
-        assert body.membership(res.point, tol=1e-6), body.name
+        assert body.membership(body.recenter(origin(body)), tol=1e-6), body.name
 
 
-def test_recenter_rejects_empty_sequence():
-    body = DensitySimplex(4)
-    with pytest.raises(ValueError):
-        body.recenter(GridFunction.zero(4), (), rng=np.random.default_rng(0))
+def test_recenter_refuses_a_median_that_left_the_simplex():
+    # a cellwise median of members need not be a member: the median of
+    # these three densities has integral 1.5, and no constant shift brings
+    # the integral down, so the witness fails the body's check
+    body = DensitySimplex(2)
+    members = [GridFunction(2, np.array(v, dtype=float))
+               for v in ((2, 2, 0, 0), (0, 2, 2, 0), (2, 0, 2, 0))]
+    assert all(body.membership(m, 1e-12) for m in members)
+    median = GridFunction(2, np.median([m.values for m in members], axis=0))
+    assert median.values.tolist() == [2.0, 2.0, 2.0, 0.0]
+    with pytest.raises(ValueError, match=r"^no recenter point in density_simplex: "
+                                         r"integral 1\.5 != 1$"):
+        body.recenter(median)
 
 
 def test_coord_point_arithmetic_and_norm():
@@ -590,26 +581,6 @@ def test_measure_distances_reject_mixed_points():
         measure_distances(GridFunction.zero(4), [GridFunction.zero(5)])
     with pytest.raises(ValueError, match="mixed coordinate spaces"):
         measure_distances(CoordPoint(1.5, np.zeros(8)), [CoordPoint(1.9, np.ones(8))])
-
-
-def test_recenter_sampled_returns_the_first_minimizer():
-    # copies of the sequence's own point tie at radius 0 among the sampled
-    # candidates; the first one wins, as it did with min(key=)
-    rng = np.random.default_rng(13)
-    body = ConeHull(0.25, 6)
-    drawn = [body.sample(rng) for _ in range(5)]
-    picks = [3, 4, 0, 2] * (SAMPLED_CANDIDATES // 4)
-    for i in (7, 20, 41):
-        picks[i] = 1
-    pool = [drawn[i].like(drawn[i].values) for i in picks]
-    feed = iter(pool)
-    body.sample = lambda _rng: next(feed)
-    seq = [drawn[1], drawn[1]]
-    x = GridFunction.constant(3.0, 6)  # not a member, so never a candidate
-    scores = _norm_loops(pool, seq)
-    assert [i for i, v in enumerate(scores) if v == 0.0] == [7, 20, 41]
-    got = body._recenter_sampled(x, seq, rng)
-    assert got is pool[7] is min(pool, key=lambda c: scores[pool.index(c)])
 
 
 def _scalar_violation(body, x, tol):

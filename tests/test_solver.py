@@ -597,14 +597,24 @@ def test_admissible_eps_validation():
         admissible_eps(1.0, -1.0)
 
 
+def test_gate_refuses_coefficients_that_are_not_finite_and_positive():
+    # one check in fixed_point_gate, which admissible_eps reads first: a
+    # negative growth must not open the gate, nor a NaN close it
+    for bad in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0), (1.0, bad)):
+            for gate in (fixed_point_gate, admissible_eps):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    gate(*args)
+
+
 # ---------------------------------------------------------------------------
 # proof_step
 
 
 def _priced_step(T, C, x0, eps, records, **kwargs):
     """proof_step handed each record's radius from ``x0``, priced as solve
-    prices it, and a seeded generator."""
-    return proof_step(T, C, x0, eps, records, rng=np.random.default_rng(0),
+    prices it."""
+    return proof_step(T, C, x0, eps, records,
                       radii=[rec.radius_from(x0) for rec in records], **kwargs)
 
 
@@ -621,7 +631,6 @@ def test_proof_step_contracts_cyclic_radius():
     assert report.rho == pytest.approx(
         report.r_before * (1.0 - eps) / (1.0 + eps))
     assert report.displacement <= report.displacement_bound
-    assert report.recenter_bound in ("exact", "upper")
     assert report.near_achieving
     assert report.phi_min is None and report.limit_gap_means is None
     assert ball.membership(w, 1e-7)
@@ -693,13 +702,36 @@ def test_proof_step_reads_the_radii_it_is_handed():
     eps = admissible_eps(1.0, 1.0)
     w, report = _priced_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0)
     w2, report2 = proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
-                             rng=np.random.default_rng(0), radii=radii)
+                             radii=radii)
     assert w2.array.tobytes() == w.array.tobytes()
     assert report2 == report
     assert report.r_before == min(radii)
     with pytest.raises(ValueError, match="one radius per record"):
         proof_step(T, ball, x0, eps, recs, mean_lip=1.0, t_coeff=1.0,
-                   rng=np.random.default_rng(0), radii=radii[:1])
+                   radii=radii[:1])
+
+
+class _WitnessLessBall(UnitBall):
+    """The unit ball with no closed-form recenter witness."""
+
+    def _recenter_witness(self, x):
+        return None
+
+
+def test_a_body_without_a_witness_ends_in_diagnosis():
+    # without a witness the step refuses, and solve diagnoses as it does for
+    # any failed certificate
+    ball = _WitnessLessBall(6)
+    T = CyclicShift(ball)
+    x0 = ball.sample(np.random.default_rng(3))
+    refusal = "no recenter point in ball: no closed-form witness"
+    rec = build_afps_record(T, x0, 512)
+    with pytest.raises(BranchConditionError, match=f"^{refusal}$"):
+        _priced_step(T, ball, x0, admissible_eps(1.0, 1.0), [rec],
+                     mean_lip=1.0, t_coeff=1.0)
+    out = solve(T, ball, x0)
+    assert out.status == BUDGET
+    assert out.diagnostics["branch_failure"] == refusal
 
 
 def test_proof_step_validation(cyclic_means):
