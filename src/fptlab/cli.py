@@ -2,10 +2,10 @@
 and scan the sharpness boundary.
 
 Every command is deterministic given its seed: the same invocation writes
-byte-identical output files.  The FPTLAB_SEED environment variable overrides
-the --seed flag for all commands.  Exit codes: 0 when the command's
-expectation holds (all table rows pass, the solver finds a fixed point),
-1 when a run completes with a negative verdict, 2 for configuration errors.
+byte-identical output files; the --seed flag is the only source of the
+seed.  Exit codes: 0 when the command's expectation holds (all table rows
+pass, the solver finds a fixed point), 1 when a run completes with a
+negative verdict, 2 for configuration errors.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -102,17 +101,6 @@ def _point_payload(point):
     if point is None:
         return None
     return {"kind": point.kind, **json.loads(point.to_json())}
-
-
-def _env_seed(seed: int | None) -> int | None:
-    """FPTLAB_SEED when set, else the --seed flag."""
-    env = os.environ.get("FPTLAB_SEED")
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"FPTLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
@@ -218,9 +206,8 @@ def cmd_reproduce(args) -> int:
     overrides = {}
     if args.level is not None:
         overrides["level"] = args.level
-    seed = _env_seed(args.seed)
-    if seed is not None:
-        overrides["seed"] = seed
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if overrides:
         cfg = ExperimentConfig.from_dict({**asdict(cfg), **overrides})
     rows, all_pass = run_reproduce(cfg)
@@ -238,20 +225,18 @@ _ORBIT_HEADER = ["s", "residual", "norm", "ky_fan_to_detected_limit"]
 
 
 def cmd_solve(args) -> int:
-    seed = _env_seed(args.seed)
     # each flag fills the parameter of that name wherever a spec leaves it out
     flags = {"level": args.level, "M": args.M, "t": args.t, "a": args.a}
     body = body_from_spec(_parse_spec(args.set, "set"), **flags)
     op = operator_from_spec(_parse_spec(args.op, "op"), body, **flags)
 
     if args.mode == "proof":
-        outcome = solve(op, body, tol=args.tol, max_outer=args.max_outer,
-                        n_inner=args.n_inner, budget=args.budget, seed=seed)
+        outcome = solve(op, body, tol=args.tol, seed=args.seed)
         header, rows = _PROOF_HEADER, [
             [r.get(k) for k in _PROOF_HEADER] for r in outcome.trace]
     else:
         outcome = cesaro_solve(op, body, tol=args.tol, n_max=args.n_max,
-                               seed=seed)
+                               seed=args.seed)
         header, rows = _ORBIT_HEADER, [
             [r.get(k) for k in _ORBIT_HEADER] for r in outcome.trace]
 
@@ -263,7 +248,7 @@ def cmd_solve(args) -> int:
         "point": _point_payload(outcome.point),
         "diagnostics": _jsonable(outcome.diagnostics),
         "mode": args.mode,
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.out:
         with open(args.out, "w") as fh:
@@ -304,14 +289,13 @@ def run_sharpness(t_grid, slots: int, seed: int) -> tuple[list[list], bool]:
 
 
 def cmd_sharpness(args) -> int:
-    seed = _env_seed(args.seed)
     t_grid = [float(v) for v in args.t_grid.split(",") if v]
     if not t_grid:
         raise ValueError("the t grid is empty")
     for t in t_grid:
         if not (1.0 < t < 2.0):
             raise ValueError(f"t values must lie in (1, 2), got {t}")
-    rows, all_pass = run_sharpness(t_grid, args.M, seed)
+    rows, all_pass = run_sharpness(t_grid, args.M, args.seed)
     _write_rows(args.out, _SHARP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}: "
           f"{'all pass' if all_pass else 'FAILURES present'}")
@@ -341,15 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="body name or JSON spec, e.g. density_simplex or "
                         '{"set":"ct","t":1.5,"M":64}')
     p.add_argument("--mode", choices=("proof", "practical"), default="practical")
-    p.add_argument("--level", type=int, default=12)
-    p.add_argument("--M", type=int, default=64)
+    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--M", type=int, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--n-max", type=int, default=4096)
-    p.add_argument("--n-inner", type=int, default=None)
-    p.add_argument("--max-outer", type=int, default=16)
-    p.add_argument("--budget", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the outcome as JSON")
     p.add_argument("--trace", help="write the trace as CSV")

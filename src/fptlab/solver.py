@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -59,6 +60,8 @@ BRANCH_SLACK = 1e-6
 MEMBERSHIP_TOL = 1e-6
 #: Largest in-measure spread at which the restart limits agree.
 MEASURE_TOL = 0.02
+#: Contraction steps of the certified solver.
+MAX_OUTER = 16
 
 
 class ExtendSequenceError(RuntimeError):
@@ -328,17 +331,25 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
 
 def admissible_eps(mean_lip: float, t_coeff: float) -> float | None:
     """Half the largest eps with mean_lip < (opial/t_coeff)(1-eps)/(1+eps)**2,
-    opial = ``opial_sum()``, or None when ``fixed_point_gate`` is closed (or
-    the closed form cancels to 0, at mean_lip * t_coeff / opial below about
-    1e-16).  The gate refuses coefficients that are not finite and
-    positive."""
+    opial = ``opial_sum()``, and None exactly where ``fixed_point_gate`` is
+    closed.  The gate refuses coefficients that are not finite and positive.
+
+    With q = mean_lip * t_coeff / opial the root is
+    (sqrt(1 + 8q) - (2q + 1)) / (2q).  From q = 1/16 on that form is kept,
+    so the catalog's eps (q = 0.5 and 0.75) keep their bits; below it the
+    difference cancels (a relative error of about 1e-16 / q, and 0 from q
+    about 1e-16), so the root is taken rationalized, as
+    2(1 - q) / (sqrt(1 + 8q) + 2q + 1).  An open gate has q below
+    1 - ``GATE_MARGIN``, so eps then exceeds 1e-10."""
     if not fixed_point_gate(mean_lip, t_coeff):
         return None
     q = mean_lip * t_coeff / opial_sum()
-    disc = (2.0 * q + 1.0) ** 2 - 4.0 * q * (q - 1.0)
-    e_star = 1.0 if q == 0.0 else (-(2.0 * q + 1.0) + math.sqrt(disc)) / (2.0 * q)
-    eps = min(0.5 * e_star, 0.5)
-    return eps if eps > 1e-12 else None
+    if q < 0.0625:
+        e_star = 2.0 * (1.0 - q) / (math.sqrt(1.0 + 8.0 * q) + 2.0 * q + 1.0)
+    else:
+        disc = (2.0 * q + 1.0) ** 2 - 4.0 * q * (q - 1.0)
+        e_star = (-(2.0 * q + 1.0) + math.sqrt(disc)) / (2.0 * q)
+    return 0.5 * e_star
 
 
 def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
@@ -455,7 +466,8 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0):
         if not np.all(np.isfinite(means[-1])):
             x0.like(means[-1])
     limits = [_median_point(PointRows(x0, means)) for means in segments]
-    stability = max(measure_distance(a, b) for a in limits for b in limits)
+    # measure_distance is symmetric and zero on a pair of equals: 3 pairs
+    stability = max(measure_distance(a, b) for a, b in combinations(limits, 2))
     limit = limits[-1]
     zero = 0.0 * x0
     diag.update({
@@ -525,8 +537,7 @@ def _check_tol(tol: float) -> None:
 
 
 def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
-          max_outer: int = 16, n_inner: int | None = None,
-          budget: int = 10 ** 6, seed: int = 0) -> SolveOutcome:
+          seed: int = 0) -> SolveOutcome:
     """Certified fixed-point search for an affine map of a convex body.
 
     Entry enforces the affinity certificate and domain membership.  When
@@ -536,10 +547,12 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     failure, it switches to restart diagnosis and reports either escape in
     measure (limit left the body) or budget exhaustion.  A point pinned only
     by the mesh floor is never reported as a fixed point.
+
+    The work is fixed, not an option: at most ``MAX_OUTER`` contraction
+    steps, each after one record of ``_default_inner`` means (8 to 4096),
+    so a solve applies ``T`` at most about 1 + 16 * 4099 + 1 times.
     """
     _check_tol(tol)
-    if n_inner is not None and n_inner < 8:
-        raise ValueError(f"n_inner must be >= 8, got {n_inner}")
     rng = np.random.default_rng(seed)
     defect = affinity_defect(T, rng)
     if defect > 1e-7:
@@ -606,12 +619,8 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
 
     pool: list[AfpsRecord] = []
     a = x0
-    for outer in range(max_outer):
-        n_in = n_inner if n_inner is not None else _default_inner(T, a)
-        n_in = min(n_in, budget - apps - 8)
-        if n_in < 8:
-            return finish_with_classification(outer, None, "budget exhausted "
-                                              "before the next record")
+    for outer in range(MAX_OUTER):
+        n_in = _default_inner(T, a)
         try:
             rec = build_afps_record(T, a, n_in)
         except ExtendSequenceError as exc:
@@ -655,9 +664,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     residual_a = _safe_residual(T, a)
     apps += 1
     if _verified(T, C, a, residual_a, tol):
-        return accept_fixed(max_outer, a, residual_a, None)
-    return finish_with_classification(max_outer, None,
-                                      f"no convergence in {max_outer} outer steps")
+        return accept_fixed(MAX_OUTER, a, residual_a, None)
+    return finish_with_classification(MAX_OUTER, None,
+                                      f"no convergence in {MAX_OUTER} outer steps")
 
 
 def _step_screen(x0, first: np.ndarray):
@@ -754,9 +763,10 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
     loop refuses it at the add that overflows.
 
     Statuses do not always agree with the certified ``solve``: on ``cyclic``
-    over ``density_simplex`` and ``retraction`` over ``cone_hull(0)`` this
-    solver verifies a fixed point while ``solve``, whose growth gate is
-    closed there, reports budget_exhausted (ROADMAP item 3).
+    over ``density_simplex`` and over ``cone_hull(1)`` (the simplex by
+    another name), and on ``retraction`` over ``cone_hull(0)``, this solver
+    verifies a fixed point while ``solve``, whose growth gate is closed
+    there, reports budget_exhausted (ROADMAP item 3).
     """
     _check_tol(tol)
     if n_max < 1:

@@ -114,13 +114,13 @@ def test_reproduce_drift_radii_match_the_norm_loop(level, slots, seed):
         assert rows[quantity][2] == rows[quantity][3] == loop, quantity
 
 
-def test_reproduce_env_seed_overrides_flag(tmp_path, monkeypatch):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    assert main(["reproduce", "--out", str(out_a), "--seed", "123"]) == 0
+def test_reproduce_ignores_an_exported_seed_variable(tmp_path, monkeypatch):
+    # --seed is the only source of the seed: the variable that once
+    # overrode it is read by no command
+    out = tmp_path / "seeded.csv"
     monkeypatch.setenv("FPTLAB_SEED", "123")
-    assert main(["reproduce", "--out", str(out_b), "--seed", "0"]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+    assert main(["reproduce", "--out", str(out), "--seed", "0"]) == 0
+    assert out.read_bytes() == (GOLDEN / "reproduce-seed0.csv").read_bytes()
 
 
 def test_reproduce_reads_config_file(tmp_path):
@@ -293,7 +293,6 @@ def test_sharpness_on_few_slots(tmp_path):
 
 
 def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FPTLAB_SEED", raising=False)
     out = ["--out", str(tmp_path / "o")]
 
     def exits_two(argv, message="error:"):
@@ -317,11 +316,16 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
                            (["--tol", "-1"], "tol must be finite and >= 0"),
                            (["--tol", "nan"], "tol must be finite and >= 0"),
                            (["--mode", "proof", "--tol", "-1"], "tol must be"),
-                           (["--mode", "proof", "--tol", "inf"], "tol must be"),
-                           (["--mode", "proof", "--n-inner", "7"],
-                            "n_inner must be >= 8")):
+                           (["--mode", "proof", "--tol", "inf"], "tol must be")):
         exits_two(["solve", "--op", "cyclic", "--set", "ball", "--level", "4"]
                   + flags, message)
+    # the certified solver's work is fixed: argparse refuses the old knobs
+    for flag in ("--n-inner", "--max-outer", "--budget"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--op", "cyclic", "--set", "ball", "--mode", "proof",
+                  flag, "10"] + out)
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
     # malformed values: each is rejected where it is parsed
     for body in ('{"set":"ct","t":null}', '{"set":"ct","M":[3]}',
                  '{"set":"ball","level":1.7}', '{"set":"ball","level":true}',
@@ -345,10 +349,6 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
         bad_cfg = tmp_path / "bad.json"
         bad_cfg.write_text(text)
         exits_two(["reproduce", "--config", str(bad_cfg)])
-    monkeypatch.setenv("FPTLAB_SEED", "abc")
-    for command in (["reproduce"], ["sharpness"],
-                    ["solve", "--op", "cyclic", "--set", "ball"]):
-        exits_two(command, "FPTLAB_SEED must be an integer, got 'abc'")
 
 
 def test_reproduce_config_refuses_window_and_tolerance_keys(tmp_path, capsys):
@@ -387,14 +387,12 @@ def test_reproduce_config_refuses_window_and_tolerance_keys(tmp_path, capsys):
 ], ids=["reproduce", "sharpness", "solve-ct_shift", "solve-proof-ball",
         "solve-proof-cone_hull", "solve-practical-ball",
         "solve-practical-pinned"])
-def test_outputs_match_golden_bytes(tmp_path, monkeypatch, argv, golden, code,
-                                    trace):
+def test_outputs_match_golden_bytes(tmp_path, argv, golden, code, trace):
     """The files under tests/golden were written by these commands.  The
     ct_shift JSON carries a norm that moves in the last place if the two
     point types ever share one norm expression.  The two practical grid
     marches also pin their --trace CSV: the ball march stops on a residual
     at step 256, the cone hull march on a pinned orbit."""
-    monkeypatch.delenv("FPTLAB_SEED", raising=False)
     out = tmp_path / golden
     extra = [] if trace is None else ["--trace", str(tmp_path / trace)]
     assert main(argv + ["--out", str(out)] + extra) == code
@@ -428,8 +426,7 @@ def _solve_bytes(tmp_path, name, argv):
       "--mode", "proof"],
      ["--op", "cyclic", "--set", "ball", "--level", "5", "--mode", "proof"]),
 ], ids=["flag-fills", "spec-wins", "ct-flags", "proof-level"])
-def test_flags_fill_what_the_spec_leaves_out(tmp_path, monkeypatch, flags, spec):
-    monkeypatch.delenv("FPTLAB_SEED", raising=False)
+def test_flags_fill_what_the_spec_leaves_out(tmp_path, flags, spec):
     assert _solve_bytes(tmp_path, "flags", flags) == \
         _solve_bytes(tmp_path, "spec", spec)
 

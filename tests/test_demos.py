@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_stdout_matches_golden(demo):
-    env = {k: v for k, v in os.environ.items() if k != "FPTLAB_SEED"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     # -W error: the pytest warning filter does not reach the subprocess

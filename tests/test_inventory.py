@@ -33,9 +33,6 @@ coefficients.opial_cross_check(c)
 coefficients.opial_cross_check(level)
 solver.solve(x0)
 solver.solve(tol)
-solver.solve(max_outer)
-solver.solve(n_inner)
-solver.solve(budget)
 solver.solve(seed)
 solver.cesaro_solve(x0)
 solver.cesaro_solve(tol)
@@ -80,4 +77,4 @@ def defaulted_parameters() -> list[str]:
 
 def test_defaulted_parameters_are_the_listed_ones():
     assert defaulted_parameters() == DEFAULTED
-    assert len(DEFAULTED) == 32
+    assert len(DEFAULTED) == 29

@@ -560,25 +560,48 @@ def test_admissible_eps_opens_exactly_where_the_gate_does():
     assert not fixed_point_gate(m, 1.0) and admissible_eps(m, 1.0) is None
 
 
+def _rationalized_eps(mean_lip, t_coeff):
+    """Half the root 2(1 - q) / (sqrt(1 + 8q) + 2q + 1), q = m t / 2."""
+    q = mean_lip * t_coeff / 2.0
+    return (1.0 - q) / (math.sqrt(1.0 + 8.0 * q) + 2.0 * q + 1.0)
+
+
 def test_admissible_eps_bit_equal_to_the_halving_loop():
-    # every eps of an open gate is the closed form's, bit for bit: the
-    # halving loop never ran there
+    # from q = 1/16 on, every eps of an open gate is the closed form's, bit
+    # for bit: the halving loop never ran there; below it the closed form
+    # cancels and eps is half the rationalized root
     rng = np.random.default_rng(29)
     qs = np.concatenate([10.0 ** rng.uniform(-18.0, 0.0, 3000),
                          1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 3000)])
     ts = 10.0 ** rng.uniform(-3.0, 3.0, qs.size)
-    opened = 0
+    opened = below = 0
     for q, t in zip(qs.tolist(), ts.tolist()):
         m = 2.0 * q / t
         got = admissible_eps(m, t)
-        if fixed_point_gate(m, t):
-            ref = _halving_admissible_eps(m, t)
-            assert got == ref, (m, t, got, ref)
-            opened += got is not None
-        else:
+        if not fixed_point_gate(m, t):
             assert got is None, (m, t)
-    assert opened >= 4000
+            continue
+        assert got is not None, (m, t)
+        opened += 1
+        if m * t / 2.0 < 0.0625:
+            below += 1
+            ref = _rationalized_eps(m, t)
+        else:
+            ref = _halving_admissible_eps(m, t)
+        assert got == ref, (m, t, got, ref)
+    assert opened >= 4000 and below >= 2000
     assert admissible_eps(1.0, 1.0) == 0.1180339887498949
+    assert admissible_eps(1.0, 1.5) == _halving_admissible_eps(1.0, 1.5)
+
+
+def test_admissible_eps_does_not_cancel_at_small_growth():
+    # a growth near 0 gives eps near 1/2, where the closed form's
+    # difference would cancel to 0.444 (1e-15) or to nothing (1e-16 on)
+    for m in (1e-15, 1e-16, 4e-17, 1e-17):
+        assert fixed_point_gate(m, 1.0)
+        eps = admissible_eps(m, 1.0)
+        assert eps is not None and abs(eps - 0.5) <= 1e-14, (m, eps)
+        assert m < 2.0 * (1.0 - eps) / (1.0 + eps) ** 2
 
 
 def test_admissible_eps_satisfies_strict_inequality():
@@ -2027,6 +2050,23 @@ def test_restart_diagnosis_is_bit_equal_to_the_point_loop():
     simplex = DensitySimplex(10)
     _assert_same_outcome_as(_reference_classify_escape, classify_escape,
                             DoublingShift(simplex), simplex, GridFunction.constant(1.0, 10))
+
+
+def test_restart_stability_prices_each_pair_of_limits_once(monkeypatch):
+    # three restart limits have three distinct pairs; with the distance to
+    # zero that makes four measure_distance calls, not ten
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return measure_distance(x, y)
+
+    monkeypatch.setattr(solver_module, "measure_distance", counted)
+    simplex = DensitySimplex(10)
+    status, _, diag = classify_escape(DoublingShift(simplex), simplex,
+                                      GridFunction.constant(1.0, 10))
+    assert status == ESCAPED and "restart_stability" in diag
+    assert len(calls) == 4
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
