@@ -38,7 +38,7 @@ from .sets import (
     checked_params,
     peak_family,
 )
-from .solver import STATUS_FIXED, cesaro_solve, solve
+from .solver import ORBIT_TRACE, PROOF_TRACE, STATUS_FIXED, cesaro_solve, solve
 
 #: Relative tolerance of the reproduce table's bracket rows.
 TOL_REL = 0.02
@@ -103,7 +103,8 @@ def _point_payload(point):
     return {"kind": point.kind, **json.loads(point.to_json())}
 
 
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str, header: list[str] | tuple[str, ...],
+               rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -219,11 +220,6 @@ def cmd_reproduce(args) -> int:
 
 # -------------------------------------------------------------------- solve
 
-_PROOF_HEADER = ["outer_iter", "r_estimate", "branch", "displacement",
-                 "residual", "ky_fan_to_limit", "membership"]
-_ORBIT_HEADER = ["s", "residual", "norm", "ky_fan_to_detected_limit"]
-
-
 def cmd_solve(args) -> int:
     # each flag fills the parameter of that name wherever a spec leaves it out
     flags = {"level": args.level, "M": args.M, "t": args.t, "a": args.a}
@@ -232,16 +228,14 @@ def cmd_solve(args) -> int:
 
     if args.mode == "proof":
         outcome = solve(op, body, tol=args.tol, seed=args.seed)
-        header, rows = _PROOF_HEADER, [
-            [r.get(k) for k in _PROOF_HEADER] for r in outcome.trace]
+        columns = PROOF_TRACE
     else:
         outcome = cesaro_solve(op, body, tol=args.tol, n_max=args.n_max,
                                seed=args.seed)
-        header, rows = _ORBIT_HEADER, [
-            [r.get(k) for k in _ORBIT_HEADER] for r in outcome.trace]
+        columns = ORBIT_TRACE
 
     if args.trace:
-        _write_rows(args.trace, header, rows)
+        _write_rows(args.trace, columns, [[r[k] for k in columns] for r in outcome.trace])
     payload = {
         "status": outcome.status,
         "residual": outcome.residual,

@@ -164,10 +164,9 @@ def disjoint_additivity_defect(points, z) -> float:
     """
     if isinstance(points, SequenceFamily):
         points = points.points
-    points = list(points)
+    points = point_rows(points)
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    points = point_rows(points)
     zero = 0.0 * points.space
     defect = limsup_tail(measure_distances(zero, points))
     if defect > VANISH_TOL:

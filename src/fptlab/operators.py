@@ -392,18 +392,23 @@ def affinity_defect(T: AffineOperator, rng: np.random.Generator) -> float:
             if problems[i] is not None:
                 raise T.domain_error(problems[i])
             T.map_array(space, point, images[k])
-            # the point class refuses a non-finite image or gap
-            if not np.isfinite(images[k]).all():
-                space.like(images[k])
+            _refuse_nonfinite(space, images[k])
             if k >= 2:
                 gap = gaps[k - 2]
                 np.subtract(images[k], images[0] * lam[k - 2]
                             + images[1] * (1.0 - lam[k - 2]), out=gap)
-                if not np.isfinite(gap).all():
-                    space.like(gap)
+                _refuse_nonfinite(space, gap)
             if k == len(images) - 1:
                 worst = max(worst, float(space.row_norms(gaps).max(initial=0.0)))
     return worst
+
+
+def _refuse_nonfinite(space, values: np.ndarray) -> None:
+    """Refuse ``values`` unless every one is finite, with the error that
+    ``space``'s point class raises, which names no value, as the point
+    arithmetic refuses such an array."""
+    if not np.isfinite(values).all():
+        space.like(values)
 
 
 def orbit_rows(T: AffineOperator, space, rows: np.ndarray, count: int, *,

@@ -207,10 +207,13 @@ class PointRows(Sequence):
 
 def point_rows(points) -> PointRows:
     """``points`` as a PointRows: one as it is, any other nonempty iterable
-    of points of one space stacked once."""
+    of points of one space stacked once; an empty one is refused with
+    ValueError."""
     if isinstance(points, PointRows):
         return points
     points = list(points)
+    if not points:
+        raise ValueError("need at least one point")
     space = points[0]
     for p in points:
         space._compat(p)
@@ -265,17 +268,19 @@ def measure_distance(x, y) -> float:
     weight * |dx|, so the slot contributes min(weight * |dx|, width): one
     exact term per slot.  On bump coordinates this equals the grid distance
     of their exact grid images (``embed_coord`` of tests/test_sets.py).
+    The one-row case of ``measure_distances``, which holds the formula; ``y``
+    enters it as a view of its array, not a copy.
     """
     if type(x) is not type(y) or not isinstance(x, _POINT_TYPES):
         raise TypeError("mixed or unsupported point types")
-    x._compat(y)
-    return float(np.minimum(x.weights * np.abs(x.array - y.array), x.widths).sum())
+    return float(measure_distances(x, PointRows(y, y.array[None]))[0])
 
 
 def measure_distances(x, points) -> np.ndarray:
     """``measure_distance`` from ``x`` to each of ``points`` (a PointRows or
-    a sequence of points), bit-equal to it: |p - x| is |x - p| exactly, and
-    each row is summed as one 1-d array is."""
+    a nonempty sequence of points): the one in-measure distance kernel.
+    |p - x| is |x - p| exactly, and each row is summed as one 1-d array
+    is."""
     points = point_rows(points)
     if type(x) is not type(points.space) or not isinstance(x, _POINT_TYPES):
         raise TypeError("mixed or unsupported point types")
@@ -551,17 +556,21 @@ class SequenceFamily:
 
     ``limit`` is the point the sequence approaches in measure (often the
     origin, which usually lies outside the body).  Estimators verify the
-    declaration on the trailing window instead of trusting it.
+    declaration on the trailing window instead of trusting it.  ``points``
+    may be given as any sequence of at least 2 points of one space and is
+    kept as one PointRows, stacked once here, which the kernels read as it
+    is.
     """
 
     name: str
-    points: tuple
+    points: PointRows
     limit: object
 
     def __post_init__(self) -> None:
-        if len(self.points) < 2:
+        points = point_rows(self.points)
+        if len(points) < 2:
             raise ValueError("need at least 2 points")
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", points)
 
     def drift_defect(self) -> float:
         """Largest trailing in-measure distance to the declared limit."""

@@ -30,6 +30,7 @@ from .operators import (
     CyclicShift,
     DomainError,
     MassOverflowError,
+    _refuse_nonfinite,
     affinity_defect,
     afps_residual,
     mean_lipschitz,
@@ -62,6 +63,12 @@ MEMBERSHIP_TOL = 1e-6
 MEASURE_TOL = 0.02
 #: Contraction steps of the certified solver.
 MAX_OUTER = 16
+
+#: Columns of a trace row of the certified solver, one row per outer step.
+PROOF_TRACE = ("outer_iter", "r_estimate", "branch", "displacement",
+               "residual", "ky_fan_to_limit", "membership")
+#: Columns of a trace row of the practical solver, one row per kept mean.
+ORBIT_TRACE = ("s", "residual", "norm", "ky_fan_to_detected_limit")
 
 
 class ExtendSequenceError(RuntimeError):
@@ -123,8 +130,9 @@ class AfpsRecord:
     stays bounded: the residual of the s-th mean decays like 1/s by the
     affine two-point identity (``operators.afps_residual``).  ``limit`` is
     the in-measure cluster point of the trailing means when one exists (see
-    komlos_extract).  ``points`` may be given as any sequence of points and
-    is kept as one PointRows, an (n, slots) array of the means.
+    komlos_extract), and its spread is ``radius_from(limit)``.  ``points``
+    may be given as any sequence of points and is kept as one PointRows, an
+    (n, slots) array of the means.
     """
 
     points: PointRows
@@ -139,12 +147,6 @@ class AfpsRecord:
         """Trailing limsup of norm distances from ``y`` to the means, over
         the window of ``grid.window_length``."""
         return float(_phi_values([y], self.points)[0])
-
-    def limit_spread(self) -> float | None:
-        """Trailing limsup of norm distances from the detected limit."""
-        if self.limit is None:
-            return None
-        return self.radius_from(self.limit)
 
 
 @dataclass(frozen=True)
@@ -206,8 +208,9 @@ def komlos_extract(seq, *, extraction_tol: float):
 
     Greedy cluster growth around the last term, over at most 64 candidates
     from the trailing window of the sequence (``grid.WINDOW_FRACTION``), the
-    window a record's radius reads (geometric offsets from the end plus an
-    even spread): the nearest candidate in measure joins, ties to the earliest,
+    window a record's radius reads: the geometric offsets 0, 1, 2, 4, ...
+    from the end, at most 1 + log2(n) of them, and an even spread that fills
+    the rest.  The nearest candidate in measure joins, ties to the earliest,
     while it lies within ``extraction_tol`` of the cluster's cellwise
     median.  The returned limit is the median of the cluster and lies
     within ``extraction_tol`` in measure of every selected term.  When no
@@ -237,10 +240,9 @@ def komlos_extract(seq, *, extraction_tol: float):
     while n - 1 - step >= start:
         picks.add(n - 1 - step)
         step *= 2
-    room = 64 - len(picks)
-    if room > 0:
-        picks.update(int(i) for i in np.linspace(start, n - 1, num=min(room, n - start), dtype=int))
-    cand = sorted(picks)[-64:]
+    picks.update(np.linspace(start, n - 1, num=min(64 - len(picks), n - start),
+                             dtype=int).tolist())
+    cand = sorted(picks)
 
     C = rows[cand]
     top = float(seq.space.row_norms(C).max())
@@ -317,8 +319,7 @@ def build_afps_record(T: AffineOperator, x0, n_inner: int) -> AfpsRecord:
         raise ExtendSequenceError("orbit ended before the first residual")
     # a sum that overflows stays non-finite, so the last one vouches for
     # every mean
-    if not np.all(np.isfinite(total)):
-        x0.like(total)
+    _refuse_nonfinite(x0, total)
     means = PointRows(x0, means[:n])
     limit = None
     if n >= 8:
@@ -384,11 +385,11 @@ def proof_step(T: AffineOperator, C: ConvexBody, x0, eps: float, records, *,
     i_best = min(with_limits, key=radii.__getitem__)
     best = records[i_best]
     near = radii[i_best] <= r0 * (1.0 + eps) + BRANCH_SLACK
-    gap_x = best.limit_spread()
+    gap_x = best.radius_from(best.limit)
 
     gap_z = None
     phi_min = None
-    if gap_x is not None and gap_x <= rho + BRANCH_SLACK:
+    if gap_x <= rho + BRANCH_SLACK:
         branch = "x_limit"
         limit, means = best.limit, best.points
     else:
@@ -463,8 +464,7 @@ def classify_escape(T: AffineOperator, C: ConvexBody, x0):
         segments = [running_means(rows[off + 1:off + seg_len + 1]) for off in offsets]
     for means in segments:
         # a sum that overflows stays non-finite: the last mean vouches for it
-        if not np.all(np.isfinite(means[-1])):
-            x0.like(means[-1])
+        _refuse_nonfinite(x0, means[-1])
     limits = [_median_point(PointRows(x0, means)) for means in segments]
     # measure_distance is symmetric and zero on a pair of equals: 3 pairs
     stability = max(measure_distance(a, b) for a, b in combinations(limits, 2))
@@ -573,7 +573,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
         "t_coeff": t_coeff,
         "t_source": t_source,
         "opial": opial,
-        "gate_open": fixed_point_gate(mean_lip, t_coeff),
+        "gate_open": eps0 is not None,
         "eps": eps0,
         "affinity_defect": defect,
         "applications": 0,
@@ -581,31 +581,21 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     trace: list[dict] = []
     apps = 0
 
+    def add_row(*values) -> None:
+        trace.append(dict(zip(PROOF_TRACE, values)))
+
     def finish_with_classification(outer: int, r_est: float | None, reason: str):
         status, limit, residual = _diagnose(T, C, x0, diagnostics, apps,
                                             "branch_failure", reason)
-        trace.append({
-            "outer_iter": outer,
-            "r_estimate": r_est,
-            "branch": "diagnostic",
-            "displacement": None,
-            "residual": residual,
-            "ky_fan_to_limit": None if limit is None else 0.0,
-            "membership": None if limit is None else C.membership(limit, MEMBERSHIP_TOL),
-        })
+        add_row(outer, r_est, "diagnostic", None, residual,
+                None if limit is None else 0.0,
+                None if limit is None else C.membership(limit, MEMBERSHIP_TOL))
         return SolveOutcome(status, limit, residual, trace, diagnostics)
 
     def accept_fixed(outer: int, point, residual: float, r_est: float | None):
         diagnostics["applications"] = apps
-        trace.append({
-            "outer_iter": outer,
-            "r_estimate": r_est if r_est is not None else 0.0,
-            "branch": "converged",
-            "displacement": 0.0,
-            "residual": residual,
-            "ky_fan_to_limit": 0.0,
-            "membership": True,
-        })
+        add_row(outer, 0.0 if r_est is None else r_est, "converged", 0.0,
+                residual, 0.0, True)
         return SolveOutcome(STATUS_FIXED, point, residual, trace, diagnostics)
 
     residual_start = _safe_residual(T, x0)
@@ -650,16 +640,9 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
         residual_w = _safe_residual(T, w)
         apps += 1
         rec_limit = pool[-1].limit
-        trace.append({
-            "outer_iter": outer,
-            "r_estimate": r0,
-            "branch": report.branch,
-            "displacement": report.displacement,
-            "residual": residual_w,
-            "ky_fan_to_limit": None if rec_limit is None
-            else measure_distance(w, rec_limit),
-            "membership": C.membership(w, MEMBERSHIP_TOL),
-        })
+        add_row(outer, r0, report.branch, report.displacement, residual_w,
+                None if rec_limit is None else measure_distance(w, rec_limit),
+                C.membership(w, MEMBERSHIP_TOL))
         a = w
     residual_a = _safe_residual(T, a)
     apps += 1
@@ -788,12 +771,6 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         _fill_measure_column(trace, point)
         return SolveOutcome(STATUS_FIXED, point, residual, trace, diagnostics)
 
-    def check_finite(values) -> None:
-        # the point class refuses the array with its own error, as the
-        # point arithmetic did
-        if not np.all(np.isfinite(values)):
-            x0.like(values)
-
     def keep(s: int, residual: float):
         z = x0.like(total * (1.0 / s))
         trace.append({"s": s, "residual": residual, "norm": norm(z), "point": z})
@@ -837,7 +814,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
         except Exception:
             # a sum that overflowed did so before this block: the point loop
             # refused it first
-            check_finite(total)
+            _refuse_nonfinite(x0, total)
             if want == 1:
                 raise
             # the error may come from a row past the stop: march on from one
@@ -884,15 +861,15 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             e += 1
         if e == k:
             if k < want:
-                check_finite(total)
+                _refuse_nonfinite(x0, total)
                 return classify(f"orbit ran out of tracked slots at step {s + 1}")
             orbit[0] = orbit[k]
             continue
         # the stop row: in the point loop's order, it verifies, pins or
         # raises, after the sum, which stays non-finite once an add overflows
-        check_finite(total)
+        _refuse_nonfinite(x0, total)
         apps += 1
-        check_finite(priced[e])
+        _refuse_nonfinite(x0, priced[e])
         if s % keep_every == 0 or residual <= tol or s == n_max:
             z = keep(s, residual)
         if residual <= tol:
@@ -904,7 +881,7 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
             return classify("candidate mean failed verification")
         # made again: the screen may have vouched for this row's step
         np.subtract(orbit[e + 1], orbit[e], out=step_row[0])
-        check_finite(step_row[0])
+        _refuse_nonfinite(x0, step_row[0])
         # the orbit stopped moving, or returned to its saturated anchor and
         # repeats it forever: every later mean is a closed form or an
         # artifact, and the gap is not zero, or the residual would have
@@ -919,14 +896,15 @@ def cesaro_solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8
                 return fixed(pin, residual_pin)
         return classify("orbit pinned by the mesh floor; later means are "
                         "artifacts")
-    check_finite(total)
+    _refuse_nonfinite(x0, total)
     diagnostics["best_residual"] = best_residual
     return classify(f"no mean reached tol within n_max={n_max}")
 
 
 def _fill_measure_column(trace: list[dict], limit) -> None:
     """Price the in-measure distance of each kept mean to the detected limit,
-    then drop the stored points from the rows."""
+    then drop the stored points from the rows, which leaves each row with
+    the columns of ``ORBIT_TRACE``."""
     for row in trace:
         point = row.pop("point", None)
         if limit is None or point is None:

@@ -373,10 +373,17 @@ def test_reproduce_config_refuses_window_and_tolerance_keys(tmp_path, capsys):
     (["solve", "--op", "ct_shift", "--set", "ct", "--t", "1.5",
       "--mode", "practical"], "solve-ct_shift-t1.5-practical.json", 1, None),
     (["solve", "--op", "cyclic", "--set", "ball", "--mode", "proof",
-      "--level", "6"], "solve-cyclic-ball-L6-proof.json", 0, None),
+      "--level", "6"], "solve-cyclic-ball-L6-proof.json", 0,
+     "solve-cyclic-ball-L6-proof-trace.csv"),
+    (["solve", "--op", "doubling", "--set", "ball", "--mode", "proof",
+      "--level", "7"], "solve-doubling-ball-L7-proof.json", 1,
+     "solve-doubling-ball-L7-proof-trace.csv"),
+    (["solve", "--op", "ct_shift", "--set", "ct", "--mode", "proof"],
+     "solve-ct_shift-ct-proof.json", 1, "solve-ct_shift-ct-proof-trace.csv"),
     (["solve", "--op", "cyclic", "--set", '{"set":"cone_hull","a":0.5}',
       "--mode", "proof", "--level", "6"],
-     "solve-cyclic-cone_hull0.5-L6-proof.json", 0, None),
+     "solve-cyclic-cone_hull0.5-L6-proof.json", 0,
+     "solve-cyclic-cone_hull0.5-L6-proof-trace.csv"),
     (["solve", "--op", "cyclic", "--set", "ball", "--mode", "practical",
       "--level", "8"], "solve-cyclic-ball-L8-practical.json", 0,
      "solve-cyclic-ball-L8-practical-trace.csv"),
@@ -385,6 +392,7 @@ def test_reproduce_config_refuses_window_and_tolerance_keys(tmp_path, capsys):
      "solve-retraction_compose-cone_hull0-L8-practical.json", 1,
      "solve-retraction_compose-cone_hull0-L8-practical-trace.csv"),
 ], ids=["reproduce", "sharpness", "solve-ct_shift", "solve-proof-ball",
+        "solve-proof-doubling", "solve-proof-ct_shift",
         "solve-proof-cone_hull", "solve-practical-ball",
         "solve-practical-pinned"])
 def test_outputs_match_golden_bytes(tmp_path, argv, golden, code, trace):
@@ -392,7 +400,11 @@ def test_outputs_match_golden_bytes(tmp_path, argv, golden, code, trace):
     ct_shift JSON carries a norm that moves in the last place if the two
     point types ever share one norm expression.  The two practical grid
     marches also pin their --trace CSV: the ball march stops on a residual
-    at step 256, the cone hull march on a pinned orbit."""
+    at step 256, the cone hull march on a pinned orbit.  So do the proof
+    solves, which between them write every kind of row: the rotations' steps
+    and converged rows, the doubling's step and then a diagnostic row that
+    carries its radius, and the bump shift's diagnostic row with an escaped
+    limit."""
     out = tmp_path / golden
     extra = [] if trace is None else ["--trace", str(tmp_path / trace)]
     assert main(argv + ["--out", str(out)] + extra) == code

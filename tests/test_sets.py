@@ -17,6 +17,8 @@ from fptlab import (
     body_from_spec,
     bump_tail_family,
     coord_basis,
+    disjoint_additivity_defect,
+    komlos_extract,
     limsup_tail,
     measure_distance,
     norm,
@@ -581,6 +583,23 @@ def test_measure_distances_reject_mixed_points():
         measure_distances(GridFunction.zero(4), [GridFunction.zero(5)])
     with pytest.raises(ValueError, match="mixed coordinate spaces"):
         measure_distances(CoordPoint(1.5, np.zeros(8)), [CoordPoint(1.9, np.ones(8))])
+
+
+def test_an_empty_sequence_is_refused_with_value_error():
+    # point_rows refuses the empty sequence before it reads a point, for
+    # every kernel that stacks points through it
+    z = GridFunction.zero(4)
+    with pytest.raises(ValueError, match="need at least one point"):
+        point_rows(())
+    with pytest.raises(ValueError, match="need at least one point"):
+        komlos_extract([], extraction_tol=0.05)
+    with pytest.raises(ValueError, match="need at least one point"):
+        measure_distances(z, [])
+    for points in ([], [z]):
+        with pytest.raises(ValueError, match="need at least"):
+            disjoint_additivity_defect(points, z)
+        with pytest.raises(ValueError, match="need at least"):
+            SequenceFamily("short", points, z)
 
 
 def _scalar_violation(body, x, tol):

@@ -34,6 +34,7 @@ from fptlab import (
     admissible_eps,
     affinity_defect,
     afps_residual,
+    body_from_spec,
     build_afps_record,
     cesaro_solve,
     coord_basis,
@@ -42,6 +43,7 @@ from fptlab import (
     lipschitz_estimate,
     measure_distance,
     norm,
+    operator_from_spec,
     peak_sequence,
     proof_step,
     solve,
@@ -49,11 +51,13 @@ from fptlab import (
 from fptlab import solver as solver_module
 from fptlab.coefficients import GATE_MARGIN, fixed_point_gate
 from fptlab.grid import window_length
-from fptlab.operators import AFFINITY_LAMBDAS, AFFINITY_PAIRS
+from fptlab.operators import AFFINITY_LAMBDAS, AFFINITY_PAIRS, OPERATOR_KINDS
 from fptlab.sets import PHI_BLOCK_FLOATS, PointRows, measure_distances, point_rows
 from fptlab.solver import (
     MEASURE_TOL,
     MEMBERSHIP_TOL,
+    ORBIT_TRACE,
+    PROOF_TRACE,
     SolveOutcome,
     _fill_measure_column,
     _median_point,
@@ -403,14 +407,6 @@ def test_record_residuals_obey_diameter_law(cyclic_means):
     idx, limit = komlos_extract(rec.points, extraction_tol=0.05)
     assert limit.array.tobytes() == rec.limit.array.tobytes()
     assert measure_distances(limit, rec.points.take(idx)).max() <= 0.05
-
-
-def test_record_radius_and_spread_agree(cyclic_means):
-    x0, _ = cyclic_means
-    rec = build_afps_record(CyclicShift(UnitBall(6)), x0, 128)
-    assert rec.radius_from(rec.limit) == rec.limit_spread()
-    blind = AfpsRecord(rec.points)
-    assert blind.limit_spread() is None
 
 
 def test_record_radius_is_bit_equal_to_the_norm_loop():
@@ -790,6 +786,36 @@ def test_solve_cyclic_converges_with_contraction_trace():
     for before, after in zip(radii, radii[1:]):
         assert after <= (1.0 - eps) * before + 1e-6
     assert 0 < out.diagnostics["applications"] < 2000
+
+
+def test_trace_rows_hold_exactly_their_modes_columns():
+    # every catalog pair the spec parser accepts, at level 6: the certified
+    # trace's step, converged and diagnostic rows and the practical trace of
+    # each exit its marches take carry the columns the CLI writes, in order
+    bodies = [{"set": "density_simplex"}, {"set": "cone_hull", "a": 0.0},
+              {"set": "cone_hull", "a": 0.5}, {"set": "cone_hull", "a": 1.0},
+              {"set": "ball"}, {"set": "ct"}]
+    branches, exits = set(), set()
+    pairs = 0
+    for kind in OPERATOR_KINDS:
+        for spec in bodies:
+            body = body_from_spec(spec, level=6)
+            try:
+                T = operator_from_spec({"op": kind}, body)
+            except ValueError:
+                continue
+            pairs += 1
+            for seed in (0, 1):
+                out = solve(T, body, seed=seed)
+                assert all(tuple(row) == PROOF_TRACE for row in out.trace), T.name
+                branches.update(row["branch"] for row in out.trace)
+                out = cesaro_solve(T, body, seed=seed)
+                assert all(tuple(row) == ORBIT_TRACE for row in out.trace), T.name
+                reason = out.diagnostics.get("stop_reason", "verified")
+                exits.add(" ".join(reason.split()[:3]))
+    assert pairs == 17
+    assert branches == {"x_limit", "converged", "diagnostic"}
+    assert exits == {"verified", "orbit pinned by", "orbit ran out"}
 
 
 def test_solve_identity_is_immediate():
