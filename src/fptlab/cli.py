@@ -87,14 +87,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
+def _json_scalar(value):
+    """``json.dump``'s hook for what it cannot write: a numpy scalar goes
+    out as its Python value; anything else is refused, as json's own
+    encoder refuses it."""
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _point_payload(point):
@@ -221,10 +220,11 @@ def cmd_reproduce(args) -> int:
 # -------------------------------------------------------------------- solve
 
 def cmd_solve(args) -> int:
-    # each flag fills the parameter of that name wherever a spec leaves it out
-    flags = {"level": args.level, "M": args.M, "t": args.t, "a": args.a}
-    body = body_from_spec(_parse_spec(args.set, "set"), **flags)
-    op = operator_from_spec(_parse_spec(args.op, "op"), body, **flags)
+    # each flag fills the body parameter of that name where the spec leaves
+    # it out; the operator takes its level and t from the body
+    body = body_from_spec(_parse_spec(args.set, "set"), level=args.level,
+                          M=args.M, t=args.t, a=args.a)
+    op = operator_from_spec(_parse_spec(args.op, "op"), body)
 
     if args.mode == "proof":
         outcome = solve(op, body, tol=args.tol, seed=args.seed)
@@ -240,13 +240,13 @@ def cmd_solve(args) -> int:
         "status": outcome.status,
         "residual": outcome.residual,
         "point": _point_payload(outcome.point),
-        "diagnostics": _jsonable(outcome.diagnostics),
+        "diagnostics": outcome.diagnostics,
         "mode": args.mode,
         "seed": args.seed,
     }
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            json.dump(payload, fh, sort_keys=True, indent=1, default=_json_scalar)
             fh.write("\n")
     print(f"status: {outcome.status}"
           + (f", residual {outcome.residual:.3g}" if outcome.residual is not None else ""))
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the solver on an operator/body pair")
     p.add_argument("--op", required=True,
                    help="operator name or JSON spec, e.g. doubling or "
-                        '{"op":"ct_shift","t":1.5}')
+                        '{"op":"ct_shift"}')
     p.add_argument("--set", required=True,
                    help="body name or JSON spec, e.g. density_simplex or "
                         '{"set":"ct","t":1.5,"M":64}')

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DEFAULT_TOL, GridFunction, peak_sequence
+from .grid import GridFunction, peak_sequence
 from .sets import (
     ORBIT_TOL,
     BumpSimplex,
@@ -133,7 +133,6 @@ class DoublingShift(AffineOperator):
         if not isinstance(domain, GridBody):
             raise ValueError("doubling needs a grid body")
         self.domain = domain
-        self.level = domain.level
 
     @staticmethod
     def compress_values(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -153,13 +152,13 @@ class DoublingShift(AffineOperator):
         return 1.0
 
     def witness_pairs(self) -> list[tuple]:
-        lvl = self.level
+        lvl = self.domain.level
         half = GridFunction(lvl, np.where(np.arange(2 ** lvl) < 2 ** (lvl - 1), 2.0, 0.0))
         other = GridFunction(lvl, np.where(np.arange(2 ** lvl) >= 2 ** (lvl - 1), 2.0, 0.0))
         return [(half, other), (peak_sequence(2 ** lvl, lvl), GridFunction.zero(lvl))]
 
     def max_faithful_steps(self, x) -> int:
-        return self.level
+        return self.domain.level
 
     def is_saturated(self, x) -> bool:
         if not isinstance(x, GridFunction):
@@ -185,7 +184,6 @@ class CyclicShift(AffineOperator):
         if not isinstance(domain, GridBody):
             raise ValueError("cyclic shift needs a grid body")
         self.domain = domain
-        self.level = domain.level
 
     def map_array(self, space, v, out):
         out[0] = v[-1]
@@ -211,11 +209,7 @@ class CyclicShift(AffineOperator):
         return 1.0
 
     def cycle_length(self) -> int:
-        return 2 ** self.level
-
-    def witness_pairs(self) -> list[tuple]:
-        rng = np.random.default_rng(7)
-        return [(self.domain.sample(rng), self.domain.sample(rng))]
+        return 2 ** self.domain.level
 
 
 class NormalizingRetraction(AffineOperator):
@@ -233,7 +227,6 @@ class NormalizingRetraction(AffineOperator):
         if not (isinstance(domain, ConeHull) and domain.a == 0.0):
             raise ValueError("retraction needs the sub-probability body")
         self.domain = domain
-        self.level = domain.level
 
     @staticmethod
     def top_up(space: GridFunction, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -248,7 +241,7 @@ class NormalizingRetraction(AffineOperator):
         return 2.0
 
     def witness_pairs(self) -> list[tuple]:
-        lvl = self.level
+        lvl = self.domain.level
         return [(peak_sequence(2 ** lvl, lvl), GridFunction.zero(lvl)),
                 (peak_sequence(2 ** (lvl - 1), lvl), GridFunction.zero(lvl))]
 
@@ -268,7 +261,6 @@ class RetractionDoubling(AffineOperator):
         self.retraction = NormalizingRetraction(domain)
         self.compress = DoublingShift(domain)
         self.domain = domain
-        self.level = domain.level
 
     def map_array(self, space, v, out):
         # the retraction's top-up feeds the compression as an array
@@ -279,12 +271,12 @@ class RetractionDoubling(AffineOperator):
         return 2.0
 
     def witness_pairs(self) -> list[tuple]:
-        lvl = self.level
+        lvl = self.domain.level
         return [(peak_sequence(2 ** lvl, lvl), GridFunction.zero(lvl)),
                 (peak_sequence(2 ** (lvl - 2), lvl), GridFunction.zero(lvl))]
 
     def max_faithful_steps(self, x) -> int:
-        return self.level
+        return self.domain.level
 
     def is_saturated(self, x) -> bool:
         return self.compress.is_saturated(x)
@@ -295,20 +287,17 @@ class BumpShift(AffineOperator):
 
     An affine map of the bump simplex whose n-th iterate has Lipschitz
     constant exactly 2/t: the shift moves mass off the lightweight first
-    vertex onto full-weight slots.  With finitely many tracked slots the
-    shift errors out once mass would fall off the end.  A ``t`` given to
-    the constructor must match the body's.
+    vertex onto full-weight slots, t being the body's coefficient.  With
+    finitely many tracked slots the shift errors out once mass would fall
+    off the end.
     """
 
     name = "ct_shift"
 
-    def __init__(self, domain: BumpSimplex, t: float | None = None):
+    def __init__(self, domain: BumpSimplex):
         if not isinstance(domain, BumpSimplex):
             raise ValueError("bump shift needs the bump simplex")
-        if t is not None and abs(t - domain.t) > DEFAULT_TOL:
-            raise ValueError(f"ct_shift t={t} does not match body t={domain.t}")
         self.domain = domain
-        self.t = domain.t
 
     def map_array(self, space, v, out):
         if v[-1] != 0.0:
@@ -319,11 +308,11 @@ class BumpShift(AffineOperator):
         return out
 
     def lipschitz_exact(self, n: int) -> float:
-        return 2.0 / self.t
+        return 2.0 / self.domain.t
 
     def witness_pairs(self) -> list[tuple]:
-        return [(coord_basis(self.t, self.domain.slots, 0),
-                 coord_basis(self.t, self.domain.slots, 1))]
+        t, slots = self.domain.t, self.domain.slots
+        return [(coord_basis(t, slots, 0), coord_basis(t, slots, 1))]
 
     def default_start(self, rng: np.random.Generator) -> CoordPoint:
         return self.domain.sample(rng, support=max(2, self.domain.slots // 4))
@@ -336,22 +325,24 @@ class BumpShift(AffineOperator):
         return max(0, x.slots - 1 - top)
 
 
-#: Operator kinds: the constructor, which takes the body first, and its
-#: spec parameters, each with its type and default.
+#: Operator kinds: the constructor, which takes the body, and its spec
+#: parameters, each with its type and default.  No kind takes one: every
+#: operator is a function of its body alone.
 OPERATOR_KINDS = {
     "identity": (IdentityOperator, {}),
     "doubling": (DoublingShift, {}),
     "cyclic": (CyclicShift, {}),
     "retraction": (NormalizingRetraction, {}),
     "retraction_compose": (RetractionDoubling, {}),
-    "ct_shift": (BumpShift, {"t": (float, None)}),
+    "ct_shift": (BumpShift, {}),
 }
 
 
-def operator_from_spec(spec: dict, body: ConvexBody, **fill) -> AffineOperator:
+def operator_from_spec(spec: dict, body: ConvexBody) -> AffineOperator:
     """Build a catalog operator bound to ``body``, e.g. {"op": "doubling"}.
-    ``fill`` supplies parameters the spec leaves out (see build_from_spec)."""
-    return build_from_spec(spec, "op", OPERATOR_KINDS, "operator", body, **fill)
+    The spec holds no key but ``op``: the operator reads its level, t and
+    slots from the body."""
+    return build_from_spec(spec, "op", OPERATOR_KINDS, "operator", body)
 
 
 def affinity_defect(T: AffineOperator, rng: np.random.Generator) -> float:

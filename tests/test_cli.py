@@ -7,14 +7,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fptlab import sets
+from fptlab import cli, sets
 from fptlab.cli import ExperimentConfig, _parse_spec, main, run_reproduce
 from fptlab.grid import limsup_tail
 from fptlab.operators import OPERATOR_KINDS
 from fptlab.coefficients import _default_families
 from fptlab.sets import BODY_KINDS, BumpSimplex, bump_tail_family, norm, peak_family
+from fptlab.solver import STATUS_BUDGET, SolveOutcome
 
 _REPRO_HEADER = ["quantity", "reference_value", "estimate_low",
                  "estimate_high", "gap", "tolerance", "status"]
@@ -62,8 +64,7 @@ def test_readme_tables_list_every_kind_and_default():
         for kind, (_, params) in kinds.items():
             row = next(line for line in lines if line.startswith(f"| `{kind}` |"))
             for name, (_, default) in params.items():
-                shown = "the body's" if default is None else f"{default:g}"
-                assert f"`{name}` ({shown})" in row, row
+                assert f"`{name}` ({default:g})" in row, row
 
 
 def test_parse_spec_accepts_names_and_json():
@@ -243,7 +244,7 @@ def test_solve_cli_escaping_map_exits_one(tmp_path):
 
 def test_solve_cli_json_specs(tmp_path):
     out = tmp_path / "outcome.json"
-    rc = main(["solve", "--op", '{"op": "ct_shift", "t": 1.5}',
+    rc = main(["solve", "--op", '{"op": "ct_shift"}',
                "--set", '{"set": "ct", "t": 1.5, "M": 32}',
                "--mode", "practical", "--n-max", "64", "--out", str(out)])
     assert rc == 1
@@ -331,8 +332,11 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
                  '{"set":"ball","level":1.7}', '{"set":"ball","level":true}',
                  '{"set":"cone_hull","a":"0.5"}'):
         exits_two(["solve", "--op", "identity", "--set", body], "must be")
-    exits_two(["solve", "--op", '{"op":"ct_shift","t":null}', "--set", "ct"],
-              "t must be a number")
+    # an operator takes no parameters: the bump shift's t is its body's, so
+    # even the body's own t (1.5 for ct) is an unknown key
+    for t in ("null", "1.5"):
+        exits_two(["solve", "--op", '{"op":"ct_shift","t":%s}' % t, "--set", "ct"],
+                  "unknown operator parameters ['t']")
     exits_two(["solve", "--op", "cyclic", "--set", "ball", "--level", "-1"],
               "level must be in [0, 24]")
     # a slot count beyond the finest grid is refused before any allocation
@@ -432,8 +436,7 @@ def _solve_bytes(tmp_path, name, argv):
       "--level", "6"],
      ["--op", "cyclic", "--set", '{"set":"cone_hull","a":0.25,"level":6}']),
     (["--op", "ct_shift", "--set", "ct", "--t", "1.25", "--M", "32"],
-     ["--op", '{"op":"ct_shift","t":1.25}',
-      "--set", '{"set":"ct","t":1.25,"M":32}']),
+     ["--op", '{"op":"ct_shift"}', "--set", '{"set":"ct","t":1.25,"M":32}']),
     (["--op", "cyclic", "--set", '{"set":"ball","level":5}', "--level", "9",
       "--mode", "proof"],
      ["--op", "cyclic", "--set", "ball", "--level", "5", "--mode", "proof"]),
@@ -443,7 +446,28 @@ def test_flags_fill_what_the_spec_leaves_out(tmp_path, flags, spec):
         _solve_bytes(tmp_path, "spec", spec)
 
 
-def test_filled_t_must_match_the_body(tmp_path, capsys):
-    assert main(["solve", "--op", "ct_shift", "--set", '{"set":"ct","t":1.9}',
-                 "--t", "1.5", "--out", str(tmp_path / "o.json")]) == 2
-    assert "does not match" in capsys.readouterr().err
+def test_spec_t_wins_over_the_t_flag(tmp_path):
+    # --t fills the body's t only where the spec leaves it out, and the bump
+    # shift reads its t from the body, so the flag changes nothing here
+    assert _solve_bytes(tmp_path, "flag", ["--op", "ct_shift", "--set",
+                                           '{"set":"ct","t":1.9}', "--t", "1.5"]) == \
+        _solve_bytes(tmp_path, "spec", ["--op", "ct_shift", "--set",
+                                        '{"set":"ct","t":1.9}'])
+
+
+def test_solve_out_writes_numpy_scalars_as_python_ones(tmp_path, monkeypatch):
+    # a diagnostic may hold a numpy scalar of any kind; --out writes it as
+    # the Python value it stands for, as json writes that value itself
+    python = {"count": 3, "ratio": 0.5, "pinned": True, "nested": [2, {"x": False}]}
+    numpy = {"count": np.int64(3), "ratio": np.float32(0.5), "pinned": np.bool_(True),
+             "nested": (np.int32(2), {"x": np.bool_(False)})}
+
+    def written(diagnostics, name):
+        outcome = SolveOutcome(STATUS_BUDGET, None, None, diagnostics=diagnostics)
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: outcome)
+        out = tmp_path / name
+        assert main(["solve", "--op", "cyclic", "--set", "ball", "--level", "4",
+                     "--mode", "proof", "--out", str(out)]) == 1
+        return out.read_bytes()
+
+    assert written(numpy, "numpy.json") == written(python, "python.json")

@@ -499,6 +499,19 @@ def test_lipschitz_estimate_rejects_degenerate_sampler():
         lipschitz_estimate(T, 1, np.random.default_rng(0), pairs=8)
 
 
+def test_cyclic_lipschitz_estimate_draws_from_the_callers_rng(monkeypatch):
+    # an isometry needs no witness pairs: every sampled pair attains 1, and
+    # no generator but the caller's is made
+    rng = np.random.default_rng(3)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator other than the caller's was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    est = lipschitz_estimate(CyclicShift(UnitBall(6)), 2, rng)
+    assert est == pytest.approx(1.0, abs=1e-12)
+
+
 def test_mean_lipschitz_exact_values():
     level, slots = 7, 16
     simplex = DensitySimplex(level)
@@ -563,14 +576,9 @@ def test_operator_from_spec_round_trip():
                       NormalizingRetraction)
     assert isinstance(operator_from_spec({"op": "retraction_compose"}, sub),
                       RetractionDoubling)
-    bump = BumpSimplex(1.5, 16)
-    T = operator_from_spec({"op": "ct_shift", "t": 1.5}, bump)
-    assert isinstance(T, BumpShift) and T.t == 1.5
-    # a fill value lands only where the kind takes it; the spec's own wins
-    T = operator_from_spec({"op": "ct_shift", "t": 1.5}, bump, t=1.25, level=3)
-    assert isinstance(T, BumpShift) and T.t == 1.5
-    assert isinstance(operator_from_spec({"op": "cyclic"}, UnitBall(level), t=1.5),
-                      CyclicShift)
+    # the bump shift reads its t from the body
+    T = operator_from_spec({"op": "ct_shift"}, BumpSimplex(1.25, 16))
+    assert isinstance(T, BumpShift) and T.lipschitz_exact(3) == 2.0 / 1.25
 
 
 def test_operator_from_spec_rejects_mismatches():
@@ -579,18 +587,18 @@ def test_operator_from_spec_rejects_mismatches():
         operator_from_spec({"op": "warp"}, DensitySimplex(5))
     with pytest.raises(ValueError):
         operator_from_spec({"op": "doubling"}, ConeHull(0.5, 5))
-    with pytest.raises(ValueError, match="does not match body t=1.5"):
-        operator_from_spec({"op": "ct_shift", "t": 1.25}, BumpSimplex(1.5, 8))
-    with pytest.raises(ValueError, match="does not match body t=1.5"):
-        operator_from_spec({"op": "ct_shift"}, BumpSimplex(1.5, 8), t=1.25)
-    with pytest.raises(ValueError, match="t must be a number"):
-        operator_from_spec({"op": "ct_shift", "t": "1.5"}, BumpSimplex(1.5, 8))
     with pytest.raises(ValueError, match="bump shift needs the bump simplex"):
         operator_from_spec({"op": "ct_shift"}, DensitySimplex(5))
     with pytest.raises(ValueError):
         operator_from_spec({"op": "retraction"}, DensitySimplex(5))
-    with pytest.raises(ValueError, match=r"unknown operator parameters \['t'\]"):
-        operator_from_spec({"op": "identity", "t": 1.5}, DensitySimplex(5))
+    # no kind takes a parameter, the bump shift's t included, even when the
+    # value is the body's own
+    for op, body in (("identity", DensitySimplex(5)), ("ct_shift", BumpSimplex(1.5, 8))):
+        for t in (1.5, 1.25, "1.5"):
+            with pytest.raises(ValueError, match=r"unknown operator parameters \['t'\]"):
+                operator_from_spec({"op": op, "t": t}, body)
+    with pytest.raises(TypeError):
+        operator_from_spec({"op": "ct_shift"}, BumpSimplex(1.5, 8), t=1.5)
 
 
 def test_operators_map_body_into_itself():
