@@ -46,7 +46,7 @@ def main() -> None:
     level = 10
     print("mean growth constants (exact iterate arithmetic, n <= 8):")
     for T in catalog(level):
-        print(f"  {T.name:21s} S = {mean_lipschitz(T, 8):.12g}")
+        print(f"  {T.name:21s} S = {mean_lipschitz(T):.12g}")
 
     # the doubling orbit: norms stay at 1 while supports halve, the classic
     # escape in measure

@@ -33,11 +33,11 @@ def main() -> None:
     # trapped between an achieved witness ratio and the structural cap
     print("recentering coefficient of cone hulls (exact value 1 + a):")
     for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rep = recentering_bounds(ConeHull(a, level), [peaks], rng=rng)
+        rep = recentering_bounds(ConeHull(a, level), peaks, rng=rng)
         print(f"  a = {a:4.2f}: bracket [{rep.estimate_low:.6f}, "
               f"{rep.estimate_high:.6f}]  gap {rep.gap:.2e}")
 
-    rep = recentering_bounds(UnitBall(level), [peaks], rng=rng)
+    rep = recentering_bounds(UnitBall(level), peaks, rng=rng)
     print(f"unit ball: bracket [{rep.estimate_low:.6f}, {rep.estimate_high:.6f}]")
 
     # the bump bodies give every value t in (1, 2); their shift has mean
@@ -46,8 +46,8 @@ def main() -> None:
     print("   t     growth 2/t   gate(2/t)  gate(2/t - 0.01)  eps if open")
     for t in (1.1, 1.25, 1.5, 1.75, 1.9):
         body = BumpSimplex(t, 64)
-        growth = mean_lipschitz(BumpShift(body), 8)
-        rep = recentering_bounds(body, [bump_tail_family(t, 64)], rng=rng)
+        growth = mean_lipschitz(BumpShift(body))
+        rep = recentering_bounds(body, bump_tail_family(t, 64), rng=rng)
         t_hat = rep.estimate_high
         at_eq = fixed_point_gate(growth, t_hat)
         below = fixed_point_gate(growth - 0.01, t_hat)

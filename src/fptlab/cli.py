@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .coefficients import (
-    _default_families,
+    _default_family,
     disjoint_additivity_defect,
     fixed_point_gate,
     opial_cross_check,
@@ -51,7 +51,7 @@ PROBE_GAP = 0.01
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Reproduce-run parameters.  Unknown keys and values of another type
-    than the default's are rejected; the config round-trips to identical JSON."""
+    than the default's are rejected."""
 
     level: int = 12
     seed: int = 0
@@ -66,13 +66,6 @@ class ExperimentConfig:
             raise ValueError(f"config must be a JSON object, got {data!r}")
         params = {f.name: (type(f.default), f.default) for f in fields(cls)}
         return cls(**checked_params(data, params, "config keys"))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> ExperimentConfig:
-        return cls.from_dict(json.loads(text))
 
 
 def _fmt(value) -> str:
@@ -151,11 +144,11 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
     peaks = peak_family(level, k_min=max(1, level - 8))
     for a in cfg.a_grid:
         body = ConeHull(a, level)
-        rep = recentering_bounds(body, [peaks], rng=rng)
+        rep = recentering_bounds(body, peaks, rng=rng)
         add(f"recentering(cone_hull,a={a:g})", "bracket", 1.0 + a,
             rep.estimate_low, rep.estimate_high, TOL_REL)
 
-    rep = recentering_bounds(UnitBall(level), [peaks], rng=rng)
+    rep = recentering_bounds(UnitBall(level), peaks, rng=rng)
     add("recentering(ball)", "bracket", 1.0, rep.estimate_low,
         rep.estimate_high, TOL_REL)
 
@@ -165,30 +158,30 @@ def run_reproduce(cfg: ExperimentConfig) -> tuple[list[list], bool]:
         add(f"recentering(bump,t={t:g})", "abs", t,
             rep.estimate_low, rep.estimate_high, 1e-9)
         op = operator_from_spec({"op": "ct_shift"}, body)
-        growth = mean_lipschitz(op, 8)
+        growth = mean_lipschitz(op)
         add(f"growth(ct_shift,t={t:g})", "abs", 2.0 / t, growth, growth, 1e-9)
 
     sub = ConeHull(0.0, level)
     op = operator_from_spec({"op": "retraction_compose"}, sub)
-    growth = mean_lipschitz(op, 8)
+    growth = mean_lipschitz(op)
     add("growth(retraction_compose)", "abs", 2.0, growth, growth, 1e-9)
-    sampled = mean_lipschitz(op, 8, rng=rng, use_exact=False, pairs=32)
+    sampled = mean_lipschitz(op, rng=rng, use_exact=False, pairs=32)
     add("growth(retraction_compose,sampled)", "bracket", 2.0,
         sampled, 2.0, TOL_REL)
 
-    add("opial_sum", "bracket", 2.0, opial_cross_check(1.0, min(level + 2, 14)),
+    add("opial_sum", "bracket", 2.0, opial_cross_check(min(level + 2, 14)),
         opial_sum(), TOL_REL)
 
     drift = float(_phi_values([peaks.limit], peaks.points)[0])
     add("drift_radius(density_simplex)", "upper", 1.0, drift, drift, 1e-6)
-    fams = _default_families(BumpSimplex(1.5, cfg.slots))
+    fam = _default_family(BumpSimplex(1.5, cfg.slots))
     # at 4 slots no bump family drifts: no drift radius, so the row fails
-    drift = float(_phi_values([fams[0].limit], fams[0].points)[0]) if fams else math.nan
+    drift = math.nan if fam is None else float(_phi_values([fam.limit], fam.points)[0])
     add("drift_radius(bump,t=1.5)", "upper", 1.0, drift, drift, 1e-6)
 
     z = GridFunction(level, np.where(np.arange(2 ** level) >= 2 ** (level - 1),
                                      1.0, 0.0))
-    defect = disjoint_additivity_defect(peaks, z)
+    defect = disjoint_additivity_defect(peaks.points, z)
     add("additivity_defect", "abs", 0.0, defect, defect, 2.0 ** -level)
 
     for p in cfg.orlicz_p:
@@ -202,7 +195,7 @@ def cmd_reproduce(args) -> int:
     cfg = ExperimentConfig()
     if args.config:
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(fh.read())
+            cfg = ExperimentConfig.from_dict(json.load(fh))
     overrides = {}
     if args.level is not None:
         overrides["level"] = args.level
@@ -269,7 +262,7 @@ def run_sharpness(t_grid, slots: int, seed: int) -> tuple[list[list], bool]:
     for t in t_grid:
         body = BumpSimplex(t, slots)
         op = operator_from_spec({"op": "ct_shift"}, body)
-        growth = mean_lipschitz(op, 8)
+        growth = mean_lipschitz(op)
         rep = recentering_bounds(body, rng=rng)
         gate_eq = fixed_point_gate(growth, rep.estimate_high)
         gate_below = fixed_point_gate(growth - PROBE_GAP, rep.estimate_high)
@@ -286,9 +279,6 @@ def cmd_sharpness(args) -> int:
     t_grid = [float(v) for v in args.t_grid.split(",") if v]
     if not t_grid:
         raise ValueError("the t grid is empty")
-    for t in t_grid:
-        if not (1.0 < t < 2.0):
-            raise ValueError(f"t values must lie in (1, 2), got {t}")
     rows, all_pass = run_sharpness(t_grid, args.M, args.seed)
     _write_rows(args.out, _SHARP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}: "
@@ -324,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--n-max", type=int, default=4096)
+    p.add_argument("--n-max", type=int, default=4096,
+                   help="means the practical march may take; the certified "
+                        "solver's work is fixed, so proof mode does not read it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the outcome as JSON")
     p.add_argument("--trace", help="write the trace as CSV")

@@ -86,84 +86,75 @@ def _least_drifting_k_min(k_first: int, k_max: int, shift: int) -> int | None:
     return None
 
 
-def _default_families(body: ConvexBody) -> list[SequenceFamily]:
-    """The drift families that ``recentering_bounds`` reads when none are
+def _default_family(body: ConvexBody) -> SequenceFamily | None:
+    """The drift family that ``recentering_bounds`` reads when none is
     given: the least k_min whose trailing window drifts.  A bump simplex of
     M slots gets the bump coordinates k_min <= k < M (bump k lies 2**-(k+1)
     from zero in measure), with k_min >= 1; at M = 4 or less none of two or
     more coordinates drifts.  A body with a level gets the peaks of heights
     2**k for k_min <= k <= level (the peak of height 2**k lies 2**-k from
     zero), with k_min >= max(1, level - 10); at level 4 or less none of two
-    or more peaks drifts.  Without a family the list is empty."""
+    or more peaks drifts.  Without a family, None."""
     if isinstance(body, BumpSimplex):
         k_min = _least_drifting_k_min(1, body.slots - 1, 1)
-        return [] if k_min is None else [bump_tail_family(body.t, body.slots,
-                                                          k_min=k_min)]
+        return None if k_min is None else bump_tail_family(body.t, body.slots,
+                                                           k_min=k_min)
     level = getattr(body, "level", None)
     if level is None:
         raise ValueError(f"no default drift family for body {body.name!r}")
     k_min = _least_drifting_k_min(max(1, level - 10), level, 0)
-    return [] if k_min is None else [peak_family(level, k_min=k_min)]
+    return None if k_min is None else peak_family(level, k_min=k_min)
 
 
-def recentering_bounds(body: ConvexBody, families=None, *,
+def recentering_bounds(body: ConvexBody, family: SequenceFamily | None = None, *,
                        rng: np.random.Generator) -> CoefficientReport:
     """Bracket for the recentering coefficient of ``body``.
 
-    For each drifting family the best follow-up member found gives the low
-    end, and the closed-form recenter witness gives the certified high end
-    via norm additivity along vanishing supports; a limit that the body
-    cannot recenter raises ``recenter``'s ValueError.  Families that do not
-    drift to their declared limit within ``DRIFT_TOL`` are rejected: the
-    coefficient is about escape in measure, nothing else.  Without
-    ``families``, a body too coarse for any default family gets the bracket
+    The best follow-up member found along the drifting ``family`` gives the
+    low end, and the closed-form recenter witness gives the certified high
+    end via norm additivity along vanishing supports; a limit that the body
+    cannot recenter raises ``recenter``'s ValueError.  A family that does
+    not drift to its declared limit within ``DRIFT_TOL`` is rejected: the
+    coefficient is about escape in measure, nothing else.  A family that
+    converges in norm gives [1, 1].  Without ``family`` the body's default
+    one is read, and a body too coarse for it gets the bracket
     [1, ``RECENTERING_CAP``], with bound type "cap".
     """
-    if families is None:
-        families = _default_families(body)
-        if not families:
-            return CoefficientReport(f"recentering({body.name})", 1.0,
-                                     RECENTERING_CAP, "cap")
-    families = list(families)
-    if not families:
-        raise ValueError("need at least one drift family")
-
-    low = 1.0
-    high = 1.0
-    for fam in families:
-        defect = fam.drift_defect()
-        if defect > DRIFT_TOL:
-            raise ValueError(
-                f"family {fam.name!r} does not drift to its declared limit "
-                f"(trailing in-measure defect {defect:.4g} > {DRIFT_TOL:g})")
-        scale = float(_phi_values([fam.limit], fam.points)[0])
-        if scale <= 1e-12:
-            # norm-converging family: recentering is free
-            continue
-        witness = body.recenter(fam.limit)
-        candidates = [witness]
-        candidates.extend(body.sample(rng) for _ in range(SAMPLED_CANDIDATES))
-        fam_low = float(_phi_values(candidates, fam.points).min()) / scale
-        fam_high = 1.0 + norm(witness - fam.limit) / scale
-        if fam_high > RECENTERING_CAP + DEFAULT_TOL:
-            fam_high = RECENTERING_CAP
-        high = max(high, fam_high)
-        low = max(low, fam_low)
-    low = min(low, high)
-    return CoefficientReport(f"recentering({body.name})", float(low), float(high),
-                             "bracket")
+    quantity = f"recentering({body.name})"
+    if family is None:
+        family = _default_family(body)
+        if family is None:
+            return CoefficientReport(quantity, 1.0, RECENTERING_CAP, "cap")
+    defect = family.drift_defect()
+    if defect > DRIFT_TOL:
+        raise ValueError(
+            f"family {family.name!r} does not drift to its declared limit "
+            f"(trailing in-measure defect {defect:.4g} > {DRIFT_TOL:g})")
+    scale = float(_phi_values([family.limit], family.points)[0])
+    if scale <= 1e-12:
+        # norm-converging family: recentering is free
+        return CoefficientReport(quantity, 1.0, 1.0, "bracket")
+    witness = body.recenter(family.limit)
+    candidates = [witness]
+    candidates.extend(body.sample(rng) for _ in range(SAMPLED_CANDIDATES))
+    low = float(_phi_values(candidates, family.points).min()) / scale
+    high = 1.0 + norm(witness - family.limit) / scale
+    if high > RECENTERING_CAP + DEFAULT_TOL:
+        high = RECENTERING_CAP
+    high = max(1.0, high)
+    return CoefficientReport(quantity, float(min(max(1.0, low), high)),
+                             float(high), "bracket")
 
 
 def disjoint_additivity_defect(points, z) -> float:
-    """Gap in the additivity law limsup|x_n + z| = limsup|x_n| + |z|.
+    """Gap in the additivity law limsup|x_n + z| = limsup|x_n| + |z| along
+    ``points``, a sequence of at least 2 points or a PointRows.
 
     The law holds exactly for sequences vanishing in measure, because the
     mass of z and the mass of x_n eventually sit on essentially disjoint
     sets.  The precondition is enforced, not assumed: sequences that merely
     oscillate (sign blocks, say) are rejected, by ``VANISH_TOL``.
     """
-    if isinstance(points, SequenceFamily):
-        points = points.points
     points = point_rows(points)
     if len(points) < 2:
         raise ValueError("need at least 2 points")
@@ -187,13 +178,12 @@ def opial_sum() -> float:
     return 2.0
 
 
-def opial_cross_check(c: float = 1.0, level: int = 14) -> float:
-    """Measured counterpart of opial_sum at scale ``c``: the trailing liminf
-    of |peak_n - c| along unit peaks.  Converges to 1 + c from below at rate
-    2c/n, so finite grids sit just under the exact value."""
-    if c < 0:
-        raise ValueError(f"scale c must be >= 0, got {c}")
-    shift = GridFunction.constant(c, level)
+def opial_cross_check(level: int) -> float:
+    """Measured counterpart of opial_sum at the unit scale it models: the
+    trailing liminf of |peak_n - 1| along unit peaks of the grid of
+    ``level``.  Converges to 2 from below at rate 2/n, so finite grids sit
+    just under the exact value."""
+    shift = GridFunction.constant(1.0, level)
     gaps = [(peak_sequence(2 ** k, level) - shift).norm()
             for k in range(1, level + 1)]
     return liminf_tail(gaps)

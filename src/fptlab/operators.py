@@ -27,6 +27,8 @@ from .sets import (
 #: tried on each pair.
 AFFINITY_PAIRS = 8
 AFFINITY_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+#: Iterates whose Lipschitz constants ``mean_lipschitz`` averages.
+GROWTH_HORIZON = 8
 
 
 class DomainError(ValueError):
@@ -496,13 +498,13 @@ def afps_residual(T: AffineOperator, x) -> float:
 
 
 def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
-                       pairs: int = 64) -> float:
+                       pairs: int) -> float:
     """Sampled lower estimate of the Lipschitz constant of T**n.
 
-    Ratios norm(T**n x - T**n y) / norm(x - y) over random domain pairs plus
-    the operator's closed-form witness pairs.  A lower bound by construction;
-    exact constants, when known, live on the operator itself.  A pair whose
-    orbit runs out of tracked slots within n steps is skipped.
+    Ratios norm(T**n x - T**n y) / norm(x - y) over ``pairs`` random domain
+    pairs plus the operator's closed-form witness pairs.  A lower bound by
+    construction; exact constants, when known, live on the operator itself.
+    A pair whose orbit runs out of tracked slots within n steps is skipped.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -528,24 +530,21 @@ def lipschitz_estimate(T: AffineOperator, n: int, rng: np.random.Generator, *,
     return best
 
 
-def mean_lipschitz(T: AffineOperator, n_max: int, *,
-                   rng: np.random.Generator | None = None, pairs: int = 64,
-                   use_exact: bool = True) -> float:
+def mean_lipschitz(T: AffineOperator, *, rng: np.random.Generator | None = None,
+                   pairs: int = 64, use_exact: bool = True) -> float:
     """Sublinear growth rate: smallest prefix average of iterate constants.
 
     The true quantity is the liminf of (|T| + ... + |T**n|) / n; on a finite
-    horizon the declared surrogate is the minimum over n <= n_max.  Exact
-    catalog constants are preferred; sampling fills the gaps and only ever
-    underestimates.
+    horizon the declared surrogate is the minimum over n <= ``GROWTH_HORIZON``.
+    Exact catalog constants are preferred; sampling, ``pairs`` domain pairs
+    a power, fills the gaps and only ever underestimates.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     constants = []
-    for k in range(1, n_max + 1):
+    for k in range(1, GROWTH_HORIZON + 1):
         exact = T.lipschitz_exact(k) if use_exact else None
         if exact is None:
             if rng is None:
                 raise ValueError(f"no exact constant for n={k} and no rng given")
             exact = lipschitz_estimate(T, k, rng, pairs=pairs)
         constants.append(float(exact))
-    return float(min(np.cumsum(constants) / np.arange(1, n_max + 1)))
+    return float(min(np.cumsum(constants) / np.arange(1, GROWTH_HORIZON + 1)))

@@ -577,7 +577,7 @@ class SequenceFamily:
         return limsup_tail(measure_distances(self.limit, self.points))
 
 
-def peak_family(level: int, k_min: int = 1) -> SequenceFamily:
+def peak_family(level: int, k_min: int) -> SequenceFamily:
     """Peaks of heights 2**k for k_min <= k <= level: unit-norm densities
     vanishing in measure."""
     if not (1 <= k_min <= level):

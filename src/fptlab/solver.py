@@ -560,7 +560,7 @@ def solve(T: AffineOperator, C: ConvexBody, x0=None, *, tol: float = 1e-8,
     x0 = _start(T, C, x0, rng)
 
     opial = opial_sum()
-    mean_lip = mean_lipschitz(T, 8, rng=rng)
+    mean_lip = mean_lipschitz(T, rng=rng)
     t_coeff = C.t_exact
     t_source = "catalog"
     if t_coeff is None:

@@ -56,7 +56,7 @@ def test_c01_cone_hull_recentering_bracket_contains_one_plus_a():
     rng = np.random.default_rng(0)
     for a in A_GRID:
         body = ConeHull(a, LEVEL)
-        rep = recentering_bounds(body, [peaks], rng=rng)
+        rep = recentering_bounds(body, peaks, rng=rng)
         ref = 1.0 + a
         assert rep.estimate_low <= ref + 1e-9
         assert ref <= rep.estimate_high + 1e-9
@@ -71,17 +71,17 @@ def test_c02_bump_body_coefficients_are_exact():
     rng = np.random.default_rng(0)
     for t in T_GRID:
         body = BumpSimplex(t, SLOTS)
-        rep = recentering_bounds(body, [bump_tail_family(t, SLOTS)], rng=rng)
+        rep = recentering_bounds(body, bump_tail_family(t, SLOTS), rng=rng)
         assert abs(rep.estimate_low - t) <= 1e-9
         assert abs(rep.estimate_high - t) <= 1e-9
-        growth = mean_lipschitz(BumpShift(body), 8)
+        growth = mean_lipschitz(BumpShift(body))
         assert abs(growth - 2.0 / t) <= 1e-9
 
 
 def test_c03_duality_sum_cross_check():
     # drifting unit peaks sit at distance approaching 2 from the constant:
     # the numerical cross-check must land within 2% of the exact sum
-    value = opial_cross_check(1.0, 14)
+    value = opial_cross_check(14)
     assert abs(value - opial_sum()) <= 0.02 * opial_sum()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from fptlab import cli, sets
 from fptlab.cli import ExperimentConfig, _parse_spec, main, run_reproduce
 from fptlab.grid import limsup_tail
 from fptlab.operators import OPERATOR_KINDS
-from fptlab.coefficients import _default_families
+from fptlab.coefficients import _default_family
 from fptlab.sets import BODY_KINDS, BumpSimplex, bump_tail_family, norm, peak_family
 from fptlab.solver import STATUS_BUDGET, SolveOutcome
 
@@ -36,9 +37,10 @@ def read_csv(path):
 
 def test_config_round_trips_to_identical_json():
     cfg = ExperimentConfig(level=9, seed=7, t_grid=(1.2, 1.8))
-    again = ExperimentConfig.from_json(cfg.to_json())
+    text = json.dumps(asdict(cfg), sort_keys=True)
+    again = ExperimentConfig.from_dict(json.loads(text))
     assert again == cfg
-    assert again.to_json() == cfg.to_json()
+    assert json.dumps(asdict(again), sort_keys=True) == text
 
 
 def test_config_rejects_unknown_keys():
@@ -126,7 +128,7 @@ def test_reproduce_ignores_an_exported_seed_variable(tmp_path, monkeypatch):
 
 def test_reproduce_reads_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(ExperimentConfig(seed=123).to_json())
+    cfg_path.write_text(json.dumps(asdict(ExperimentConfig(seed=123))))
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert main(["reproduce", "--config", str(cfg_path),
@@ -160,13 +162,13 @@ def test_reproduce_bump_drift_row_reads_the_default_family(slots, points, status
     # the row measures the family that drifts, not every late coordinate:
     # at 5 and 6 slots that family is shorter, at 4 there is none and the
     # row has no drift radius
-    fams = _default_families(BumpSimplex(1.5, slots))
-    assert [len(f.points) for f in fams] == ([points] if points else [])
+    fam = _default_family(BumpSimplex(1.5, slots))
+    assert (fam is None) if points == 0 else (len(fam.points) == points)
     cfg = ExperimentConfig(slots=slots, a_grid=(0.5,), t_grid=(1.5,), orlicz_p=(2.0,))
     row = {r[0]: r for r in run_reproduce(cfg)[0]}["drift_radius(bump,t=1.5)"]
     assert row[-1] == status
     if points:
-        assert row[2] == row[3] == limsup_tail([norm(p) for p in fams[0].points]) == 1.0
+        assert row[2] == row[3] == limsup_tail([norm(p) for p in fam.points]) == 1.0
     else:
         assert math.isnan(row[2]) and math.isnan(row[3])
 
@@ -309,7 +311,7 @@ def test_cli_configuration_errors_exit_two(tmp_path, capsys, monkeypatch):
     exits_two(["solve", "--op", "cyclic", "--set", '{"t": 1.5}'],
               "with key 'set'")
     exits_two(["reproduce", "--config", str(tmp_path / "missing.json")])
-    exits_two(["sharpness", "--t-grid", "2.5"])
+    exits_two(["sharpness", "--t-grid", "2.5"], "t must lie in (1, 2), got 2.5")
     exits_two(["sharpness", "--t-grid", ""], "the t grid is empty")
     # a solver setting that no run could use is refused before the run
     for flags, message in ((["--n-max", "0"], "n_max must be >= 1"),

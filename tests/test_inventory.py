@@ -17,20 +17,16 @@ MODULES = ("grid", "sets", "operators", "coefficients", "solver", "cli")
 
 DEFAULTED = """
 sets.BumpSimplex.sample(support)
-sets.peak_family(k_min)
 sets.bump_tail_family(k_min)
 operators.AffineOperator.apply(check_domain)
 operators.orbit_rows(check_domain)
 operators.running_means(carry)
 operators.running_means(start)
 operators.running_means(out)
-operators.lipschitz_estimate(pairs)
 operators.mean_lipschitz(rng)
 operators.mean_lipschitz(pairs)
 operators.mean_lipschitz(use_exact)
-coefficients.recentering_bounds(families)
-coefficients.opial_cross_check(c)
-coefficients.opial_cross_check(level)
+coefficients.recentering_bounds(family)
 solver.solve(x0)
 solver.solve(tol)
 solver.solve(seed)
@@ -77,4 +73,4 @@ def defaulted_parameters() -> list[str]:
 
 def test_defaulted_parameters_are_the_listed_ones():
     assert defaulted_parameters() == DEFAULTED
-    assert len(DEFAULTED) == 29
+    assert len(DEFAULTED) == 25

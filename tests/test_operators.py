@@ -35,6 +35,7 @@ from fptlab import (
     orbit_rows,
     running_means,
 )
+from fptlab import operators
 
 
 def catalog(level: int = 7, slots: int = 16):
@@ -508,7 +509,7 @@ def test_cyclic_lipschitz_estimate_draws_from_the_callers_rng(monkeypatch):
         raise AssertionError("a generator other than the caller's was made")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    est = lipschitz_estimate(CyclicShift(UnitBall(6)), 2, rng)
+    est = lipschitz_estimate(CyclicShift(UnitBall(6)), 2, rng, pairs=64)
     assert est == pytest.approx(1.0, abs=1e-12)
 
 
@@ -516,13 +517,14 @@ def test_mean_lipschitz_exact_values():
     level, slots = 7, 16
     simplex = DensitySimplex(level)
     sub = ConeHull(0.0, level)
-    assert mean_lipschitz(IdentityOperator(simplex), 8) == 1.0
-    assert mean_lipschitz(DoublingShift(simplex), 8) == 1.0
-    assert mean_lipschitz(CyclicShift(UnitBall(level)), 8) == 1.0
-    assert mean_lipschitz(RetractionDoubling(sub), 8) == 2.0
+    assert operators.GROWTH_HORIZON == 8
+    assert mean_lipschitz(IdentityOperator(simplex)) == 1.0
+    assert mean_lipschitz(DoublingShift(simplex)) == 1.0
+    assert mean_lipschitz(CyclicShift(UnitBall(level))) == 1.0
+    assert mean_lipschitz(RetractionDoubling(sub)) == 2.0
     for t in (1.1, 1.25, 1.5, 1.75, 1.9):
         T = BumpShift(BumpSimplex(t, slots))
-        assert abs(mean_lipschitz(T, 8) - 2.0 / t) <= 1e-12
+        assert abs(mean_lipschitz(T) - 2.0 / t) <= 1e-12
 
 
 def test_mean_lipschitz_sampled_composition():
@@ -531,16 +533,18 @@ def test_mean_lipschitz_sampled_composition():
     # leaves headroom so iterates do not hit the mesh floor
     sub = ConeHull(0.0, 12)
     G = RetractionDoubling(sub)
-    sampled = mean_lipschitz(G, 8, rng=np.random.default_rng(21),
+    sampled = mean_lipschitz(G, rng=np.random.default_rng(21),
                              use_exact=False, pairs=32)
     assert 2.0 - 0.05 <= sampled <= 2.0 + 1e-9
 
 
-def test_mean_lipschitz_series_is_prefix_min():
+def test_mean_lipschitz_series_is_prefix_min(monkeypatch):
     T = RetractionDoubling(ConeHull(0.0, 6))
-    # the least prefix average of the iterate constants, exact or sampled
+    # the least prefix average of the iterate constants over the horizon,
+    # exact or sampled
     for use_exact in (True, False):
         for n_max in (1, 3, 6):
+            monkeypatch.setattr(operators, "GROWTH_HORIZON", n_max)
             constants = []
             ref = np.random.default_rng(n_max)
             for k in range(1, n_max + 1):
@@ -548,7 +552,7 @@ def test_mean_lipschitz_series_is_prefix_min():
                 constants.append(exact if exact is not None
                                  else lipschitz_estimate(T, k, ref, pairs=4))
             averages = np.cumsum(constants) / np.arange(1, n_max + 1)
-            got = mean_lipschitz(T, n_max, rng=np.random.default_rng(n_max),
+            got = mean_lipschitz(T, rng=np.random.default_rng(n_max),
                                  pairs=4, use_exact=use_exact)
             assert got == min(averages), (use_exact, n_max)
 

@@ -159,6 +159,22 @@ def test_recenter_ball_returns_interior_point():
     assert norm(body.recenter(x) - x) <= 1e-12
 
 
+def test_recenter_ball_scales_an_outside_point_onto_the_sphere():
+    # a drift point of norm above 1 is pulled back along its ray: every
+    # cell keeps its sign, and the witness lies on the unit sphere
+    body = UnitBall(4)
+    w = body.recenter(GridFunction.constant(2.0, 4))
+    assert w.array.tolist() == [1.0] * 16
+    rng = np.random.default_rng(9)
+    for scale in (1.5, 40.0, 1e6):
+        x = GridFunction(4, rng.standard_normal(16))
+        x = x * (scale / norm(x))
+        w = body.recenter(x)
+        assert abs(norm(w) - 1.0) <= 1e-12
+        assert np.array_equal(np.sign(w.array), np.sign(x.array))
+        assert norm(w - x) == pytest.approx(scale - 1.0, rel=1e-9)
+
+
 def test_recenter_cone_hull_vertex_witness():
     # the drift point of the peak family is 0; the best recenter point is the
     # extra vertex, giving the ratio 1 + a

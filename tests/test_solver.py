@@ -710,6 +710,36 @@ def test_proof_step_rejects_target_overshoot(cyclic_means):
                      mean_lip=1.0, t_coeff=1000.0)
 
 
+class _FarWitnessBall(UnitBall):
+    """The unit ball whose witness is the constant -0.9, a member far from
+    every drift point the tests below hand it."""
+
+    def _recenter_witness(self, x):
+        return GridFunction.constant(-0.9, self.level)
+
+
+def test_proof_step_certificates_refuse_a_step():
+    # records of the constant 0.5 detect it as their limit, with a gap of
+    # float noise, so the limit branch is taken from x0 = -0.25, at radius
+    # 0.75
+    x0 = GridFunction.constant(-0.25, 6)
+    rec = build_afps_record(CyclicShift(UnitBall(6)), GridFunction.constant(0.5, 6), 64)
+    assert rec.radius_from(x0) == 0.75 and rec.radius_from(rec.limit) <= 1e-12
+    # the witness -0.9 lies 1.4 from every mean: the radius does not contract
+    far = _FarWitnessBall(6)
+    with pytest.raises(BranchConditionError, match=r"^contraction certificate "
+                       r"failed: 1\.4 > \(1-eps\) r0 = 0\.675$"):
+        _priced_step(CyclicShift(far), far, x0, 0.1, [rec], mean_lip=1.0,
+                     t_coeff=1.0)
+    # handed a tenth of the true radius, the step contracts onto the limit,
+    # yet moves x0 by 0.75, beyond (2 + 1.1) 0.075 + BRANCH_SLACK
+    ball = UnitBall(6)
+    with pytest.raises(BranchConditionError, match=r"^displacement certificate "
+                       r"failed: 0\.75 > 0\.232501$"):
+        proof_step(CyclicShift(ball), ball, x0, 0.1, [rec], mean_lip=1.0,
+                   t_coeff=1.0, radii=[0.075])
+
+
 def test_proof_step_reads_the_radii_it_is_handed():
     # solve prices each record's radius once and hands the list over; the
     # step must come out as if it had priced them itself
@@ -904,6 +934,92 @@ def test_solve_never_reports_mesh_artifact_as_fixed():
     assert outc.status != FIXED
 
 
+def test_solve_diagnoses_a_mesh_artifact_behind_an_open_gate():
+    # on the ball the doubling map's gate is open (growth 1, t = 1); the
+    # start 32 on the first cell is pinned only by the mesh, with residual
+    # 0, so the loop's first pass diagnoses it before building a record
+    ball = UnitBall(6)
+    T = DoublingShift(ball)
+    start = GridFunction(6, np.where(np.arange(64) == 0, 32.0, 0.0))
+    assert T.is_saturated(start) and afps_residual(T, start) == 0.0
+    out = solve(T, ball, start)
+    assert out.diagnostics["gate_open"]
+    assert out.status == BUDGET
+    assert out.diagnostics["branch_failure"] == \
+        "candidate is a mesh artifact or left the body"
+    assert [(row["outer_iter"], row["branch"]) for row in out.trace] == \
+        [(0, "diagnostic")]
+
+
+def test_solve_diagnoses_a_radius_below_tol_with_the_residual_above():
+    # the level-1 rotation swaps two cells: from (0.3 + 6e-9, 0.3 - 6e-9)
+    # the residual is 1.2e-8 > tol, while the record's means sit within tol
+    # of the start.  The certified solver diagnoses, though its limit is a
+    # member with residual 2.4e-9, and the practical march verifies a fixed
+    # point (ROADMAP item 3, Baseline)
+    ball = UnitBall(1)
+    T = CyclicShift(ball)
+    x0 = GridFunction(1, np.array([0.3 + 6e-9, 0.3 - 6e-9]))
+    assert afps_residual(T, x0) == pytest.approx(1.2e-8, rel=1e-6)
+    out = solve(T, ball, x0)
+    assert out.status == BUDGET
+    assert out.diagnostics["branch_failure"] == \
+        "radius reached tol but the residual did not"
+    ((row),) = out.trace
+    assert row["branch"] == "diagnostic" and row["r_estimate"] <= 1e-8
+    assert out.residual == pytest.approx(2.4e-9, rel=1e-6)
+    assert ball.membership(out.point, MEMBERSHIP_TOL)
+    assert cesaro_solve(T, ball, x0).status == FIXED
+
+
+def test_solve_checks_the_last_step_after_the_loop(monkeypatch):
+    # the level-7 rotation converges in the pass after its fourth step; with
+    # MAX_OUTER = 4 the check after the loop accepts the same point, without
+    # the record of 8 * 128 means (and one orbit row) that pass builds, so
+    # its converged row has no radius; with MAX_OUTER = 1 it diagnoses
+    ball = UnitBall(7)
+    T = CyclicShift(ball)
+    full = solve(T, ball, seed=0)
+    assert full.status == FIXED and full.trace[-1]["outer_iter"] == 4
+    monkeypatch.setattr(solver_module, "MAX_OUTER", 4)
+    out = solve(T, ball, seed=0)
+    assert out.status == FIXED
+    assert out.point.array.tobytes() == full.point.array.tobytes()
+    assert out.residual == full.residual and out.trace[:-1] == full.trace[:-1]
+    assert out.trace[-1] == {**full.trace[-1], "r_estimate": 0.0}
+    assert full.diagnostics["applications"] - out.diagnostics["applications"] == \
+        8 * 128 + 1
+    monkeypatch.setattr(solver_module, "MAX_OUTER", 1)
+    out = solve(T, ball, seed=0)
+    assert out.status == BUDGET
+    assert out.diagnostics["branch_failure"] == "no convergence in 1 outer steps"
+    assert [(row["outer_iter"], row["branch"]) for row in out.trace] == \
+        [(0, "x_limit"), (1, "diagnostic")]
+
+
+class _OpenBumpShift(BumpShift):
+    """The bump shift declaring every iterate constant 1, which opens its
+    gate (1 * t < 2)."""
+
+    def lipschitz_exact(self, n):
+        return 1.0
+
+
+def test_solve_diagnoses_a_record_that_cannot_start():
+    # all the mass in the last slot: the start's residual cannot be priced
+    # and its orbit has no first step, so the open gate's first record is
+    # refused and diagnosis finds no orbit to restart
+    bump = BumpSimplex(1.5, 16)
+    last = coord_basis(1.5, 16, 15)
+    out = solve(_OpenBumpShift(bump), bump, last)
+    assert out.diagnostics["gate_open"]
+    assert out.status == BUDGET and out.point is None
+    assert out.diagnostics["branch_failure"] == "orbit ended before the first residual"
+    assert out.diagnostics["note"].startswith("orbit usable for only 0 steps")
+    assert [(row["outer_iter"], row["branch"]) for row in out.trace] == \
+        [(0, "diagnostic")]
+
+
 def test_every_body_without_t_exact_gets_a_verdict():
     # solve brackets t from the default drift family; at level 4 no family
     # drifts, and the cap t <= 2 closes the gate for the rotation
@@ -973,6 +1089,14 @@ def test_cesaro_solve_bump_overflow_escapes():
     out = cesaro_solve(BumpShift(bump), bump, seed=0, n_max=256)
     assert out.status == ESCAPED
     assert "ran out of tracked slots" in out.diagnostics["stop_reason"]
+
+
+def test_cesaro_solve_diagnoses_an_orbit_that_cannot_move():
+    bump = BumpSimplex(1.5, 16)
+    out = cesaro_solve(BumpShift(bump), bump, coord_basis(1.5, 16, 15))
+    assert out.status == BUDGET and out.point is None and out.trace == []
+    assert out.diagnostics["stop_reason"] == "orbit cannot move from the starting point"
+    assert out.diagnostics["applications"] == 0
 
 
 # ---------------------------------------------------------------------------
